@@ -22,7 +22,7 @@ _ZERO = Fraction(0)
 class Algebra:
     """Immutable finite-dimensional unital algebra given by structure constants."""
 
-    __slots__ = ("dim", "constants", "unit", "labels", "_table", "_hash")
+    __slots__ = ("dim", "constants", "unit", "labels", "_table", "_hash", "_assoc")
 
     def __init__(self, constants: Sequence[Sequence[Sequence]], unit: Sequence,
                  labels: Optional[Sequence[str]] = None):
@@ -54,6 +54,7 @@ class Algebra:
             for plane in tensor
         )
         self._hash = hash((dim, tensor, self.unit))
+        self._assoc = None
         self._validate_unit()
 
     def _validate_unit(self):
@@ -101,8 +102,27 @@ class Algebra:
                     out[k] += p * c
         return tuple(out)
 
-    def mul_basis(self, i: int, j: int) -> Vec:
-        return self.constants[i][j]
+    def associator_table(self) -> dict[tuple[int, int, int], dict[int, Fraction]]:
+        """Nonzero basis associators (b_i b_j) b_k - b_i (b_j b_k) as sparse {k: c}
+        vectors keyed by (i, j, k) in lexicographic order, built once from `_table`.
+        Callers must not mutate it."""
+        if self._assoc is None:
+            n, table, out = self.dim, self._table, {}
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        v = {}
+                        for m, c in table[i][j]:
+                            for p, x in table[m][k]:
+                                v[p] = v.get(p, _ZERO) + c * x
+                        for m, c in table[j][k]:
+                            for p, x in table[i][m]:
+                                v[p] = v.get(p, _ZERO) - c * x
+                        v = {p: x for p, x in v.items() if x}
+                        if v:
+                            out[(i, j, k)] = v
+            self._assoc = out
+        return self._assoc
 
     def left_mult_matrix(self, y: Sequence[Fraction]) -> Matrix:
         """Matrix of x -> y x in the algebra basis."""
@@ -207,19 +227,9 @@ def mult_operators(y: Element) -> tuple[Matrix, Matrix]:
     return alg.left_mult_matrix(y.coeffs), alg.right_mult_matrix(y.coeffs)
 
 
-def _basis_associators(a: Algebra) -> list[list[list[Vec]]]:
-    n = a.dim
-    prods = a.constants
-    out = [[[None] * n for _ in range(n)] for _ in range(n)]  # type: ignore[list-item]
-    for i in range(n):
-        bi = a.basis_vec(i)
-        for j in range(n):
-            pij = prods[i][j]
-            for k in range(n):
-                left = a.mul_vec(pij, a.basis_vec(k))
-                right = a.mul_vec(bi, prods[j][k])
-                out[i][j][k] = vec_sub(left, right)
-    return out
+def _cancel(u: Optional[dict], v: Optional[dict]) -> bool:
+    """u + v = 0 for two sparse associator vectors (None is zero)."""
+    return (u or {}) == {k: -c for k, c in (v or {}).items()}
 
 
 def check_alternative(a: Algebra) -> bool:
@@ -229,28 +239,21 @@ def check_alternative(a: Algebra) -> bool:
 
 def alternativity_witness(a: Algebra) -> Optional[tuple[int, int, int]]:
     """Basis triple violating (i,j,k)+(j,i,k)=0 or (i,j,k)+(i,k,j)=0, if any."""
-    ass = _basis_associators(a)
+    ass = a.associator_table()
     n = a.dim
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                if not is_zero_vec(vec_add(ass[i][j][k], ass[j][i][k])):
-                    return (i, j, k)
-                if not is_zero_vec(vec_add(ass[i][j][k], ass[i][k][j])):
+                u = ass.get((i, j, k))
+                if not _cancel(u, ass.get((j, i, k))) or not _cancel(u, ass.get((i, k, j))):
                     return (i, j, k)
     return None
 
 
 def check_flexible(a: Algebra) -> bool:
     """(x,y,x) = 0, via the linearization (x,y,z) + (z,y,x) = 0 on basis triples."""
-    ass = _basis_associators(a)
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if not is_zero_vec(vec_add(ass[i][j][k], ass[k][j][i])):
-                    return False
-    return True
+    ass = a.associator_table()
+    return all(_cancel(u, ass.get((k, j, i))) for (i, j, k), u in ass.items())
 
 
 def check_associative(a: Algebra) -> bool:
@@ -259,11 +262,4 @@ def check_associative(a: Algebra) -> bool:
 
 def find_nonassociative_triple(a: Algebra) -> Optional[tuple[int, int, int]]:
     """First basis triple with nonzero associator, or None when associative."""
-    ass = _basis_associators(a)
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if not is_zero_vec(ass[i][j][k]):
-                    return (i, j, k)
-    return None
+    return next(iter(a.associator_table()), None)

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from .algebra import Algebra, Element
 from .errors import InputError
 from .liederiv import CentralTerm, MapSpec, SampleBudget, compose
-from .linalg import Matrix, fvec, kernel, zero_vec
+from .linalg import Matrix, combine, fvec, kernel, zero_vec
 from .sampling import random_poly, random_rational, rng_for
 from .structure import IdempotentKind, center, commutator_subspace, derivation_algebra, verify_idempotent
 
@@ -203,11 +203,8 @@ def random_lie_derivation(a: Algebra, budget: SampleBudget, central_terms: int =
         ell = commutator_annihilating_functional(a)
         cen = center(a)
         for _ in range(central_terms):
-            z = zero_vec(a.dim)
-            for zb in cen.basis:
-                c = random_rational(rng, budget.height)
-                if c:
-                    z = tuple(x + c * y for x, y in zip(z, zb))
+            coeffs = [random_rational(rng, budget.height) for _ in cen.basis]
+            z = combine(coeffs, cen.basis, a.dim)
             terms.append(CentralTerm(fvec(ell), random_poly(rng, height=budget.height), fvec(z)))
     return compose(a, linear, tuple(terms))
 

@@ -36,6 +36,7 @@ from .errors import (
 from .linalg import (
     Matrix,
     Vec,
+    combine,
     fvec,
     invert,
     is_zero_vec,
@@ -240,14 +241,8 @@ def _corner_samples(ctx: PeirceContext, i: int, rng, count: int, height: int) ->
     basis = ctx.spaces[i][i].basis
     out = list(basis)
     for _ in range(count):
-        v = [_ZERO] * ctx.algebra.dim
-        for b in basis:
-            c = random_rational(rng, height)
-            if c:
-                for idx, x in enumerate(b):
-                    if x:
-                        v[idx] += c * x
-        out.append(tuple(v))
+        coeffs = [random_rational(rng, height) for _ in basis]
+        out.append(combine(coeffs, basis, ctx.algebra.dim))
     return out
 
 
@@ -329,13 +324,7 @@ def split_diagonal(ctx: PeirceContext, c: Element, side: int) -> tuple[Element, 
             f"no central element matches the corner of {c!r}; "
             f"hypothesis {'a' if side == 1 else 'b'} is violated"
         )
-    z = [_ZERO] * alg.dim
-    for w, zb in zip(combo, cen.basis):
-        if w:
-            for idx, x in enumerate(zb):
-                if x:
-                    z[idx] += w * x
-    zel = Element(alg, tuple(z))
+    zel = Element(alg, combine(combo, cen.basis, alg.dim))
     b = c - zel
     if not ctx.spaces[side - 1][side - 1].contains_vector(b.coeffs):
         raise NoSplitError(f"residue {b!r} does not lie in the diagonal corner")

@@ -1,8 +1,12 @@
-"""Dense linear algebra over exact rationals.
+"""Exact linear algebra over the rationals, eliminating on sparse rows.
 
 Everything is a `fractions.Fraction`; there are no tolerances anywhere.
-Subspaces store a reduced-row-echelon basis, so two equal subspaces have
-identical representations and equality is syntactic.
+`rref`, `kernel`, `solve`, `invert` and `Subspace.span` all run one
+Gauss-Jordan routine on `{col: value}` rows of nonzero entries, so tall sparse
+systems cost what their nonzeros cost. The reduced row-echelon form of a row
+space is unique, so results (and every report built on them) do not depend on
+how rows were stored or ordered; subspaces keep that canonical basis, and
+equality is syntactic.
 """
 
 from __future__ import annotations
@@ -38,12 +42,15 @@ def vec_scale(c: Fraction, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
 
-def vec_dot(a: Vec, b: Vec) -> Fraction:
-    acc = _ZERO
-    for x, y in zip(a, b):
-        if x and y:
-            acc += x * y
-    return acc
+def combine(coeffs: Iterable, vectors: Iterable[Sequence], dim: int) -> Vec:
+    """The linear combination sum_i coeffs[i] * vectors[i] in Q^dim."""
+    out = [_ZERO] * dim
+    for c, v in zip(coeffs, vectors):
+        if c:
+            for i, x in enumerate(v):
+                if x:
+                    out[i] += c * x
+    return tuple(out)
 
 
 def is_zero_vec(a: Vec) -> bool:
@@ -137,13 +144,12 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(not x for r in self.rows for x in r)
 
+    def sparse_rows(self) -> list[dict[int, Fraction]]:
+        return [{c: x for c, x in enumerate(r) if x} for r in self.rows]
+
     def __repr__(self):
         body = "; ".join("[" + ", ".join(str(x) for x in r) + "]" for r in self.rows)
         return f"Matrix({self.nrows}x{self.cols}: {body})"
-
-
-def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    return a * b - b * a
 
 
 def stack(matrices: Sequence[Matrix], cols: Optional[int] = None) -> Matrix:
@@ -161,64 +167,87 @@ def stack(matrices: Sequence[Matrix], cols: Optional[int] = None) -> Matrix:
     return Matrix((), cols)
 
 
-def _rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        src = None
-        for r in range(pr, len(rows)):
-            if rows[r][pc]:
-                src = r
-                break
-        if src is None:
+@dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """Matrix given by `{col: value}` rows of its nonzero entries (tall sparse systems)."""
+
+    rows: tuple[dict[int, Fraction], ...]
+    cols: int
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+    def sparse_rows(self) -> list[dict[int, Fraction]]:
+        return [dict(r) for r in self.rows]
+
+
+def _sub_scaled(dst: dict[int, Fraction], f: Fraction, src: dict[int, Fraction]) -> None:
+    """dst -= f * src on sparse rows, dropping entries that cancel."""
+    for c, x in src.items():
+        y = dst.get(c, _ZERO) - f * x
+        if y:
+            dst[c] = y
+        else:
+            del dst[c]
+
+
+def _eliminate(rows: Iterable[dict[int, Fraction]],
+               ncols: int) -> list[tuple[int, dict[int, Fraction]]]:
+    """Gauss-Jordan elimination on sparse rows, which it consumes.
+
+    Returns the nonzero rows of the unique RREF as (pivot column, row) pairs
+    sorted by pivot; each row omits its pivot entry, an implicit 1, and is zero
+    in every other pivot column.
+    """
+    piv: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        for p in [c for c in row if c in piv]:
+            _sub_scaled(row, row.pop(p), piv[p])
+        if not row:
             continue
-        rows[pr], rows[src] = rows[src], rows[pr]
-        prow = rows[pr]
-        inv = _ONE / prow[pc]
+        p = min(row)
+        inv = _ONE / row.pop(p)
         if inv != 1:
-            for c in range(pc, ncols):
-                if prow[c]:
-                    prow[c] *= inv
-        for r in range(len(rows)):
-            if r == pr:
-                continue
-            f = rows[r][pc]
-            if f:
-                row = rows[r]
-                for c in range(pc, ncols):
-                    if prow[c]:
-                        row[c] -= f * prow[c]
-        pivots.append(pc)
-        pr += 1
-        if pr == len(rows):
+            row = {c: x * inv for c, x in row.items()}
+        for other in piv.values():
+            if p in other:
+                _sub_scaled(other, other.pop(p), row)
+        piv[p] = row
+        if len(piv) == ncols:
             break
-    return rows, pivots
+    return [(p, piv[p]) for p in sorted(piv)]
+
+
+def _dense(pivot: int, row: dict[int, Fraction], ncols: int) -> Vec:
+    v = [_ZERO] * ncols
+    v[pivot] = _ONE
+    for c, x in row.items():
+        v[c] = x
+    return tuple(v)
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row-echelon form and pivot columns; the form is unique."""
-    rows = [list(r) for r in m.rows]
-    rows, pivots = _rref_rows(rows, m.cols)
-    return Matrix(tuple(tuple(r) for r in rows), m.cols), tuple(pivots)
+    red = _eliminate(m.sparse_rows(), m.cols)
+    rows = [_dense(p, r, m.cols) for p, r in red]
+    rows += [zero_vec(m.cols)] * (m.nrows - len(red))
+    return Matrix(tuple(rows), m.cols), tuple(p for p, _ in red)
 
 
 def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
-def kernel(m: Matrix) -> "Subspace":
-    """Canonical basis of the right null space {x : m x = 0}."""
-    red, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [_ZERO] * m.cols
-        v[fc] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red.rows[r][fc]
-        basis.append(tuple(v))
-    return Subspace.span(m.cols, basis)
+def kernel(m: Matrix | SparseMatrix) -> "Subspace":
+    """Canonical basis of the right null space {x : m x = 0} of a Matrix or SparseMatrix."""
+    red = _eliminate(m.sparse_rows(), m.cols)
+    pivots = {p for p, _ in red}
+    basis = {fc: {fc: _ONE} for fc in range(m.cols) if fc not in pivots}
+    for p, row in red:
+        for fc, x in row.items():
+            basis[fc][p] = -x
+    return Subspace._from_sparse(m.cols, basis.values())
 
 
 def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vec]:
@@ -226,13 +255,16 @@ def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vec]:
     if len(b) != m.nrows:
         raise ValueError("right-hand side length mismatch")
     ncols = m.cols
-    rows = [list(r) + [Fraction(x)] for r, x in zip(m.rows, b)]
-    rows, pivots = _rref_rows(rows, ncols + 1)
-    if pivots and pivots[-1] == ncols:
+    rows = m.sparse_rows()
+    for row, x in zip(rows, b):
+        if x:
+            row[ncols] = Fraction(x)
+    red = _eliminate(rows, ncols + 1)
+    if red and red[-1][0] == ncols:
         return None
     x = [_ZERO] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][ncols]
+    for p, row in red:
+        x[p] = row.get(ncols, _ZERO)
     return tuple(x)
 
 
@@ -241,12 +273,13 @@ def invert(m: Matrix) -> Matrix:
     if m.nrows != m.cols:
         raise ValueError("only square matrices can be inverted")
     n = m.cols
-    rows = [list(r) + [_ONE if i == j else _ZERO for j in range(n)]
-            for i, r in enumerate(m.rows)]
-    rows, pivots = _rref_rows(rows, 2 * n)
-    if list(pivots) != list(range(n)):
+    rows = m.sparse_rows()
+    for i, row in enumerate(rows):
+        row[n + i] = _ONE
+    red = _eliminate(rows, 2 * n)
+    if [p for p, _ in red] != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(tuple(tuple(r[n:]) for r in rows[:n]), n)
+    return Matrix(tuple(tuple(r.get(n + j, _ZERO) for j in range(n)) for _, r in red), n)
 
 
 @dataclass(frozen=True)
@@ -258,12 +291,18 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [list(fvec(v)) for v in vectors]
-        for r in rows:
-            if len(r) != ambient_dim:
+        rows = []
+        for v in vectors:
+            v = fvec(v)
+            if len(v) != ambient_dim:
                 raise ValueError("spanning vector has wrong length")
-        rows, pivots = _rref_rows(rows, ambient_dim)
-        return cls(ambient_dim, tuple(tuple(r) for r in rows[: len(pivots)]))
+            rows.append({c: x for c, x in enumerate(v) if x})
+        return cls._from_sparse(ambient_dim, rows)
+
+    @classmethod
+    def _from_sparse(cls, ambient_dim: int, rows: Iterable[dict[int, Fraction]]) -> "Subspace":
+        red = _eliminate(rows, ambient_dim)
+        return cls(ambient_dim, tuple(_dense(p, r, ambient_dim) for p, r in red))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -276,9 +315,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def _pivots(self) -> list[int]:
-        return [next(i for i, x in enumerate(row) if x) for row in self.basis]
 
     def reduce_vector(self, v: Sequence[Fraction]) -> Vec:
         """Residue of v after elimination against the basis; zero iff v is a member."""
@@ -318,16 +354,8 @@ class Subspace:
         for i in range(self.ambient_dim):
             rows.append(tuple(b[i] for b in self.basis) + tuple(-b[i] for b in other.basis))
         combos = kernel(Matrix(tuple(rows), k + m))
-        vectors = []
-        for c in combos.basis:
-            v = [_ZERO] * self.ambient_dim
-            for a, b in zip(c[:k], self.basis):
-                if a:
-                    for i, x in enumerate(b):
-                        if x:
-                            v[i] += a * x
-            vectors.append(tuple(v))
-        return Subspace.span(self.ambient_dim, vectors)
+        return Subspace.span(self.ambient_dim,
+                             [combine(c[:k], self.basis, self.ambient_dim) for c in combos.basis])
 
     def image_under(self, m: Matrix) -> "Subspace":
         if m.cols != self.ambient_dim:

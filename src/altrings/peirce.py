@@ -19,7 +19,7 @@ from .errors import (
     PreconditionFailedError,
     TrivialIdempotentError,
 )
-from .linalg import Matrix, Subspace, column_space, kernel, rank, restrict_map, stack
+from .linalg import Matrix, Subspace, column_space, combine, kernel, rank, restrict_map, stack
 from .report import Check
 from .sampling import random_rational, rng_for
 from .structure import IdempotentKind, center, centralizer, verify_idempotent
@@ -201,12 +201,7 @@ def _annihilator_in(alg: Algebra, domain: Subspace, multipliers: Subspace,
         if ker.dim == 0:
             return None
         coeffs = ker.basis[0]
-    v = [0] * alg.dim
-    for c, b in zip(coeffs, domain.basis):
-        if c:
-            for idx, x in enumerate(b):
-                v[idx] += c * x
-    return Element(alg, tuple(v))
+    return Element(alg, combine(coeffs, domain.basis, alg.dim))
 
 
 def check_conditions(ctx: PeirceContext, seed: int = 0, samples: int = 20) -> ConditionsReport:
@@ -255,11 +250,7 @@ def check_conditions(ctx: PeirceContext, seed: int = 0, samples: int = 20) -> Co
         for _ in range(samples):
             v = tuple(random_rational(rng) for _ in range(cen.dim))
             if any(v):
-                combo = [0] * alg.dim
-                for c, b in zip(v, cen.basis):
-                    for idx, x in enumerate(b):
-                        combo[idx] += c * x
-                cands.append(tuple(combo))
+                cands.append(combine(v, cen.basis, alg.dim))
         for z in cands:
             if rank(alg.left_mult_matrix(z)) != alg.dim:
                 ok = False

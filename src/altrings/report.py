@@ -27,13 +27,3 @@ class Check:
             d["detail"] = self.detail
         return d
 
-
-def all_ok(checks) -> bool:
-    return all(c.ok for c in checks)
-
-
-def first_failure(checks) -> Optional[Check]:
-    for c in checks:
-        if not c.ok:
-            return c
-    return None

@@ -21,37 +21,35 @@ from .algebra import (
     check_flexible,
 )
 from .errors import NotAlternativeError
-from .linalg import Matrix, Subspace, is_zero_vec, kernel, stack
+from .linalg import Matrix, SparseMatrix, Subspace, is_zero_vec, kernel, stack
 from .sampling import random_nonzero_vector, rng_for
 
 
 @lru_cache(maxsize=None)
 def nucleus(a: Algebra) -> Subspace:
-    """Elements r with (x,y,r) = (x,r,y) = (r,x,y) = 0 for all x, y."""
-    n = a.dim
-    blocks = []
-    lmat = [a.left_mult_matrix(a.basis_vec(i)) for i in range(n)]
-    rmat = [a.right_mult_matrix(a.basis_vec(i)) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = a.constants[i][j]
-            # (b_i, b_j, r): L_{b_i b_j} - L_{b_i} L_{b_j}
-            blocks.append(a.left_mult_matrix(prod) - lmat[i] * lmat[j])
-            # (b_i, r, b_j): R_{b_j} L_{b_i} - L_{b_i} R_{b_j}
-            blocks.append(rmat[j] * lmat[i] - lmat[i] * rmat[j])
-            # (r, b_i, b_j): R_{b_j} R_{b_i} - R_{b_i b_j}
-            blocks.append(rmat[j] * rmat[i] - a.right_mult_matrix(prod))
-    return kernel(stack(blocks, n))
+    """Elements r with (x,y,r) = (x,r,y) = (r,x,y) = 0 for all x, y.
+
+    Associators are linear in r: component k of (b_i, b_j, b_m) is the
+    coefficient of r_m in row (i, j, k) of (b_i, b_j, r), row (i, m, k) of
+    (b_i, r, b_m) and row (j, m, k) of (r, b_j, b_m)."""
+    rows = {}
+    for (i, j, m), v in a.associator_table().items():
+        for k, x in v.items():
+            rows.setdefault((0, i, j, k), {})[m] = x
+            rows.setdefault((1, i, m, k), {})[j] = x
+            rows.setdefault((2, j, m, k), {})[i] = x
+    return kernel(SparseMatrix(tuple(rows.values()), a.dim))
 
 
 @lru_cache(maxsize=None)
 def center(a: Algebra) -> Subspace:
     """Nuclear elements commuting with everything."""
     n = a.dim
-    blocks = [a.right_mult_matrix(a.basis_vec(i)) - a.left_mult_matrix(a.basis_vec(i))
-              for i in range(n)]
-    commuting = kernel(stack(blocks, n))
-    return nucleus(a) & commuting
+    c = a.constants
+    # row (i, k) of x -> x b_i - b_i x: the coefficient of x_m is [b_m, b_i]_k
+    rows = ({m: c[m][i][k] - c[i][m][k] for m in range(n) if c[m][i][k] != c[i][m][k]}
+            for i in range(n) for k in range(n))
+    return nucleus(a) & kernel(SparseMatrix(tuple(rows), n))
 
 
 def centralizer(a: Algebra, s: Subspace) -> Subspace:
@@ -77,26 +75,26 @@ def commutator_subspace(a: Algebra) -> Subspace:
     return Subspace.span(n, vectors)
 
 
-def _leibniz_rows(a: Algebra) -> Matrix:
+def _leibniz_rows(a: Algebra) -> SparseMatrix:
     """Linear system on vec(d), d an n x n matrix with unknowns d[r][c] at r*n+c:
-    d(b_i b_j) - d(b_i) b_j - b_i d(b_j) = 0 for all basis pairs."""
+    d(b_i b_j) - d(b_i) b_j - b_i d(b_j) = 0 for all basis pairs, one row per
+    output component k, read off the sparse structure constants."""
     n = a.dim
-    c = a.constants
+    table = a._table
     rows = []
     for i in range(n):
         for j in range(n):
-            for k in range(n):
-                row = [0] * (n * n)
-                for m in range(n):
-                    if c[i][j][m]:
-                        row[k * n + m] += c[i][j][m]
-                    if c[m][j][k]:
-                        row[m * n + i] -= c[m][j][k]
-                    if c[i][m][k]:
-                        row[m * n + j] -= c[i][m][k]
-                if any(row):
-                    rows.append(row)
-    return Matrix.from_rows(rows, n * n)
+            block = [{} for _ in range(n)]
+            for m, c in table[i][j]:
+                for k in range(n):
+                    block[k][k * n + m] = c
+            for m in range(n):
+                for k, c in table[m][j]:
+                    block[k][m * n + i] = block[k].get(m * n + i, 0) - c
+                for k, c in table[i][m]:
+                    block[k][m * n + j] = block[k].get(m * n + j, 0) - c
+            rows += [r for r in ({col: x for col, x in r.items() if x} for r in block) if r]
+    return SparseMatrix(tuple(rows), n * n)
 
 
 @lru_cache(maxsize=None)

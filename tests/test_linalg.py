@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from altrings.linalg import (
     Matrix,
+    SparseMatrix,
     Subspace,
     column_space,
     invert,
@@ -163,3 +164,36 @@ def test_kernel_vectors_annihilate(m):
 @given(small_matrices())
 def test_column_space_dim_is_rank(m):
     assert column_space(m).dim == rank(m)
+
+
+@st.composite
+def redundant_matrices(draw, square=False):
+    """small_matrices with duplicated and zero rows inserted at random places;
+    `square` keeps the leading k x k block, k = min(rows, cols)."""
+    m = draw(small_matrices())
+    rows = list(m.rows)
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), rows[draw(st.integers(0, len(rows) - 1))])
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), (F(0),) * m.cols)
+    cols = m.cols
+    if square:
+        cols = min(len(rows), cols)
+        rows = [r[:cols] for r in rows[:cols]]
+    return Matrix(tuple(rows), cols)
+
+
+@given(redundant_matrices(), st.randoms(use_true_random=False))
+def test_sparse_kernel_matches_dense(m, rnd):
+    rows = [{c: x for c, x in enumerate(r) if x} for r in m.rows]
+    rnd.shuffle(rows)
+    assert kernel(SparseMatrix(tuple(rows), m.cols)) == kernel(m)
+
+
+@given(redundant_matrices(square=True))
+def test_invert_full_rank_square(m):
+    if rank(m) == m.cols:
+        assert invert(m) * m == Matrix.identity(m.cols)
+    else:
+        with pytest.raises(ValueError):
+            invert(m)

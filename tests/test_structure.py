@@ -1,22 +1,27 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altrings import (
+    Algebra,
     analyze,
     associator,
     center,
     centralizer,
     check_prime,
+    commutator,
     derivation_algebra,
     is_derivation,
     nucleus,
     verify_idempotent,
 )
-from altrings.catalog import direct_sum, matrix_algebra
+from altrings.algebra import alternativity_witness, check_flexible, find_nonassociative_triple
+from altrings.catalog import build, direct_sum, matrix_algebra, parse_recipe
 from altrings.errors import NotAlternativeError
-from altrings.linalg import Subspace, is_zero_vec
-from altrings.structure import IdempotentKind
+from altrings.linalg import Matrix, Subspace, is_zero_vec, kernel
+from altrings.structure import IdempotentKind, derivation_span
 
 F = Fraction
 
@@ -161,3 +166,99 @@ def test_analyze_reports(m2, zorn_algebra):
 def test_analyze_scalars():
     rep = analyze(matrix_algebra(1))
     assert (rep.nucleus.dim, rep.center.dim, rep.derivation_dim) == (1, 1, 0)
+
+
+DIM16 = {
+    # recipe: ((dim, nucleus, center, derivations), alternativity witness,
+    #          flexible, first non-associative basis triple)
+    "cd:-1,-1,-1,-1": ((16, 1, 1, 14), (1, 2, 12), True, (1, 2, 4)),
+    "matrix:4": ((16, 16, 1, 15), None, True, None),
+    "sum(zorn|zorn)": ((16, 2, 2, 28), None, True, (0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(DIM16))
+def test_analyze_dim16(recipe):
+    dims, alt_witness, flexible, nonassoc = DIM16[recipe]
+    a = build(parse_recipe(recipe))
+    rep = analyze(a)
+    assert (a.dim, rep.nucleus.dim, rep.center.dim, rep.derivation_dim) == dims
+    assert alternativity_witness(a) == alt_witness
+    assert rep.is_alternative == (alt_witness is None)
+    assert check_flexible(a) == rep.is_flexible == flexible
+    assert find_nonassociative_triple(a) == nonassoc
+    assert rep.is_associative == (nonassoc is None)
+    assert rep.center.contains_vector(a.unit)
+    for d in derivation_algebra(a):
+        assert is_derivation(a, d)
+
+
+@pytest.mark.parametrize("products", [
+    # (a*a, a*b, b*a, b*b) on the basis 1, a, b.  In each algebra the nucleus is
+    # the unit line, but it would grow if the named associator slot were skipped.
+    ("0", "0", "a", "0"),  # (x, y, r)
+    ("a", "0", "a", "b"),  # (x, r, y)
+    ("0", "a", "0", "0"),  # (r, x, y): a*b = a gives (a, b, b) = a
+])
+def test_nucleus_checks_every_slot(products):
+    def e(k):
+        return tuple(F(int(t == k)) for t in range(3))
+
+    vec = {"0": (F(0),) * 3, "a": e(1), "b": e(2)}
+    aa, ab, ba, bb = (vec[p] for p in products)
+    alg = Algebra([[e(0), e(1), e(2)], [e(1), aa, ab], [e(2), ba, bb]], e(0))
+    assert nucleus(alg) == Subspace.span(3, [alg.unit])
+
+
+@st.composite
+def unital_algebras(draw):
+    """Random unital algebras up to dim 4, b0 the unit, with sparse rational constants."""
+    n = draw(st.integers(2, 4))
+    coeff = st.sampled_from([F(0)] * 6 + [F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
+
+    def e(k):
+        return tuple(F(int(t == k)) for t in range(n))
+
+    constants = [[e(i + j) if 0 in (i, j) else tuple(draw(coeff) for _ in range(n))
+                  for j in range(n)] for i in range(n)]
+    return Algebra(constants, e(0))
+
+
+def _kernel_of_maps(dim, maps, inputs):
+    """Common kernel of linear maps given as functions on the basis `inputs` of Q^dim."""
+    rows = []
+    for f in maps:
+        cols = [f(x) for x in inputs]
+        rows += [tuple(col[k] for col in cols) for k in range(len(cols[0]))]
+    return kernel(Matrix(tuple(rows), dim))
+
+
+@settings(max_examples=60)
+@given(unital_algebras())
+def test_structure_matches_element_definitions(a):
+    n = a.dim
+    basis = [a.basis_element(i) for i in range(n)]
+    pairs = [(x, y) for x in basis for y in basis]
+    nuc = _kernel_of_maps(n, [f for x, y in pairs for f in (
+        lambda r, x=x, y=y: associator(x, y, r).coeffs,
+        lambda r, x=x, y=y: associator(x, r, y).coeffs,
+        lambda r, x=x, y=y: associator(r, x, y).coeffs)], basis)
+    assert nucleus(a) == nuc
+    assert center(a) == nuc & _kernel_of_maps(
+        n, [lambda r, x=x: commutator(r, x).coeffs for x in basis], basis)
+    # Leibniz rule d(xy) - d(x)y - x d(y), as a map of the matrix d
+    units = [Matrix(tuple(tuple(F(int((r, c) == (p, q))) for c in range(n)) for r in range(n)), n)
+             for p in range(n) for q in range(n)]
+    assert derivation_span(a) == _kernel_of_maps(n * n, [
+        lambda d, x=x, y=y: (a.element(d.apply((x * y).coeffs)) - a.element(d.apply(x.coeffs)) * y
+                             - x * a.element(d.apply(y.coeffs))).coeffs
+        for x, y in pairs], units)
+    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
+    ass = {t: associator(*(basis[i] for i in t)) for t in triples}
+    assert find_nonassociative_triple(a) == next(
+        (t for t in triples if not ass[t].is_zero()), None)
+    assert check_flexible(a) == all((ass[(i, j, k)] + ass[(k, j, i)]).is_zero()
+                                    for i, j, k in triples)
+    assert alternativity_witness(a) == next(
+        (t for t in triples if not (ass[t] + ass[(t[1], t[0], t[2])]).is_zero()
+         or not (ass[t] + ass[(t[0], t[2], t[1])]).is_zero()), None)
