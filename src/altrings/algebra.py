@@ -2,6 +2,10 @@
 
 An algebra is a dimension, a rank-3 tensor c[i][j][k] with
 basis_i * basis_j = sum_k c[i][j][k] basis_k, and a verified two-sided unit.
+Next to the `Fraction` constants, an algebra keeps their nonzeros as integer
+numerators over one common denominator. `mul_vec` takes `Fraction` vectors,
+runs its triple loop on those integers (see `linalg.int_vec`), and returns
+`Fraction`s again, so its values are exactly those of the rational product.
 Identity checking (alternative / flexible / associative) works on basis
 triples: the linearized identities are multilinear, so basis enumeration
 decides them over characteristic zero.
@@ -11,10 +15,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import AlgebraMismatchError, UnitValidationError
-from .linalg import Matrix, Vec, fvec, is_zero_vec, vec_add, vec_scale, vec_sub, zero_vec
+from .linalg import (
+    Matrix,
+    Vec,
+    frac_vec,
+    fvec,
+    int_vec,
+    is_zero_vec,
+    vec_add,
+    vec_scale,
+    vec_sub,
+    zero_vec,
+)
 
 _ZERO = Fraction(0)
 
@@ -22,7 +38,8 @@ _ZERO = Fraction(0)
 class Algebra:
     """Immutable finite-dimensional unital algebra given by structure constants."""
 
-    __slots__ = ("dim", "constants", "unit", "labels", "_table", "_hash", "_assoc")
+    __slots__ = ("dim", "constants", "unit", "labels", "_table", "_int_table", "_den",
+                 "_hash", "_assoc")
 
     def __init__(self, constants: Sequence[Sequence[Sequence]], unit: Sequence,
                  labels: Optional[Sequence[str]] = None):
@@ -52,6 +69,14 @@ class Algebra:
         self._table = tuple(
             tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
             for plane in tensor
+        )
+        # the same nonzeros as integers: c[i][j][k] == num / _den
+        self._den = den = lcm(*(c.denominator for plane in self._table
+                                for cell in plane for _, c in cell))
+        self._int_table = tuple(
+            tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in cell)
+                  for cell in plane)
+            for plane in self._table
         )
         self._hash = hash((dim, tensor, self.unit))
         self._assoc = None
@@ -88,19 +113,17 @@ class Algebra:
     # -- raw vector arithmetic (hot paths work on tuples, not Elements) --
 
     def mul_vec(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Vec:
-        out = [_ZERO] * self.dim
-        table = self._table
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
+        pa, da = int_vec(a)
+        pb, db = int_vec(b)
+        out = [0] * self.dim
+        table = self._int_table
+        for i, ai in pa:
             row = table[i]
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
+            for j, bj in pb:
                 p = ai * bj
                 for k, c in row[j]:
                     out[k] += p * c
-        return tuple(out)
+        return frac_vec(out, da * db * self._den)
 
     def associator_table(self) -> dict[tuple[int, int, int], dict[int, Fraction]]:
         """Nonzero basis associators (b_i b_j) b_k - b_i (b_j b_k) as sparse {k: c}

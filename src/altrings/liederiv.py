@@ -35,13 +35,12 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    Subspace,
     Vec,
     combine,
     fvec,
     invert,
     is_zero_vec,
-    kernel,
-    solve,
     vec_add,
     vec_sub,
     zero_vec,
@@ -296,6 +295,22 @@ def normalize_at_idempotent(ctx: PeirceContext, d: MapLike) -> tuple[MapLike, El
     return shifted, y, f
 
 
+def _central_split(ctx: PeirceContext, side: int) -> Subspace:
+    """Canonical basis of the pairs (P z, z) for central z, P the projection on the
+    opposite corner, in Q^(2 dim); eliminated once per context and side.
+
+    P is injective on the center exactly when every basis row has its pivot in the
+    first half.  Then reducing (v, 0) against this basis leaves (v - P z, -z) for
+    the one central z whose pivot coordinates match v's."""
+    cached = ctx.central_splits.get(side)
+    if cached is None:
+        alg = ctx.algebra
+        proj = ctx.proj[2 - side][2 - side]
+        cached = Subspace.span(2 * alg.dim, [proj.apply(z) + z for z in center(alg).basis])
+        ctx.central_splits[side] = cached
+    return cached
+
+
 def split_diagonal(ctx: PeirceContext, c: Element, side: int) -> tuple[Element, Element]:
     """Write a diagonal-corner value c as b + z, b in R_ii, z central.
 
@@ -306,25 +321,20 @@ def split_diagonal(ctx: PeirceContext, c: Element, side: int) -> tuple[Element, 
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
     alg = ctx.algebra
-    other = 2 - side  # 0-based index of the opposite corner
-    cen = center(alg)
-    proj = ctx.proj[other][other]
-    cols = [proj.apply(z) for z in cen.basis]
-    system = Matrix(tuple(tuple(col[r] for col in cols) for r in range(alg.dim)),
-                    len(cols))
-    if kernel(system).dim > 0:
+    n = alg.dim
+    system = _central_split(ctx, side)
+    if any(not any(row[:n]) for row in system.basis):
         raise NonUniqueSplitError(
             "central elements are not separated by the opposite corner; "
             "corner conditions (2)/(3) are violated"
         )
-    rhs = proj.apply(c.coeffs)
-    combo = solve(system, rhs)
-    if combo is None:
+    residue = system.reduce_vector(ctx.proj[2 - side][2 - side].apply(c.coeffs) + zero_vec(n))
+    if any(residue[:n]):
         raise NoSplitError(
             f"no central element matches the corner of {c!r}; "
             f"hypothesis {'a' if side == 1 else 'b'} is violated"
         )
-    zel = Element(alg, combine(combo, cen.basis, alg.dim))
+    zel = Element(alg, tuple(-x for x in residue[n:]))
     b = c - zel
     if not ctx.spaces[side - 1][side - 1].contains_vector(b.coeffs):
         raise NoSplitError(f"residue {b!r} does not lie in the diagonal corner")

@@ -1,6 +1,12 @@
 """Exact linear algebra over the rationals, eliminating on sparse rows.
 
-Everything is a `fractions.Fraction`; there are no tolerances anywhere.
+Every value that enters or leaves this module is a `fractions.Fraction`;
+there are no tolerances anywhere. Products run on integers instead:
+`int_vec` writes a rational vector as integer numerators over one common
+denominator, the product is taken in `int`, and `frac_vec` turns the integer
+result back into one normalized `Fraction` per nonzero entry. `Matrix.apply`
+works this way on an integer form of the matrix built once per `Matrix`;
+`Algebra.mul_vec` does the same with the structure constants.
 `rref`, `kernel`, `solve`, `invert` and `Subspace.span` all run one
 Gauss-Jordan routine on `{col: value}` rows of nonzero entries, so tall sparse
 systems cost what their nonzeros cost. The reduced row-echelon form of a row
@@ -13,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -57,6 +65,21 @@ def is_zero_vec(a: Vec) -> bool:
     return not any(a)
 
 
+def int_vec(v: Iterable) -> tuple[list[tuple[int, int]], int]:
+    """The nonzero entries of a rational vector as (index, numerator) pairs over
+    one common denominator: v[i] == num / den for each pair (i, num)."""
+    ratios = [(i, x.as_integer_ratio()) for i, x in enumerate(v) if x]
+    den = lcm(*(d for _, (_, d) in ratios))
+    return [(i, n * (den // d)) for i, (n, d) in ratios], den
+
+
+def frac_vec(nums: Sequence[int], den: int) -> Vec:
+    """The rational vector nums / den, one normalized Fraction per nonzero entry."""
+    if den == 1:
+        return tuple(Fraction(x) if x else _ZERO for x in nums)
+    return tuple(Fraction(x, den) if x else _ZERO for x in nums)
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix; `cols` is explicit so 0-row stacks keep shape."""
@@ -90,18 +113,28 @@ class Matrix:
     def zeros(cls, nrows: int, ncols: int) -> "Matrix":
         return cls(((_ZERO,) * ncols,) * nrows, ncols)
 
+    @cached_property
+    def _int_cols(self) -> tuple[tuple, int]:
+        """Columns as nonzero (row, numerator) pairs over one common denominator."""
+        cols = self.cols
+        pairs, den = int_vec(x for row in self.rows for x in row)
+        out = [[] for _ in range(cols)]
+        for flat, num in pairs:
+            r, c = divmod(flat, cols)
+            out[c].append((r, num))
+        return tuple(map(tuple, out)), den
+
     def apply(self, v: Sequence[Fraction]) -> Vec:
-        """Matrix times column vector."""
+        """Matrix times column vector, computed on integers."""
         if len(v) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        out = []
-        for row in self.rows:
-            acc = _ZERO
-            for m, x in zip(row, v):
-                if m and x:
-                    acc += m * x
-            out.append(acc)
-        return tuple(out)
+        cols, dm = self._int_cols
+        pairs, dv = int_vec(v)
+        out = [0] * self.nrows
+        for c, x in pairs:
+            for r, m in cols[c]:
+                out[r] += m * x
+        return frac_vec(out, dm * dv)
 
     def col(self, j: int) -> Vec:
         return tuple(row[j] for row in self.rows)

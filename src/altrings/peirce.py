@@ -26,9 +26,13 @@ from .structure import IdempotentKind, center, centralizer, verify_idempotent
 
 
 class PeirceContext:
-    """Idempotent pair with corner projections and corner subspaces."""
+    """Idempotent pair with corner projections and corner subspaces.
 
-    __slots__ = ("algebra", "e1", "e2", "proj", "spaces")
+    `central_splits` holds, per side, the central system that
+    `liederiv.split_diagonal` eliminates once and reuses on later calls.
+    """
+
+    __slots__ = ("algebra", "e1", "e2", "proj", "spaces", "central_splits")
 
     def __init__(self, algebra: Algebra, e1: Element, e2: Element,
                  proj: tuple[tuple[Matrix, Matrix], tuple[Matrix, Matrix]],
@@ -38,6 +42,7 @@ class PeirceContext:
         self.e2 = e2
         self.proj = proj
         self.spaces = spaces
+        self.central_splits: dict = {}
 
     @property
     def dims(self) -> tuple[int, int, int, int]:

@@ -21,7 +21,7 @@ from .algebra import (
     check_flexible,
 )
 from .errors import NotAlternativeError
-from .linalg import Matrix, SparseMatrix, Subspace, is_zero_vec, kernel, stack
+from .linalg import Matrix, SparseMatrix, Subspace, int_vec, is_zero_vec, kernel, stack
 from .sampling import random_nonzero_vector, rng_for
 
 
@@ -75,12 +75,11 @@ def commutator_subspace(a: Algebra) -> Subspace:
     return Subspace.span(n, vectors)
 
 
-def _leibniz_rows(a: Algebra) -> SparseMatrix:
+def _leibniz_rows(n: int, table) -> list[dict]:
     """Linear system on vec(d), d an n x n matrix with unknowns d[r][c] at r*n+c:
     d(b_i b_j) - d(b_i) b_j - b_i d(b_j) = 0 for all basis pairs, one row per
-    output component k, read off the sparse structure constants."""
-    n = a.dim
-    table = a._table
+    output component k, read off a sparse structure table (`Algebra._table`, or
+    `Algebra._int_table` for the same rows times the common denominator)."""
     rows = []
     for i in range(n):
         for j in range(n):
@@ -94,14 +93,14 @@ def _leibniz_rows(a: Algebra) -> SparseMatrix:
                 for k, c in table[i][m]:
                     block[k][m * n + j] = block[k].get(m * n + j, 0) - c
             rows += [r for r in ({col: x for col, x in r.items() if x} for r in block) if r]
-    return SparseMatrix(tuple(rows), n * n)
+    return rows
 
 
 @lru_cache(maxsize=None)
 def derivation_algebra(a: Algebra) -> tuple[Matrix, ...]:
     """Basis of all matrices satisfying the Leibniz rule on every basis pair."""
     n = a.dim
-    sols = kernel(_leibniz_rows(a))
+    sols = kernel(SparseMatrix(tuple(_leibniz_rows(n, a._table)), n * n))
     return tuple(
         Matrix(tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n)), n)
         for v in sols.basis
@@ -117,21 +116,22 @@ def derivation_span(a: Algebra) -> Subspace:
     )
 
 
+@lru_cache(maxsize=None)
+def _leibniz_int_rows(a: Algebra) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The Leibniz system with integer entries, as (column, value) pairs."""
+    return tuple(tuple(r.items()) for r in _leibniz_rows(a.dim, a._int_table))
+
+
 def is_derivation(a: Algebra, d: Matrix) -> bool:
-    """Exact Leibniz check of one matrix on all basis pairs."""
+    """Exact Leibniz check of one matrix on all basis pairs: vec(d), scaled to
+    integers, must be orthogonal to every row of the Leibniz system."""
     n = a.dim
-    cols = [d.col(j) for j in range(n)]
-    for i in range(n):
-        bi = a.basis_vec(i)
-        for j in range(n):
-            lhs = d.apply(a.constants[i][j])
-            rhs = tuple(
-                x + y
-                for x, y in zip(a.mul_vec(cols[i], a.basis_vec(j)), a.mul_vec(bi, cols[j]))
-            )
-            if lhs != rhs:
-                return False
-    return True
+    if d.nrows != n or d.cols != n:
+        raise ValueError("a derivation of the algebra is a dim x dim matrix")
+    vd = [0] * (n * n)
+    for col, x in int_vec(x for row in d.rows for x in row)[0]:
+        vd[col] = x
+    return not any(sum(x * vd[col] for col, x in row) for row in _leibniz_int_rows(a))
 
 
 class IdempotentKind(enum.Enum):

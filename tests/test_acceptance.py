@@ -172,7 +172,7 @@ def test_criterion_2_structure_oracle(m2, zorn_algebra):
         assert len(ders_zorn) == 14
         for algebra, ders in ((m2, ders_m2), (zorn_algebra, ders_zorn)):
             for d in ders:
-                assert is_derivation(algebra, d)  # Leibniz substitution oracle
+                assert is_derivation(algebra, d)  # every Leibniz row annihilates vec(d)
 
 
 def test_criterion_3_peirce_suite(zorn_ctx, m2m2_ctx):

@@ -233,6 +233,12 @@ def _kernel_of_maps(dim, maps, inputs):
     return kernel(Matrix(tuple(rows), dim))
 
 
+def _leibniz_defect(a, d, x, y):
+    """d(xy) - d(x) y - x d(y) for a matrix d and elements x, y."""
+    return (a.element(d.apply((x * y).coeffs)) - a.element(d.apply(x.coeffs)) * y
+            - x * a.element(d.apply(y.coeffs)))
+
+
 @settings(max_examples=60)
 @given(unital_algebras())
 def test_structure_matches_element_definitions(a):
@@ -250,9 +256,7 @@ def test_structure_matches_element_definitions(a):
     units = [Matrix(tuple(tuple(F(int((r, c) == (p, q))) for c in range(n)) for r in range(n)), n)
              for p in range(n) for q in range(n)]
     assert derivation_span(a) == _kernel_of_maps(n * n, [
-        lambda d, x=x, y=y: (a.element(d.apply((x * y).coeffs)) - a.element(d.apply(x.coeffs)) * y
-                             - x * a.element(d.apply(y.coeffs))).coeffs
-        for x, y in pairs], units)
+        lambda d, x=x, y=y: _leibniz_defect(a, d, x, y).coeffs for x, y in pairs], units)
     triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
     ass = {t: associator(*(basis[i] for i in t)) for t in triples}
     assert find_nonassociative_triple(a) == next(
@@ -262,3 +266,58 @@ def test_structure_matches_element_definitions(a):
     assert alternativity_witness(a) == next(
         (t for t in triples if not (ass[t] + ass[(t[1], t[0], t[2])]).is_zero()
          or not (ass[t] + ass[(t[0], t[2], t[1])]).is_zero()), None)
+
+
+_rationals = st.one_of(st.just(F(0)), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+
+
+def _vectors(a):
+    """Random rational vectors, the zero vector and basis vectors of the algebra."""
+    n = a.dim
+    return st.one_of(st.lists(_rationals, min_size=n, max_size=n).map(tuple),
+                     st.just((F(0),) * n),
+                     st.integers(0, n - 1).map(a.basis_vec))
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_integer_products_match_fraction_reference(data):
+    a = data.draw(unital_algebras())
+    n = a.dim
+    vectors = _vectors(a)
+    x, y = data.draw(vectors), data.draw(vectors)
+    c = a.constants
+    product = tuple(sum((c[i][j][k] * x[i] * y[j] for i in range(n) for j in range(n)), F(0))
+                    for k in range(n))
+    assert a.mul_vec(x, y) == product
+    assert a.left_mult_matrix(x).apply(y) == product
+    assert a.right_mult_matrix(y).apply(x) == product
+    m = Matrix(tuple(data.draw(vectors) for _ in range(n)), n)
+    image = tuple(sum((m.rows[r][k] * y[k] for k in range(n)), F(0)) for r in range(n))
+    assert m.apply(y) == image
+    assert all(type(v) is F for v in a.mul_vec(x, y) + m.apply(y))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_is_derivation_matches_leibniz_oracle(data):
+    a = data.draw(unital_algebras())
+    n = a.dim
+    basis = [a.basis_element(i) for i in range(n)]
+
+    def oracle(d):
+        return all(_leibniz_defect(a, d, x, y).is_zero() for x in basis for y in basis)
+
+    def unit_matrix(p, q):
+        return Matrix(tuple(tuple(F(int((r, c) == (p, q))) for c in range(n))
+                            for r in range(n)), n)
+
+    d = Matrix.zeros(n, n)
+    for der in derivation_algebra(a):
+        d = d + der.scale(data.draw(_rationals))
+    assert is_derivation(a, d) and oracle(d)
+    # d(1) = 2 d(1) for every derivation, so adding E_00 (b0 = 1 -> b0) never gives one
+    assert not is_derivation(a, d + unit_matrix(0, 0)) and not oracle(d + unit_matrix(0, 0))
+    for m in [d + unit_matrix(p, q) for p in range(n) for q in range(n)] + [
+            Matrix(tuple(data.draw(_vectors(a)) for _ in range(n)), n)]:
+        assert is_derivation(a, m) == oracle(m)
