@@ -7,7 +7,8 @@ numerators over one common denominator. `mul_vec` takes `Fraction` vectors,
 runs its triple loop on those integers (see `linalg.int_vec`), and returns
 `Fraction`s again, so its values are exactly those of the rational product.
 Identity checking (alternative / flexible / associative) works on basis
-triples: the linearized identities are multilinear, so basis enumeration
+triples, read off one integer associator table built from those integer
+constants: the linearized identities are multilinear, so basis enumeration
 decides them over characteristic zero.
 """
 
@@ -78,7 +79,8 @@ class Algebra:
                   for cell in plane)
             for plane in self._table
         )
-        self._hash = hash((dim, tensor, self.unit))
+        # equal constants give equal integer tables, and ints hash fast
+        self._hash = hash((dim, den, self._int_table, self.unit))
         self._assoc = None
         self._validate_unit()
 
@@ -125,22 +127,24 @@ class Algebra:
                     out[k] += p * c
         return frac_vec(out, da * db * self._den)
 
-    def associator_table(self) -> dict[tuple[int, int, int], dict[int, Fraction]]:
-        """Nonzero basis associators (b_i b_j) b_k - b_i (b_j b_k) as sparse {k: c}
-        vectors keyed by (i, j, k) in lexicographic order, built once from `_table`.
-        Callers must not mutate it."""
+    def associator_table(self) -> dict[tuple[int, int, int], dict[int, int]]:
+        """Nonzero basis associators (b_i b_j) b_k - b_i (b_j b_k), scaled by
+        `_den**2` to integers, as sparse {k: c} vectors keyed by (i, j, k) in
+        lexicographic order, built once from `_int_table`. The scale is the
+        same for every entry, so kernels and comparisons such as u == -v read
+        it as they would the rational associators. Callers must not mutate it."""
         if self._assoc is None:
-            n, table, out = self.dim, self._table, {}
+            n, table, out = self.dim, self._int_table, {}
             for i in range(n):
                 for j in range(n):
                     for k in range(n):
                         v = {}
                         for m, c in table[i][j]:
                             for p, x in table[m][k]:
-                                v[p] = v.get(p, _ZERO) + c * x
+                                v[p] = v.get(p, 0) + c * x
                         for m, c in table[j][k]:
                             for p, x in table[i][m]:
-                                v[p] = v.get(p, _ZERO) - c * x
+                                v[p] = v.get(p, 0) - c * x
                         v = {p: x for p, x in v.items() if x}
                         if v:
                             out[(i, j, k)] = v
@@ -251,8 +255,11 @@ def mult_operators(y: Element) -> tuple[Matrix, Matrix]:
 
 
 def _cancel(u: Optional[dict], v: Optional[dict]) -> bool:
-    """u + v = 0 for two sparse associator vectors (None is zero)."""
-    return (u or {}) == {k: -c for k, c in (v or {}).items()}
+    """u + v = 0 for two sparse associator vectors (None is zero; the table
+    stores no empty vector)."""
+    if u is None or v is None:
+        return u is v
+    return u == {k: -c for k, c in v.items()}
 
 
 def check_alternative(a: Algebra) -> bool:

@@ -36,13 +36,26 @@ def vector_to_json(v) -> list[str]:
     return [format_rational(Fraction(x)) for x in v]
 
 
-def vector_from_json(data, expected_len: Optional[int] = None) -> Vec:
+def vector_from_json(data, expected_len: Optional[int] = None,
+                     memo: Optional[dict[str, Fraction]] = None) -> Vec:
+    """Parse a list of rationals; `memo` holds the strings already parsed in
+    this load, so each distinct string is parsed once."""
     if not isinstance(data, list):
         raise InputError("vector must be a JSON list")
-    v = tuple(parse_rational(x) for x in data)
+    if memo is None:
+        memo = {}
+    v = []
+    for x in data:
+        if type(x) is str:
+            q = memo.get(x)
+            if q is None:
+                q = memo[x] = parse_rational(x)
+        else:
+            q = parse_rational(x)
+        v.append(q)
     if expected_len is not None and len(v) != expected_len:
         raise InputError(f"vector length {len(v)} != expected {expected_len}")
-    return v
+    return tuple(v)
 
 
 def algebra_to_dict(a: Algebra, provenance: Optional[str] = None) -> dict:
@@ -66,20 +79,25 @@ def algebra_from_dict(data: dict) -> Algebra:
     dim = data["dim"]
     if not isinstance(dim, int) or dim < 1:
         raise InputError("'dim' must be a positive integer")
-    constants = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
+    memo: dict[str, Fraction] = {}
+    cells = {}
     for entry in data.get("constants", []):
         if not isinstance(entry, dict) or not {"i", "j", "value"} <= set(entry):
             raise InputError("constants entries need fields i, j, value")
         i, j = entry["i"], entry["j"]
         if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < dim and 0 <= j < dim):
             raise InputError(f"constants entry index ({i},{j}) out of range")
-        constants[i][j] = vector_from_json(entry["value"], dim)
-    unit = vector_from_json(data.get("unit"), dim) if "unit" in data else None
-    if unit is None:
+        cells[i, j] = vector_from_json(entry["value"], dim, memo)
+    if "unit" not in data:
         raise InputError("algebra JSON must declare its unit")
+    unit = vector_from_json(data["unit"], dim, memo)
     labels = data.get("labels")
     if labels is not None and (not isinstance(labels, list) or len(labels) != dim):
         raise InputError("labels must be a list of length dim")
+    # the grid is built only now that the unit has length dim: missing cells
+    # share one zero row, so its size is bounded by that of the input
+    zero = zero_vec(dim)
+    constants = [[cells.get((i, j), zero) for j in range(dim)] for i in range(dim)]
     return Algebra(constants, unit, labels)
 
 

@@ -1,18 +1,22 @@
-"""Exact linear algebra over the rationals, eliminating on sparse rows.
+"""Exact linear algebra over the rationals, computed on integers.
 
-Every value that enters or leaves this module is a `fractions.Fraction`;
-there are no tolerances anywhere. Products run on integers instead:
-`int_vec` writes a rational vector as integer numerators over one common
-denominator, the product is taken in `int`, and `frac_vec` turns the integer
-result back into one normalized `Fraction` per nonzero entry. `Matrix.apply`
-works this way on an integer form of the matrix built once per `Matrix`;
-`Algebra.mul_vec` does the same with the structure constants.
-`rref`, `kernel`, `solve`, `invert` and `Subspace.span` all run one
-Gauss-Jordan routine on `{col: value}` rows of nonzero entries, so tall sparse
-systems cost what their nonzeros cost. The reduced row-echelon form of a row
-space is unique, so results (and every report built on them) do not depend on
-how rows were stored or ordered; subspaces keep that canonical basis, and
-equality is syntactic.
+Values enter as `fractions.Fraction`s or ints and leave as normalized
+`Fraction`s; there are no tolerances anywhere. Inside, the work runs on
+integers. Products: `int_vec` writes a rational vector as integer numerators
+over one common denominator, the product is taken in `int`, and `frac_vec`
+turns the integer result back into one `Fraction` per nonzero entry;
+`Matrix.apply` works this way on an integer form of the matrix built once per
+`Matrix`, and `Algebra.mul_vec` does the same with the structure constants.
+Elimination: `rref`, `kernel`, `solve`, `invert` and `Subspace.span` all run
+one fraction-free Gauss-Jordan routine (Bareiss, Math. Comp. 22, 1968) on
+sparse `{col: int}` rows of nonzero entries, kept primitive by dividing out
+their content, so tall sparse systems cost what their nonzeros cost and a
+`Fraction` is built only when a reduced row is emitted. Membership:
+`Subspace.reduce_vector` reduces against an integer form of the basis cached
+per `Subspace`. The reduced row-echelon form of a row space is unique, so
+results (and every report built on them) do not depend on how rows were
+stored, ordered or scaled; subspaces keep that canonical basis, and equality
+is syntactic.
 """
 
 from __future__ import annotations
@@ -20,18 +24,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_denominator = attrgetter("denominator")
 
 
 def fvec(items: Iterable) -> Vec:
-    """Coerce an iterable of ints/strings/Fractions to a rational vector."""
-    return tuple(Fraction(x) for x in items)
+    """Coerce an iterable of ints/strings/Fractions to a rational vector;
+    Fractions are kept as they are."""
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in items)
 
 
 def zero_vec(n: int) -> Vec:
@@ -215,41 +222,77 @@ class SparseMatrix:
         return [dict(r) for r in self.rows]
 
 
-def _sub_scaled(dst: dict[int, Fraction], f: Fraction, src: dict[int, Fraction]) -> None:
-    """dst -= f * src on sparse rows, dropping entries that cancel."""
+def _primitive(row: dict[int, int]) -> None:
+    """Divide a nonzero integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g != 1:
+        for c in row:
+            row[c] //= g
+
+
+def _clear(dst: dict[int, int], p: int, src: dict[int, int]) -> None:
+    """Cancel dst[p] against the row src, which holds its pivot src[p], in place:
+    dst <- s*dst - t*src with t/s = dst[p]/src[p] in lowest terms and s > 0.
+    Entries that cancel are dropped; a scaled row is made primitive again."""
+    if len(src) == 1:
+        del dst[p]
+        return
+    t, s = dst[p], src[p]
+    g = gcd(t, s) if s > 0 else -gcd(t, s)
+    t //= g
+    s //= g
+    if s != 1:
+        for c in dst:
+            dst[c] *= s
     for c, x in src.items():
-        y = dst.get(c, _ZERO) - f * x
+        y = dst.get(c, 0) - t * x
         if y:
             dst[c] = y
         else:
             del dst[c]
+    if s != 1 and dst:
+        _primitive(dst)
 
 
-def _eliminate(rows: Iterable[dict[int, Fraction]],
-               ncols: int) -> list[tuple[int, dict[int, Fraction]]]:
-    """Gauss-Jordan elimination on sparse rows, which it consumes.
+def _eliminate(rows: Iterable[dict], ncols: int) -> list[tuple[int, dict[int, Fraction]]]:
+    """Fraction-free Gauss-Jordan elimination on sparse rows of ints and
+    Fractions, which it consumes.
 
-    Returns the nonzero rows of the unique RREF as (pivot column, row) pairs
-    sorted by pivot; each row omits its pivot entry, an implicit 1, and is zero
-    in every other pivot column.
+    Each row is scaled once to integers and combined as s*r - t*q; it is
+    divided by its content when it becomes a pivot row and whenever a
+    combination scaled it, and no Fraction is built until a reduced row is
+    emitted, divided by its pivot. Returns the
+    nonzero rows of the unique RREF as (pivot column, row) pairs sorted by
+    pivot; each row omits its pivot entry, an implicit 1, and is zero in every
+    other pivot column.
     """
-    piv: dict[int, dict[int, Fraction]] = {}
+    piv: dict[int, dict[int, int]] = {}
     for row in rows:
-        for p in [c for c in row if c in piv]:
-            _sub_scaled(row, row.pop(p), piv[p])
+        if len(row) == 1:
+            row = dict.fromkeys(row, 1)  # a unit row, up to scale
+        elif row:
+            den = lcm(*map(_denominator, row.values()))
+            row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
+        else:
+            continue
+        for p in row.keys() & piv.keys():
+            _clear(row, p, piv[p])
         if not row:
             continue
+        _primitive(row)
         p = min(row)
-        inv = _ONE / row.pop(p)
-        if inv != 1:
-            row = {c: x * inv for c, x in row.items()}
         for other in piv.values():
             if p in other:
-                _sub_scaled(other, other.pop(p), row)
+                _clear(other, p, row)
         piv[p] = row
         if len(piv) == ncols:
             break
-    return [(p, piv[p]) for p in sorted(piv)]
+    out = []
+    for p in sorted(piv):
+        row = piv[p]
+        pv = row.pop(p)
+        out.append((p, {c: Fraction(x, pv) for c, x in row.items()}))
+    return out
 
 
 def _dense(pivot: int, row: dict[int, Fraction], ncols: int) -> Vec:
@@ -349,19 +392,39 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _int_basis(self) -> tuple[tuple[int, int, tuple], ...]:
+        """Each basis row as (pivot, den, nonzero (col, numerator) pairs) with
+        row == numerators / den, so the pivot entry's numerator is den."""
+        out = []
+        for row in self.basis:
+            pairs, den = int_vec(row)
+            out.append((pairs[0][0], den, tuple(pairs)))
+        return tuple(out)
+
     def reduce_vector(self, v: Sequence[Fraction]) -> Vec:
-        """Residue of v after elimination against the basis; zero iff v is a member."""
+        """Residue of v after elimination against the basis; zero iff v is a member.
+        Computed on integers over one common denominator against `_int_basis`."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        w = list(Fraction(x) for x in v)
-        for row in self.basis:
-            p = next(i for i, x in enumerate(row) if x)
-            f = w[p]
-            if f:
-                for c in range(p, self.ambient_dim):
-                    if row[c]:
-                        w[c] -= f * row[c]
-        return tuple(w)
+        pairs, den = int_vec(v)
+        w = [0] * self.ambient_dim
+        for i, x in pairs:
+            w[i] = x
+        for p, d, row in self._int_basis:
+            t = w[p]
+            if t:
+                # w/den - (t/den) * row/d == (s*w - t*row) / (den*s) with
+                # t/s = w[p]/d in lowest terms
+                g = gcd(t, d)
+                t //= g
+                s = d // g
+                if s != 1:
+                    w = [s * x for x in w]
+                    den *= s
+                for c, x in row:
+                    w[c] -= t * x
+        return frac_vec(w, den)
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         return is_zero_vec(self.reduce_vector(v))

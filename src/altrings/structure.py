@@ -31,7 +31,8 @@ def nucleus(a: Algebra) -> Subspace:
 
     Associators are linear in r: component k of (b_i, b_j, b_m) is the
     coefficient of r_m in row (i, j, k) of (b_i, b_j, r), row (i, m, k) of
-    (b_i, r, b_m) and row (j, m, k) of (r, b_j, b_m)."""
+    (b_i, r, b_m) and row (j, m, k) of (r, b_j, b_m). The rows are integer,
+    read off the scaled `Algebra.associator_table`."""
     rows = {}
     for (i, j, m), v in a.associator_table().items():
         for k, x in v.items():
@@ -44,11 +45,17 @@ def nucleus(a: Algebra) -> Subspace:
 @lru_cache(maxsize=None)
 def center(a: Algebra) -> Subspace:
     """Nuclear elements commuting with everything."""
-    n = a.dim
-    c = a.constants
+    n, table = a.dim, a._int_table
     # row (i, k) of x -> x b_i - b_i x: the coefficient of x_m is [b_m, b_i]_k
-    rows = ({m: c[m][i][k] - c[i][m][k] for m in range(n) if c[m][i][k] != c[i][m][k]}
-            for i in range(n) for k in range(n))
+    rows = []
+    for i in range(n):
+        block = [{} for _ in range(n)]
+        for m in range(n):
+            for k, c in table[m][i]:
+                block[k][m] = block[k].get(m, 0) + c
+            for k, c in table[i][m]:
+                block[k][m] = block[k].get(m, 0) - c
+        rows += ({m: x for m, x in r.items() if x} for r in block)
     return nucleus(a) & kernel(SparseMatrix(tuple(rows), n))
 
 
@@ -75,11 +82,12 @@ def commutator_subspace(a: Algebra) -> Subspace:
     return Subspace.span(n, vectors)
 
 
-def _leibniz_rows(n: int, table) -> list[dict]:
+def _leibniz_rows(a: Algebra) -> list[dict[int, int]]:
     """Linear system on vec(d), d an n x n matrix with unknowns d[r][c] at r*n+c:
     d(b_i b_j) - d(b_i) b_j - b_i d(b_j) = 0 for all basis pairs, one row per
-    output component k, read off a sparse structure table (`Algebra._table`, or
-    `Algebra._int_table` for the same rows times the common denominator)."""
+    output component k, read off the integer structure table (`Algebra._int_table`,
+    so each row is the rational one times the common denominator)."""
+    n, table = a.dim, a._int_table
     rows = []
     for i in range(n):
         for j in range(n):
@@ -100,7 +108,7 @@ def _leibniz_rows(n: int, table) -> list[dict]:
 def derivation_algebra(a: Algebra) -> tuple[Matrix, ...]:
     """Basis of all matrices satisfying the Leibniz rule on every basis pair."""
     n = a.dim
-    sols = kernel(SparseMatrix(tuple(_leibniz_rows(n, a._table)), n * n))
+    sols = kernel(SparseMatrix(tuple(_leibniz_rows(a)), n * n))
     return tuple(
         Matrix(tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n)), n)
         for v in sols.basis
@@ -119,7 +127,7 @@ def derivation_span(a: Algebra) -> Subspace:
 @lru_cache(maxsize=None)
 def _leibniz_int_rows(a: Algebra) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The Leibniz system with integer entries, as (column, value) pairs."""
-    return tuple(tuple(r.items()) for r in _leibniz_rows(a.dim, a._int_table))
+    return tuple(tuple(r.items()) for r in _leibniz_rows(a))
 
 
 def is_derivation(a: Algebra, d: Matrix) -> bool:

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 
 from altrings.cli import main
-from altrings.jsonio import load_algebra, load_mapspec, save_mapspec
+from altrings.errors import InputError
+from altrings.jsonio import algebra_from_dict, load_algebra, load_mapspec, save_mapspec
 from altrings.liederiv import MapSpec
 
 
@@ -89,6 +91,24 @@ def test_analyze_parse_error_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 2
     assert "JSON" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"dim": 200}', "must declare its unit"),
+    ('{"dim": 200, "unit": ["1"]}', "vector length 1 != expected 200"),
+])
+def test_unit_checked_before_constants_grid(text, message):
+    """A missing or short unit is rejected before the dim x dim grid is built:
+    at dim 200 that grid of zero rows alone took 66 MB."""
+    data = json.loads(text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=message):
+            algebra_from_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_analyze_unit_failure_exits_1(tmp_path, capsys):

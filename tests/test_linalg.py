@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from altrings.linalg import (
     Matrix,
     SparseMatrix,
     Subspace,
+    _eliminate,
     column_space,
     invert,
     kernel,
@@ -19,13 +21,15 @@ from altrings.linalg import (
 F = Fraction
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+wide_rationals = st.one_of(rationals, st.fractions(min_value=-5, max_value=5,
+                                                   max_denominator=10**6))
 
 
-def small_matrices(max_dim=4):
+def small_matrices(max_dim=4, entries=rationals):
     return st.integers(1, max_dim).flatmap(
         lambda r: st.integers(1, max_dim).flatmap(
             lambda c: st.lists(
-                st.lists(rationals, min_size=c, max_size=c), min_size=r, max_size=r
+                st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r
             ).map(Matrix.from_rows)
         )
     )
@@ -167,10 +171,10 @@ def test_column_space_dim_is_rank(m):
 
 
 @st.composite
-def redundant_matrices(draw, square=False):
+def redundant_matrices(draw, square=False, entries=rationals):
     """small_matrices with duplicated and zero rows inserted at random places;
     `square` keeps the leading k x k block, k = min(rows, cols)."""
-    m = draw(small_matrices())
+    m = draw(small_matrices(entries=entries))
     rows = list(m.rows)
     for _ in range(draw(st.integers(0, 2))):
         rows.insert(draw(st.integers(0, len(rows))), rows[draw(st.integers(0, len(rows) - 1))])
@@ -197,3 +201,95 @@ def test_invert_full_rank_square(m):
     else:
         with pytest.raises(ValueError):
             invert(m)
+
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _sub_scaled(dst: dict[int, Fraction], f: Fraction, src: dict[int, Fraction]) -> None:
+    """dst -= f * src on sparse rows, dropping entries that cancel."""
+    for c, x in src.items():
+        y = dst.get(c, _ZERO) - f * x
+        if y:
+            dst[c] = y
+        else:
+            del dst[c]
+
+
+def _reference_eliminate(rows, ncols):
+    """Gauss-Jordan elimination on sparse `Fraction` rows, the reference for the
+    fraction-free `_eliminate`: both must return the unique RREF."""
+    piv: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        for p in [c for c in row if c in piv]:
+            _sub_scaled(row, row.pop(p), piv[p])
+        if not row:
+            continue
+        p = min(row)
+        inv = _ONE / row.pop(p)
+        if inv != 1:
+            row = {c: x * inv for c, x in row.items()}
+        for other in piv.values():
+            if p in other:
+                _sub_scaled(other, other.pop(p), row)
+        piv[p] = row
+        if len(piv) == ncols:
+            break
+    return [(p, piv[p]) for p in sorted(piv)]
+
+
+@given(redundant_matrices(entries=wide_rationals), st.sampled_from(["rows", "solve", "invert"]),
+       st.randoms(use_true_random=False), st.data())
+def test_eliminate_matches_fraction_reference(m, shape, rnd, data):
+    """Shuffled redundant rows, with a right-hand side column as `solve` builds
+    it or an identity block as `invert` builds it, integral entries passed as
+    int or as Fraction at random: the same (pivot, row) pairs as the Fraction
+    reference, every entry a normalized Fraction."""
+    rows = [{c: x for c, x in enumerate(r) if x} for r in m.rows]
+    ncols = m.cols
+    if shape == "solve":
+        rhs = data.draw(st.lists(wide_rationals, min_size=len(rows), max_size=len(rows)))
+        for row, x in zip(rows, rhs):
+            if x:
+                row[ncols] = x
+        ncols += 1
+    elif shape == "invert":
+        for i, row in enumerate(rows):
+            row[ncols + i] = 1
+        ncols += len(rows)
+    rows = [{c: int(x) if x.denominator == 1 and rnd.random() < 0.5 else x
+             for c, x in row.items()} for row in rows]
+    rnd.shuffle(rows)
+    expected = _reference_eliminate([dict(r) for r in rows], ncols)
+    got = _eliminate([dict(r) for r in rows], ncols)
+    assert got == expected
+    for _, row in got:
+        for x in row.values():
+            assert type(x) is Fraction and x.denominator > 0
+            assert gcd(x.numerator, x.denominator) == 1
+
+
+def _reference_reduce(space: Subspace, v) -> tuple:
+    """`Subspace.reduce_vector` as it was on Fraction rows, the reference for
+    the integer version: `split_diagonal` reads the residue, not only whether
+    it is zero."""
+    w = list(Fraction(x) for x in v)
+    for row in space.basis:
+        p = next(i for i, x in enumerate(row) if x)
+        f = w[p]
+        if f:
+            for c in range(p, space.ambient_dim):
+                if row[c]:
+                    w[c] -= f * row[c]
+    return tuple(w)
+
+
+@given(st.lists(st.lists(wide_rationals, min_size=4, max_size=4), min_size=1, max_size=3),
+       st.lists(st.lists(wide_rationals, min_size=4, max_size=4), min_size=1, max_size=3))
+def test_reduce_vector_matches_fraction_reference(spanning, vectors):
+    space = Subspace.span(4, spanning)
+    for v in vectors + spanning:
+        got = space.reduce_vector(v)
+        assert got == _reference_reduce(space, v)
+        assert all(type(x) is Fraction for x in got)
