@@ -1,68 +1,73 @@
-"""Exact computer algebra for finite-dimensional alternative rings."""
+"""Exact computer algebra for finite-dimensional alternative rings.
 
-from .algebra import (
-    Algebra,
-    Element,
-    associator,
-    check_alternative,
-    check_associative,
-    check_flexible,
-    commutator,
-    find_nonassociative_triple,
-    mult_operators,
-    multiply,
-)
-from .catalog import (
-    ConstructionRecipe,
-    build,
-    canonical_idempotent,
-    cayley_dickson,
-    direct_sum,
-    find_idempotent,
-    matrix_algebra,
-    octonion_algebra,
-    parse_recipe,
-    random_lie_derivation,
-    rationals,
-    zorn,
-)
-from .liederiv import (
-    CentralTerm,
-    DecompositionResult,
-    MapSpec,
-    OpaqueMap,
-    SampleBudget,
-    check_hypotheses,
-    check_lie_law,
-    compose,
-    decompose,
-    evaluate,
-    inner_f,
-    normalize_at_idempotent,
-    split_diagonal,
-)
-from .linalg import Matrix, Subspace, column_space, kernel, rank, rref, solve
-from .peirce import (
-    PeirceContext,
-    check_conditions,
-    make_context,
-    verify_offdiag_centralizer,
-    verify_prop_spade_club,
-    verify_relations,
-)
-from .structure import (
-    IdempotentKind,
-    PrimalityResult,
-    StructureReport,
-    analyze,
-    center,
-    centralizer,
-    check_prime,
-    commutator_subspace,
-    derivation_algebra,
-    is_derivation,
-    nucleus,
-    verify_idempotent,
-)
+`import altrings` registers every library submodule in `sys.modules` without
+running it; a submodule runs the first time one of its attributes is read, so
+a command pays only for the modules it uses.  The public names below are read
+from their submodules on first use (PEP 562).  `altrings.cli`, the entry
+point, is imported as usual.
+"""
+
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
+
+_SUBMODULES = (
+    "algebra", "catalog", "errors", "jsonio", "liederiv",
+    "linalg", "peirce", "report", "sampling", "structure",
+)
+
+# public name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys((
+        "Algebra", "Element", "associator", "check_alternative", "check_associative",
+        "check_flexible", "commutator", "find_nonassociative_triple",
+        "mult_operators", "multiply",
+    ), "algebra"),
+    **dict.fromkeys((
+        "ConstructionRecipe", "build", "canonical_idempotent", "cayley_dickson",
+        "direct_sum", "find_idempotent", "matrix_algebra", "octonion_algebra",
+        "parse_recipe", "random_lie_derivation", "rationals", "zorn",
+    ), "catalog"),
+    **dict.fromkeys((
+        "CentralTerm", "DecompositionResult", "MapSpec", "OpaqueMap", "SampleBudget",
+        "check_hypotheses", "check_lie_law", "compose", "decompose", "evaluate",
+        "inner_f", "normalize_at_idempotent", "split_diagonal",
+    ), "liederiv"),
+    **dict.fromkeys((
+        "Matrix", "Subspace", "column_space", "kernel", "rank", "rref", "solve",
+    ), "linalg"),
+    **dict.fromkeys((
+        "PeirceContext", "check_conditions", "make_context",
+        "verify_offdiag_centralizer", "verify_prop_spade_club", "verify_relations",
+    ), "peirce"),
+    **dict.fromkeys((
+        "IdempotentKind", "PrimalityResult", "StructureReport", "analyze", "center",
+        "centralizer", "check_prime", "commutator_subspace", "derivation_algebra",
+        "is_derivation", "nucleus", "verify_idempotent",
+    ), "structure"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def _register(name: str):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    globals()[name] = module
+
+
+for _name in _SUBMODULES:
+    _register(_name)
+del _name
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(globals()[module], name)

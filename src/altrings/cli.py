@@ -14,7 +14,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import catalog, jsonio
+from . import catalog, jsonio, liederiv, peirce
 from .algebra import Algebra, Element, check_alternative, check_associative, check_flexible
 from .errors import (
     AltRingsError,
@@ -24,14 +24,6 @@ from .errors import (
     LieLawViolatedError,
     PreconditionError,
 )
-from .liederiv import (
-    MapSpec,
-    SampleBudget,
-    check_hypotheses,
-    check_lie_law,
-    decompose,
-)
-from .peirce import check_conditions, make_context, verify_relations
 from .report import Check
 from .structure import analyze, center
 
@@ -154,9 +146,9 @@ def cmd_peirce(args, argv) -> int:
     _require_positive(samples=args.samples)
     algebra = jsonio.load_algebra(args.algebra)
     e1 = _parse_idempotent(args.idempotent, algebra)
-    ctx = make_context(algebra, e1)
-    relations = verify_relations(ctx)
-    conditions = check_conditions(ctx, seed=args.seed, samples=args.samples)
+    ctx = peirce.make_context(algebra, e1)
+    relations = peirce.verify_relations(ctx)
+    conditions = peirce.check_conditions(ctx, seed=args.seed, samples=args.samples)
     checks = list(conditions.checks)
     rel_check = Check(
         "relations-i-iv", relations.ok, "exact",
@@ -171,10 +163,8 @@ def cmd_peirce(args, argv) -> int:
         "checks": [rel_check.to_dict()] + [c.to_dict() for c in checks],
     }
     if conditions.checks[0].ok and conditions.checks[1].ok and conditions.checks[2].ok:
-        from .peirce import verify_offdiag_centralizer, verify_prop_spade_club
-
-        spade, club = verify_prop_spade_club(ctx)
-        offdiag = verify_offdiag_centralizer(ctx)
+        spade, club = peirce.verify_prop_spade_club(ctx)
+        offdiag = peirce.verify_offdiag_centralizer(ctx)
         report["checks"] += [
             Check("prop-spade", spade, "exact").to_dict(),
             Check("prop-club", club, "exact").to_dict(),
@@ -190,31 +180,31 @@ def cmd_decompose(args, argv) -> int:
     _require_positive(samples=args.samples)
     algebra = jsonio.load_algebra(args.algebra)
     e1 = _parse_idempotent(args.idempotent, algebra)
-    ctx = make_context(algebra, e1)
+    ctx = peirce.make_context(algebra, e1)
     spec = jsonio.load_mapspec(args.map, algebra)
-    budget = SampleBudget(seed=args.seed, pair_samples=args.samples,
-                          element_samples=args.samples)
+    budget = liederiv.SampleBudget(seed=args.seed, pair_samples=args.samples,
+                                   element_samples=args.samples)
 
-    lie = check_lie_law(spec, budget)
+    lie = liederiv.check_lie_law(spec, budget)
     if not lie.ok:
         raise LieLawViolatedError(f"LieLawViolated: witness {lie.witness}")
-    conditions = check_conditions(ctx, seed=args.seed, samples=args.samples)
+    conditions = peirce.check_conditions(ctx, seed=args.seed, samples=args.samples)
     if not conditions.all_hold:
         bad = conditions.failed()
         raise PreconditionError(f"ConditionsFailed: {bad.name} (witness {bad.witness})")
-    hyp = check_hypotheses(ctx, spec, budget)
+    hyp = liederiv.check_hypotheses(ctx, spec, budget)
     if not hyp.a.ok:
         raise HypothesisFailedError("a", f"HypothesisAFailed: {hyp.a.witness}")
     if not hyp.b.ok:
         raise HypothesisFailedError("b", f"HypothesisBFailed: {hyp.b.witness}")
 
-    result = decompose(ctx, spec, budget)
+    result = liederiv.decompose(ctx, spec, budget)
     outputs = {}
     if args.output:
         prefix = Path(args.output)
         delta_path = prefix.with_name(prefix.name + ".delta.json")
         tau_path = prefix.with_name(prefix.name + ".tau.json")
-        jsonio.save_mapspec(MapSpec(algebra, result.delta), delta_path)
+        jsonio.save_mapspec(liederiv.MapSpec(algebra, result.delta), delta_path)
         jsonio.save_mapspec(result.tau, tau_path)
         outputs = {"delta": str(delta_path), "tau": str(tau_path)}
 
@@ -226,7 +216,7 @@ def cmd_decompose(args, argv) -> int:
                    hyp.a.to_dict(), hyp.b.to_dict(),
                    *(c.to_dict() for c in result.checks)],
         "tau_identically_zero": result.tau.is_identically_zero
-        if isinstance(result.tau, MapSpec) else None,
+        if isinstance(result.tau, liederiv.MapSpec) else None,
         "ok": result.ok,
     }
     if outputs:
@@ -237,9 +227,10 @@ def cmd_decompose(args, argv) -> int:
 
 def _fuzz_trial(ctx, algebra, trial: int, master_seed: int, samples: int) -> dict:
     trial_seed = master_seed * 1_000_003 + trial
-    budget = SampleBudget(seed=trial_seed, pair_samples=samples, element_samples=samples)
+    budget = liederiv.SampleBudget(seed=trial_seed, pair_samples=samples,
+                                   element_samples=samples)
     spec = catalog.random_lie_derivation(algebra, budget)
-    result = decompose(ctx, spec, budget)
+    result = liederiv.decompose(ctx, spec, budget)
     cen = center(algebra)
     diff = result.delta - spec.linear
     drift_central = all(cen.contains_vector(diff.col(k)) for k in range(algebra.dim))
@@ -262,8 +253,8 @@ def cmd_fuzz(args, argv) -> int:
     recipe = catalog.parse_recipe(args.recipe)
     algebra = catalog.build(recipe)
     e1 = catalog.canonical_idempotent(recipe, algebra)
-    ctx = make_context(algebra, e1)
-    conditions = check_conditions(ctx, seed=args.seed, samples=args.samples)
+    ctx = peirce.make_context(algebra, e1)
+    conditions = peirce.check_conditions(ctx, seed=args.seed, samples=args.samples)
     if not conditions.all_hold:
         bad = conditions.failed()
         raise PreconditionError(

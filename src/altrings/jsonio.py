@@ -13,9 +13,9 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
+from . import liederiv
 from .algebra import Algebra
 from .errors import InputError, NotCentralError
-from .liederiv import CentralTerm, MapSpec
 from .linalg import Matrix, Vec, zero_vec
 
 
@@ -111,7 +111,7 @@ def matrix_from_json(data, n: int) -> Matrix:
     return Matrix(tuple(vector_from_json(r, n) for r in data), n)
 
 
-def mapspec_to_dict(d: MapSpec) -> dict:
+def mapspec_to_dict(d: liederiv.MapSpec) -> dict:
     return {
         "linear": matrix_to_json(d.linear),
         "central_terms": [
@@ -125,7 +125,7 @@ def mapspec_to_dict(d: MapSpec) -> dict:
     }
 
 
-def mapspec_from_dict(data: dict, algebra: Algebra) -> MapSpec:
+def mapspec_from_dict(data: dict, algebra: Algebra) -> liederiv.MapSpec:
     if not isinstance(data, dict) or "linear" not in data:
         raise InputError("map JSON must be an object with a 'linear' field")
     n = algebra.dim
@@ -137,13 +137,13 @@ def mapspec_from_dict(data: dict, algebra: Algebra) -> MapSpec:
         poly = tuple(parse_rational(c) for c in entry["poly"])
         if poly and poly[0] != 0:
             raise InputError("central-term polynomial must serialize constant term as \"0\"")
-        terms.append(CentralTerm(
+        terms.append(liederiv.CentralTerm(
             vector_from_json(entry["functional"], n),
             poly,
             vector_from_json(entry["central"], n),
         ))
     try:
-        return MapSpec(algebra, linear, tuple(terms))
+        return liederiv.MapSpec(algebra, linear, tuple(terms))
     except NotCentralError as exc:
         raise InputError(f"map file is invalid: {exc}")
     except ValueError as exc:
@@ -156,26 +156,33 @@ def _load_json(path: Union[str, Path]) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise InputError(f"no such file: {path}")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}")
 
 
+def _save_json(data: dict, path: Union[str, Path]):
+    try:
+        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
+                              encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def save_algebra(a: Algebra, path: Union[str, Path], provenance: Optional[str] = None):
-    Path(path).write_text(
-        json.dumps(algebra_to_dict(a, provenance), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _save_json(algebra_to_dict(a, provenance), path)
 
 
 def load_algebra(path: Union[str, Path]) -> Algebra:
     return algebra_from_dict(_load_json(path))
 
 
-def save_mapspec(d: MapSpec, path: Union[str, Path]):
-    Path(path).write_text(
-        json.dumps(mapspec_to_dict(d), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def save_mapspec(d: liederiv.MapSpec, path: Union[str, Path]):
+    _save_json(mapspec_to_dict(d), path)
 
 
-def load_mapspec(path: Union[str, Path], algebra: Algebra) -> MapSpec:
+def load_mapspec(path: Union[str, Path], algebra: Algebra) -> liederiv.MapSpec:
     return mapspec_from_dict(_load_json(path), algebra)

@@ -257,7 +257,7 @@ def test_decompose_hypothesis_failure_named(tmp_path, capsys, monkeypatch):
     # failing precondition, the exit names it.  JSON-expressible maps that
     # break hypothesis a) also break the Lie law, which is checked earlier,
     # so the earlier check is stubbed to reach the hypothesis stage.
-    import altrings.cli as cli
+    import altrings.liederiv as liederiv
     from altrings.linalg import Matrix
     from altrings.report import Check
 
@@ -268,7 +268,7 @@ def test_decompose_hypothesis_failure_named(tmp_path, capsys, monkeypatch):
     rows[5][0] = 1  # E11 -> E23: a non-central (2,2)-corner element
     map_path = tmp_path / "hyp.json"
     save_mapspec(MapSpec(algebra, Matrix.from_rows(rows)), map_path)
-    monkeypatch.setattr(cli, "check_lie_law", lambda d, b: Check("lie-law", True, "sampled"))
+    monkeypatch.setattr(liederiv, "check_lie_law", lambda d, b: Check("lie-law", True, "sampled"))
     code, _, err = run(capsys, "decompose", str(m3_path),
                        "--idempotent", "1,0,0,0,0,0,0,0,0", "--map", str(map_path))
     assert code == 1
@@ -313,3 +313,36 @@ def test_console_entrypoint():
     )
     assert proc.returncode == 0
     assert "decompose" in proc.stdout
+
+
+@pytest.mark.parametrize("case", ["analyze-directory", "analyze-not-utf8",
+                                  "make-missing-dir", "decompose-missing-dir"])
+def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
+    """A path that cannot be read or written is bad input: exit 2 and one
+    line on stderr, from a fresh process so that a traceback would show."""
+    import subprocess
+    import sys
+
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes('{"dim": 1, "labels": ["é"]}'.encode("latin-1"))
+    algebra = load_algebra(m2_file)
+    ad = algebra.left_mult_matrix(algebra.basis_vec(1)) - algebra.right_mult_matrix(
+        algebra.basis_vec(1)
+    )
+    map_path = tmp_path / "ad.json"
+    save_mapspec(MapSpec(algebra, ad), map_path)
+    missing = tmp_path / "missing" / "out"
+    argv = {
+        "analyze-directory": ["analyze", str(tmp_path)],
+        "analyze-not-utf8": ["analyze", str(not_utf8)],
+        "make-missing-dir": ["make", "zorn", "-o", str(missing)],
+        "decompose-missing-dir": ["decompose", str(m2_file), "--idempotent", "1,0,0,0",
+                                  "--map", str(map_path), "-o", str(missing)],
+    }[case]
+    proc = subprocess.run([sys.executable, "-m", "altrings", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""

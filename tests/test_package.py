@@ -1,0 +1,100 @@
+"""The package surface: lazily run submodules and the public names of `altrings`."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import altrings
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+LIBRARY = ("algebra", "catalog", "errors", "jsonio", "liederiv",
+           "linalg", "peirce", "report", "sampling", "structure")
+
+# every name `altrings` exports, by the submodule that defines it
+PUBLIC = {
+    "algebra": ("Algebra", "Element", "associator", "check_alternative",
+                "check_associative", "check_flexible", "commutator",
+                "find_nonassociative_triple", "mult_operators", "multiply"),
+    "catalog": ("ConstructionRecipe", "build", "canonical_idempotent", "cayley_dickson",
+                "direct_sum", "find_idempotent", "matrix_algebra", "octonion_algebra",
+                "parse_recipe", "random_lie_derivation", "rationals", "zorn"),
+    "liederiv": ("CentralTerm", "DecompositionResult", "MapSpec", "OpaqueMap",
+                 "SampleBudget", "check_hypotheses", "check_lie_law", "compose",
+                 "decompose", "evaluate", "inner_f", "normalize_at_idempotent",
+                 "split_diagonal"),
+    "linalg": ("Matrix", "Subspace", "column_space", "kernel", "rank", "rref", "solve"),
+    "peirce": ("PeirceContext", "check_conditions", "make_context",
+               "verify_offdiag_centralizer", "verify_prop_spade_club", "verify_relations"),
+    "structure": ("IdempotentKind", "PrimalityResult", "StructureReport", "analyze",
+                  "center", "centralizer", "check_prime", "commutator_subspace",
+                  "derivation_algebra", "is_derivation", "nucleus", "verify_idempotent"),
+}
+
+# Runs in a fresh interpreter.  `type(module) is types.ModuleType` reads the
+# class without an attribute lookup, so it does not run a registered module.
+LAZY_PROBE = """
+import contextlib, io, json, sys, types
+
+def executed():
+    return sorted(name for name, module in sys.modules.items()
+                  if name.startswith("altrings.") and type(module) is types.ModuleType)
+
+import altrings.cli as cli
+registered = sorted(name for name in sys.modules if name.startswith("altrings."))
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["analyze", "--json", sys.argv[1]])
+after_analyze = executed()
+sys.modules["altrings.peirce"].make_context
+print(json.dumps({"code": code, "report": json.loads(out.getvalue()),
+                  "registered": registered, "after_analyze": after_analyze,
+                  "after_read": executed()}))
+"""
+
+
+def test_cli_runs_only_the_modules_a_command_uses(tmp_path):
+    path = tmp_path / "zorn.json"
+    altrings.jsonio.save_algebra(altrings.zorn(), path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, str(path)],
+                          capture_output=True, text=True, env=env, check=True)
+    probe = json.loads(proc.stdout)
+    assert probe["code"] == 0
+    assert probe["report"]["derivation_dim"] == 14
+    # every module the benchmark tracer wraps is in sys.modules after `import altrings.cli`
+    assert set(probe["registered"]) >= {f"altrings.{m}" for m in LIBRARY + ("cli",)}
+    executed = set(probe["after_analyze"])
+    assert {"altrings.cli", "altrings.jsonio", "altrings.structure"} <= executed
+    assert not executed & {"altrings.liederiv", "altrings.peirce", "altrings.catalog"}
+    # reading an attribute runs the module
+    assert "altrings.peirce" in probe["after_read"]
+    assert "altrings.liederiv" not in probe["after_read"]
+
+
+def test_public_names_are_the_submodule_objects():
+    for module, names in PUBLIC.items():
+        source = importlib.import_module(f"altrings.{module}")
+        assert getattr(altrings, module) is source
+        for name in names:
+            assert getattr(altrings, name) is getattr(source, name), name
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from altrings import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == {name for names in PUBLIC.values() for name in names}
+    assert sorted(altrings.__all__) == sorted(namespace)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        altrings.no_such_name
+    with pytest.raises(ImportError):
+        exec("from altrings import no_such_name", {})
