@@ -14,7 +14,6 @@ decides them over characteristic zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -22,6 +21,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import AlgebraMismatchError, UnitValidationError
 from .linalg import (
     Matrix,
+    Record,
     Vec,
     frac_vec,
     fvec,
@@ -179,8 +179,7 @@ class Algebra:
         return Element(self, self.unit)
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Record):
     """Coefficient vector tied to its algebra; supports +, -, * (ring product)."""
 
     algebra: Algebra

@@ -8,16 +8,17 @@ reproducible, serializable way to name these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import Algebra, Element
 from .errors import InputError
-from .liederiv import CentralTerm, MapSpec, SampleBudget, compose
-from .linalg import Matrix, combine, fvec, kernel, zero_vec
+from .linalg import Matrix, Record, combine, fvec, kernel, zero_vec
 from .sampling import random_poly, random_rational, rng_for
 from .structure import IdempotentKind, center, commutator_subspace, derivation_algebra, verify_idempotent
+
+if TYPE_CHECKING:
+    from .liederiv import MapSpec, SampleBudget
 
 _Z = Fraction(0)
 _O = Fraction(1)
@@ -79,8 +80,7 @@ def zorn() -> Algebra:
     return Algebra(constants, unit, labels)
 
 
-@dataclass(frozen=True)
-class InvolutiveAlgebra:
+class InvolutiveAlgebra(Record):
     """An algebra carrying a conjugation matrix, as Cayley-Dickson scaffolding."""
 
     algebra: Algebra
@@ -191,6 +191,8 @@ def random_lie_derivation(a: Algebra, budget: SampleBudget, central_terms: int =
     annihilating the commutator span, poly without constant term, and z a
     random central element.
     """
+    from .liederiv import CentralTerm, compose  # here, so that `make` never runs liederiv
+
     rng = rng_for(budget.seed)
     ders = derivation_algebra(a)
     linear = Matrix.zeros(a.dim, a.dim)
@@ -209,8 +211,7 @@ def random_lie_derivation(a: Algebra, budget: SampleBudget, central_terms: int =
     return compose(a, linear, tuple(terms))
 
 
-@dataclass(frozen=True)
-class ConstructionRecipe:
+class ConstructionRecipe(Record):
     kind: str
     n: Optional[int] = None
     mus: Optional[tuple[Fraction, ...]] = None

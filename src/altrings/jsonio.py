@@ -77,7 +77,7 @@ def algebra_from_dict(data: dict) -> Algebra:
     if not isinstance(data, dict) or "dim" not in data:
         raise InputError("algebra JSON must be an object with a 'dim' field")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # a JSON true is a bool, not the integer 1
         raise InputError("'dim' must be a positive integer")
     memo: dict[str, Fraction] = {}
     cells = {}
@@ -85,8 +85,8 @@ def algebra_from_dict(data: dict) -> Algebra:
         if not isinstance(entry, dict) or not {"i", "j", "value"} <= set(entry):
             raise InputError("constants entries need fields i, j, value")
         i, j = entry["i"], entry["j"]
-        if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < dim and 0 <= j < dim):
-            raise InputError(f"constants entry index ({i},{j}) out of range")
+        if not (type(i) is int and type(j) is int and 0 <= i < dim and 0 <= j < dim):
+            raise InputError(f"constants entry index ({i},{j}) is not an integer in [0, dim)")
         cells[i, j] = vector_from_json(entry["value"], dim, memo)
     if "unit" not in data:
         raise InputError("algebra JSON must declare its unit")
@@ -162,6 +162,8 @@ def _load_json(path: Union[str, Path]) -> dict:
         raise InputError(f"{path} is not UTF-8 text: {exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}")
+    except RecursionError:
+        raise InputError(f"invalid JSON in {path}: nested too deeply")
 
 
 def _save_json(data: dict, path: Union[str, Path]):

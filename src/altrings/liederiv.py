@@ -18,7 +18,6 @@ except where the MapSpec form makes an exact structural decision possible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -35,6 +34,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    Record,
     Subspace,
     Vec,
     combine,
@@ -53,8 +53,7 @@ from .structure import center, commutator_subspace, is_derivation
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class SampleBudget:
+class SampleBudget(Record):
     """Seed and sample counts for the probabilistic side of the checks."""
 
     seed: int
@@ -67,8 +66,7 @@ class SampleBudget:
             raise ValueError("sample counts must be at least 1")
 
 
-@dataclass(frozen=True)
-class CentralTerm:
+class CentralTerm(Record):
     """One nonlinear contribution a -> poly(functional . a) * central."""
 
     functional: Vec
@@ -86,8 +84,7 @@ class CentralTerm:
         return acc
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(Record):
     """Closed-form map: D(a) = linear . a + sum_t poly_t(functional_t . a) central_t.
 
     Central elements are verified central and polynomials have zero constant
@@ -151,8 +148,7 @@ class MapSpec:
                              for t in self.terms))
 
 
-@dataclass(frozen=True)
-class OpaqueMap:
+class OpaqueMap(Record):
     """Opaque evaluation callback; all checks against it are sample-based."""
 
     algebra: Algebra
@@ -226,8 +222,7 @@ def inner_f(algebra: Algebra, y: Element, z: Element) -> Matrix:
     return f
 
 
-@dataclass(frozen=True)
-class HypothesesReport:
+class HypothesesReport(Record):
     a: Check
     b: Check
 
@@ -341,8 +336,7 @@ def split_diagonal(ctx: PeirceContext, c: Element, side: int) -> tuple[Element, 
     return b, zel
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(Record):
     """Derivation part, center-valued residual, the normalization data
     (y, z, f with f the inner correction at (y, z)), and the per-step
     verification checks."""

@@ -21,7 +21,6 @@ is syntactic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -33,6 +32,45 @@ Vec = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _denominator = attrgetter("denominator")
+
+
+# Fields are stored with object.__setattr__: reading `self.__dict__` would
+# materialize the instance dict and slow every later attribute read.
+_RECORD_METHODS = """\
+def __init__(self{args}):{stores}{post}
+def __eq__(self, other):
+    return ({mine}) == ({theirs}) if other.__class__ is self.__class__ else NotImplemented
+def __hash__(self):
+    return hash(({mine}))
+"""
+
+
+class Record:
+    """Frozen record: a subclass's annotated names are its fields, in order, and
+    class-level values their defaults.  Each subclass compiles `_RECORD_METHODS`
+    for its fields; assignment raises.  There are no `__slots__`, so a
+    `cached_property` keeps its value in `__dict__`, outside equality."""
+
+    def __init_subclass__(cls):
+        cls._fields = names = tuple(cls.__annotations__)
+        env = {f"_{n}": cls.__dict__[n] for n in names if n in cls.__dict__}
+        env["_object_setattr"] = object.__setattr__
+        exec(_RECORD_METHODS.format(
+            args="".join(f", {n}=_{n}" if f"_{n}" in env else f", {n}" for n in names),
+            stores="".join(f"\n    _object_setattr(self, {n!r}, {n})" for n in names),
+            post="\n    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+            mine="".join(f"self.{n}, " for n in names),
+            theirs="".join(f"other.{n}, " for n in names)), env)
+        cls.__init__, cls.__eq__, cls.__hash__ = env["__init__"], env["__eq__"], env["__hash__"]
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def fvec(items: Iterable) -> Vec:
@@ -87,8 +125,7 @@ def frac_vec(nums: Sequence[int], den: int) -> Vec:
     return tuple(Fraction(x, den) if x else _ZERO for x in nums)
 
 
-@dataclass(frozen=True)
-class Matrix:
+class Matrix(Record):
     """Immutable dense matrix; `cols` is explicit so 0-row stacks keep shape."""
 
     rows: tuple[Vec, ...]
@@ -207,8 +244,7 @@ def stack(matrices: Sequence[Matrix], cols: Optional[int] = None) -> Matrix:
     return Matrix((), cols)
 
 
-@dataclass(frozen=True, eq=False)
-class SparseMatrix:
+class SparseMatrix(Record):
     """Matrix given by `{col: value}` rows of its nonzero entries (tall sparse systems)."""
 
     rows: tuple[dict[int, Fraction], ...]
@@ -358,8 +394,7 @@ def invert(m: Matrix) -> Matrix:
     return Matrix(tuple(tuple(r.get(n + j, _ZERO) for j in range(n)) for _, r in red), n)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Subspace of Q^n held as the unique reduced-echelon basis (no zero rows)."""
 
     ambient_dim: int

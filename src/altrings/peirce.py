@@ -8,7 +8,6 @@ corners are addressed 0/1 in code and printed 1/2 in reports.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import Algebra, Element, check_alternative
@@ -19,7 +18,8 @@ from .errors import (
     PreconditionFailedError,
     TrivialIdempotentError,
 )
-from .linalg import Matrix, Subspace, column_space, combine, kernel, rank, restrict_map, stack
+from .linalg import (Matrix, Record, Subspace, column_space, combine, kernel, rank,
+                     restrict_map, stack)
 from .report import Check
 from .sampling import random_rational, rng_for
 from .structure import IdempotentKind, center, centralizer, verify_idempotent
@@ -112,16 +112,14 @@ def make_context(algebra: Algebra, e1: Element) -> PeirceContext:
     return PeirceContext(algebra, e1, e2, proj, spaces)
 
 
-@dataclass(frozen=True)
-class RelationViolation:
+class RelationViolation(Record):
     relation: str
     x: Element
     y: Element
     product: Element
 
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(Record):
     violations: tuple[RelationViolation, ...]
 
     @property
@@ -175,8 +173,7 @@ def verify_relations(ctx: PeirceContext) -> RelationReport:
     return RelationReport(tuple(bad))
 
 
-@dataclass(frozen=True)
-class ConditionsReport:
+class ConditionsReport(Record):
     checks: tuple[Check, Check, Check, Check]
 
     @property

@@ -7,12 +7,12 @@ closed subspace computations); "sampled" checks only attest the tested points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from .linalg import Record
 
-@dataclass(frozen=True)
-class Check:
+
+class Check(Record):
     name: str
     ok: bool
     mode: str  # "exact" | "sampled"

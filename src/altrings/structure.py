@@ -9,7 +9,6 @@ is reported as ProbablyPrime over the seeded sample, never as a theorem.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -21,7 +20,7 @@ from .algebra import (
     check_flexible,
 )
 from .errors import NotAlternativeError
-from .linalg import Matrix, SparseMatrix, Subspace, int_vec, is_zero_vec, kernel, stack
+from .linalg import Matrix, Record, SparseMatrix, Subspace, int_vec, is_zero_vec, kernel, stack
 from .sampling import random_nonzero_vector, rng_for
 
 
@@ -158,8 +157,7 @@ def verify_idempotent(a: Algebra, e: Element) -> IdempotentKind:
     return IdempotentKind.NONTRIVIAL
 
 
-@dataclass(frozen=True)
-class PrimalityResult:
+class PrimalityResult(Record):
     """Outcome of the annihilator search; witness None means ProbablyPrime."""
 
     witness: Optional[tuple[Element, Element]]
@@ -199,8 +197,7 @@ def check_prime(a: Algebra, trials: int, seed: int) -> PrimalityResult:
     return PrimalityResult(None, len(candidates), seed)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(Record):
     nucleus: Subspace
     center: Subspace
     derivation_dim: int

@@ -111,6 +111,29 @@ def test_unit_checked_before_constants_grid(text, message):
     assert peak < 1 << 20
 
 
+QXQ = [{"i": 0, "j": 0, "value": ["1", "0"]}, {"i": 1, "j": 1, "value": ["0", "1"]}]
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"dim": True, "unit": ["1"], "constants": [{"i": 0, "j": 0, "value": ["1"]}]},
+     "'dim' must be a positive integer"),
+    ({"dim": 2, "unit": ["1", "1"], "constants": [QXQ[0], {**QXQ[1], "i": True}]},
+     "index (True,1)"),
+    ({"dim": 2, "unit": ["1", "1"], "constants": [QXQ[0], {**QXQ[1], "j": True}]},
+     "index (1,True)"),
+], ids=["dim", "i", "j"])
+def test_json_true_is_not_an_integer(data, message, tmp_path, capsys):
+    """`json` reads `true` as a bool, an int equal to 1; where an integer is
+    required it is bad input.  The same file with 1 in its place is valid."""
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+    path.write_text(json.dumps(data).replace("true", "1"))
+    assert run(capsys, "analyze", str(path))[0] == 0
+
+
 def test_analyze_unit_failure_exits_1(tmp_path, capsys):
     # Q x Q with the first projection declared as unit: e0 * e1 = 0 != e1
     bad = tmp_path / "badunit.json"
@@ -316,15 +339,19 @@ def test_console_entrypoint():
 
 
 @pytest.mark.parametrize("case", ["analyze-directory", "analyze-not-utf8",
-                                  "make-missing-dir", "decompose-missing-dir"])
+                                  "analyze-deeply-nested", "make-missing-dir",
+                                  "decompose-missing-dir"])
 def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
-    """A path that cannot be read or written is bad input: exit 2 and one
-    line on stderr, from a fresh process so that a traceback would show."""
+    """A path that cannot be read or written, or a file nested too deeply to
+    parse, is bad input: exit 2 and one line on stderr, from a fresh process
+    so that a traceback would show."""
     import subprocess
     import sys
 
     not_utf8 = tmp_path / "latin1.json"
     not_utf8.write_bytes('{"dim": 1, "labels": ["é"]}'.encode("latin-1"))
+    nested = tmp_path / "nested.json"  # deep enough for a RecursionError in `json`
+    nested.write_text("[" * 200_000 + "]" * 200_000)
     algebra = load_algebra(m2_file)
     ad = algebra.left_mult_matrix(algebra.basis_vec(1)) - algebra.right_mult_matrix(
         algebra.basis_vec(1)
@@ -335,6 +362,7 @@ def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
     argv = {
         "analyze-directory": ["analyze", str(tmp_path)],
         "analyze-not-utf8": ["analyze", str(not_utf8)],
+        "analyze-deeply-nested": ["analyze", str(nested)],
         "make-missing-dir": ["make", "zorn", "-o", str(missing)],
         "decompose-missing-dir": ["decompose", str(m2_file), "--idempotent", "1,0,0,0",
                                   "--map", str(map_path), "-o", str(missing)],

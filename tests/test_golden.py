@@ -1,19 +1,25 @@
-"""Byte-for-byte pins of `analyze --json` and of the derivation bases.
+"""Byte-for-byte pins of the CLI reports and of the derivation bases.
 
-The files under tests/golden/ were written by the implementation that
-eliminated on `Fraction` rows; the integer core must reproduce them exactly.
-Each algebra is made with `make` and analyzed from the working directory, so
-the echoed command line is the same on every machine.
+The `analyze` files under tests/golden/ were written by the implementation
+that eliminated on `Fraction` rows; the integer core must reproduce them
+exactly.  The `peirce`, `decompose` and `fuzz` files pin the Lie-split
+commands, so every `Check` they report is compared byte for byte.  Each
+algebra is made with `make` and every command runs from the working
+directory, so the echoed command line is the same on every machine.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
+from altrings.catalog import canonical_idempotent, parse_recipe, random_lie_derivation
 from altrings.cli import main
-from altrings.jsonio import load_algebra
+from altrings.jsonio import load_algebra, save_mapspec, vector_to_json
+from altrings.liederiv import SampleBudget
 from altrings.structure import derivation_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -37,3 +43,41 @@ def test_analyze_matches_golden_bytes(stem, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == (GOLDEN / "analyze" / name).read_text(encoding="utf-8")
     digest = hashlib.sha256(repr(derivation_algebra(load_algebra(name))).encode()).hexdigest()
     assert digest == json.loads((GOLDEN / "derivation_sha256.json").read_text())[stem]
+
+
+# stems of MAKE_ARGS whose Lie-split reports are pinned, with their recipes
+LIE_SPLIT = {"zorn": "zorn", "matrix-3": "matrix:3"}
+
+
+def _stdout(argv: list[str]) -> str:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def lie_split_outputs(stem: str) -> dict[str, str]:
+    """Run peirce, decompose -o and fuzz on one algebra in the working
+    directory: the text of each pinned output, by its path under tests/golden/."""
+    name = f"{stem}.json"
+    _stdout(["make", *MAKE_ARGS[stem], "-o", name])
+    algebra = load_algebra(name)
+    e1 = canonical_idempotent(parse_recipe(LIE_SPLIT[stem]), algebra)
+    idempotent = ",".join(vector_to_json(e1.coeffs))
+    save_mapspec(random_lie_derivation(algebra, SampleBudget(seed=1)), f"{stem}.map.json")
+    out = {
+        f"peirce/{name}": _stdout(["peirce", "--json", name, "--idempotent", idempotent]),
+        f"decompose/{name}": _stdout(["decompose", "--json", name, "--idempotent", idempotent,
+                                      "--map", f"{stem}.map.json", "-o", stem]),
+        f"fuzz/{name}": _stdout(["fuzz", LIE_SPLIT[stem], "--trials", "2", "--json"]),
+    }
+    for suffix in ("map", "delta", "tau"):
+        out[f"decompose/{stem}.{suffix}.json"] = Path(f"{stem}.{suffix}.json").read_text(
+            encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("stem", sorted(LIE_SPLIT))
+def test_lie_split_matches_golden_bytes(stem, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for rel, text in lie_split_outputs(stem).items():
+        assert text == (GOLDEN / rel).read_text(encoding="utf-8"), rel

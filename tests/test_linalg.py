@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from altrings.algebra import Element
+from altrings.catalog import matrix_algebra
+from altrings.liederiv import MapSpec, SampleBudget
 from altrings.linalg import (
     Matrix,
+    Record,
     SparseMatrix,
     Subspace,
     _eliminate,
@@ -17,8 +21,10 @@ from altrings.linalg import (
     rref,
     solve,
 )
+from altrings.report import Check
 
 F = Fraction
+M2 = matrix_algebra(2)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 wide_rationals = st.one_of(rationals, st.fractions(min_value=-5, max_value=5,
@@ -293,3 +299,48 @@ def test_reduce_vector_matches_fraction_reference(spanning, vectors):
         got = space.reduce_vector(v)
         assert got == _reference_reduce(space, v)
         assert all(type(x) is Fraction for x in got)
+
+
+@pytest.mark.parametrize("cls, args, other, invalid, cached", [
+    (Check, ("lie-law", True, "exact"), ("lie-law", False, "exact"), None, None),
+    (Element, (M2, M2.unit), (M2, (F(1), F(0), F(0), F(0))), None, None),
+    (Matrix, (((F(1), F(2)), (F(0), F(1))), 2), (((F(1), F(3)), (F(0), F(1))), 2),
+     (((F(1), F(2)), (F(0),)), 2), "_int_cols"),
+    (Subspace, (2, ((F(1), F(1, 2)),)), (2, ((F(1), F(0)),)), None, "_int_basis"),
+    (SampleBudget, (7,), (8,), (7, 0), None),
+    (MapSpec, (M2, Matrix.identity(4)), (M2, Matrix.zeros(4, 4)), (M2, Matrix.identity(3)), None),
+], ids=["Check", "Element", "Matrix", "Subspace", "SampleBudget", "MapSpec"])
+def test_record_contract(cls, args, other, invalid, cached):
+    """What every `Record` promises: construction by position, keyword and
+    default; `__post_init__` validation; equality and hash by field values
+    within one class; no assignment; cached integer forms outside equality."""
+    names = list(cls.__annotations__)
+    rec = cls(*args)
+    assert cls(**dict(zip(names, args))) == rec
+    for name in names[len(args):]:
+        assert getattr(rec, name) == getattr(cls, name)
+    assert [getattr(rec, n) for n in names[:len(args)]] == list(args)
+    with pytest.raises(TypeError):
+        cls(*args[:-1]) if len(args) == len(names) else cls()
+    with pytest.raises(TypeError):
+        cls(*args, no_such_field=1)
+    if invalid is not None:
+        with pytest.raises(ValueError):
+            cls(*invalid)
+
+    twin = cls(*args)
+    assert twin == rec and hash(twin) == hash(rec)
+    assert twin is not rec and cls(*other) != rec
+    mirror = type("Mirror", (Record,), {"__annotations__": dict(cls.__annotations__)})
+    assert mirror(*(getattr(rec, n) for n in names)) != rec
+    assert rec != tuple(args)
+    with pytest.raises(AttributeError):
+        setattr(rec, names[0], args[0])
+    with pytest.raises(AttributeError):
+        delattr(rec, names[0])
+
+    if cached is not None:
+        first = getattr(rec, cached)
+        assert vars(rec)[cached] is first and getattr(rec, cached) is first
+        assert cached not in vars(twin)
+        assert rec == twin and hash(rec) == hash(twin)

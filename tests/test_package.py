@@ -57,14 +57,38 @@ print(json.dumps({"code": code, "report": json.loads(out.getvalue()),
 """
 
 
+# Runs the commands given as a JSON list of argv lists in one fresh
+# interpreter; after each, records the exit code, the executed altrings
+# modules and which of the code-generation modules are loaded.
+COMMANDS_PROBE = """
+import contextlib, io, json, sys, types
+import altrings.cli as cli
+
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    seen.append({"code": code,
+                 "executed": sorted(name for name, module in sys.modules.items()
+                                    if name.startswith("altrings.")
+                                    and type(module) is types.ModuleType),
+                 "loaded": [name for name in ("dataclasses", "inspect") if name in sys.modules]})
+print(json.dumps(seen))
+"""
+
+
+def _probe(script: str, *args: str, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd,
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
 def test_cli_runs_only_the_modules_a_command_uses(tmp_path):
     path = tmp_path / "zorn.json"
     altrings.jsonio.save_algebra(altrings.zorn(), path)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", LAZY_PROBE, str(path)],
-                          capture_output=True, text=True, env=env, check=True)
-    probe = json.loads(proc.stdout)
+    probe = _probe(LAZY_PROBE, str(path))
     assert probe["code"] == 0
     assert probe["report"]["derivation_dim"] == 14
     # every module the benchmark tracer wraps is in sys.modules after `import altrings.cli`
@@ -98,3 +122,35 @@ def test_unknown_attribute_raises_attribute_error():
         altrings.no_such_name
     with pytest.raises(ImportError):
         exec("from altrings import no_such_name", {})
+
+
+def test_make_runs_no_lie_split_module(tmp_path):
+    """`make` builds and saves an algebra; the Lie-split modules stay unexecuted."""
+    [make] = _probe(COMMANDS_PROBE, json.dumps([["make", "zorn", "-o", "zorn.json"]]),
+                    cwd=tmp_path)
+    assert make["code"] == 0
+    assert "altrings.catalog" in make["executed"]
+    assert not {"altrings.liederiv", "altrings.peirce"} & set(make["executed"])
+
+
+def test_no_command_imports_dataclasses(tmp_path):
+    """The records are built without `dataclasses`, and so without `inspect`:
+    no command pays for importing them."""
+    algebra = altrings.zorn()
+    altrings.jsonio.save_mapspec(
+        altrings.random_lie_derivation(algebra, altrings.SampleBudget(seed=1)),
+        tmp_path / "map.json")
+    e1 = "1,0,0,0,0,0,0,0"
+    commands = [
+        ["make", "zorn", "-o", "zorn.json"],
+        ["analyze", "--json", "zorn.json"],
+        ["peirce", "--json", "zorn.json", "--idempotent", e1],
+        ["decompose", "--json", "zorn.json", "--idempotent", e1, "--map", "map.json",
+         "-o", "split"],
+        ["fuzz", "zorn", "--trials", "1", "--json"],
+    ]
+    seen = _probe(COMMANDS_PROBE, json.dumps(commands), cwd=tmp_path)
+    for argv, after in zip(commands, seen):
+        assert after["code"] == 0, argv
+        assert after["loaded"] == [], argv
+    assert "altrings.liederiv" in seen[-1]["executed"]
