@@ -5,7 +5,9 @@ that eliminated on `Fraction` rows; the integer core must reproduce them
 exactly.  The `peirce`, `decompose` and `fuzz` files pin the Lie-split
 commands, so every `Check` they report is compared byte for byte.  Each
 algebra is made with `make` and every command runs from the working
-directory, so the echoed command line is the same on every machine.
+directory, so the echoed command line is the same on every machine.  The
+files `make -o` writes are pinned by their sha256 digests in
+`make_sha256.json`.
 """
 
 import contextlib
@@ -33,12 +35,21 @@ MAKE_ARGS = {
 }
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _make_digest(stem: str) -> str:
+    return json.loads((GOLDEN / "make_sha256.json").read_text())[stem]
+
+
 @pytest.mark.parametrize("stem", sorted(MAKE_ARGS))
 def test_analyze_matches_golden_bytes(stem, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     name = f"{stem}.json"
     assert main(["make", *MAKE_ARGS[stem], "-o", name]) == 0
     capsys.readouterr()
+    assert _sha256(name) == _make_digest(stem)
     assert main(["analyze", "--json", name]) == 0
     assert capsys.readouterr().out == (GOLDEN / "analyze" / name).read_text(encoding="utf-8")
     digest = hashlib.sha256(repr(derivation_algebra(load_algebra(name))).encode()).hexdigest()
@@ -81,3 +92,10 @@ def test_lie_split_matches_golden_bytes(stem, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for rel, text in lie_split_outputs(stem).items():
         assert text == (GOLDEN / rel).read_text(encoding="utf-8"), rel
+
+
+def test_make_matches_golden_digest_with_rational_constants(tmp_path, monkeypatch):
+    """A doubled algebra whose constants include halves and three-halves."""
+    monkeypatch.chdir(tmp_path)
+    _stdout(["make", "cd", "--mus", "-1,1/2,-3", "-o", "cd-rational.json"])
+    assert _sha256("cd-rational.json") == _make_digest("cd-rational")
