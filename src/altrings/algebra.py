@@ -1,11 +1,12 @@
 """Structure-constant algebras over the rationals and their element calculus.
 
-An algebra is a dimension, a rank-3 tensor c[i][j][k] with
-basis_i * basis_j = sum_k c[i][j][k] basis_k, and a verified two-sided unit.
-Next to the `Fraction` constants, an algebra keeps their nonzeros as integer
-numerators over one common denominator. `mul_vec` takes `Fraction` vectors,
-runs its triple loop on those integers (see `linalg.int_vec`), and returns
-`Fraction`s again, so its values are exactly those of the rational product.
+An algebra is given by its products b_i b_j = sum_k c[i][j][k] b_k and a
+verified two-sided unit. It stores the constants once, sparse: the nonzero
+c[i][j][k] as integer numerators over one common denominator.
+`Algebra.products()` gives them back as `Fraction` vectors. `mul_vec` takes
+`Fraction` vectors, runs its triple loop on those integers (see
+`linalg.int_vec`), and returns `Fraction`s again, so its values are exactly
+those of the rational product.
 Identity checking (alternative / flexible / associative) works on basis
 triples, read off one integer associator table built from those integer
 constants: the linearized identities are multilinear, so basis enumeration
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import AlgebraMismatchError, UnitValidationError
 from .linalg import (
@@ -39,50 +40,43 @@ _ZERO = Fraction(0)
 class Algebra:
     """Immutable finite-dimensional unital algebra given by structure constants."""
 
-    __slots__ = ("dim", "constants", "unit", "labels", "_table", "_int_table", "_den",
-                 "_hash", "_assoc")
+    __slots__ = ("dim", "unit", "labels", "_int_table", "_den", "_hash", "_assoc")
 
-    def __init__(self, constants: Sequence[Sequence[Sequence]], unit: Sequence,
+    def __init__(self, products: Mapping[tuple[int, int], Sequence], unit: Sequence,
                  labels: Optional[Sequence[str]] = None):
-        dim = len(constants)
+        """`products[i, j]` is the coordinate vector of b_i b_j; omitted pairs
+        multiply to zero. The dimension is the length of `unit`."""
+        self.dim = dim = len(unit)
         if dim < 1:
             raise ValueError("algebra dimension must be at least 1")
-        tensor = tuple(
-            tuple(fvec(constants[i][j]) for j in range(dim)) for i in range(dim)
-        )
-        for i in range(dim):
-            if len(constants[i]) != dim:
-                raise ValueError("structure tensor is not dim x dim x dim")
-            for j in range(dim):
-                if len(tensor[i][j]) != dim:
-                    raise ValueError("structure tensor is not dim x dim x dim")
-        self.dim = dim
-        self.constants = tensor
         self.unit = fvec(unit)
-        if len(self.unit) != dim:
-            raise ValueError("unit vector has wrong length")
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != dim:
                 raise ValueError("labels length must equal dim")
         self.labels = labels
-        # sparse view: _table[i][j] = ((k, c), ...) for nonzero c[i][j][k]
-        self._table = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
-            for plane in tensor
-        )
-        # the same nonzeros as integers: c[i][j][k] == num / _den
-        self._den = den = lcm(*(c.denominator for plane in self._table
-                                for cell in plane for _, c in cell))
-        self._int_table = tuple(
-            tuple(tuple((k, c.numerator * (den // c.denominator)) for k, c in cell)
-                  for cell in plane)
-            for plane in self._table
-        )
-        # equal constants give equal integer tables, and ints hash fast
-        self._hash = hash((dim, den, self._int_table, self.unit))
+        cells = {}
+        for (i, j), v in products.items():
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise ValueError(f"product index ({i},{j}) is not in [0, dim)")
+            v = fvec(v)
+            if len(v) != dim:
+                raise ValueError("structure tensor is not dim x dim x dim")
+            cells[i, j] = int_vec(v)
+        # the nonzero constants over one denominator: c[i][j][k] == num / _den
+        # for each pair (k, num) of _int_table[i][j]
+        self._den = den = lcm(*(d for _, d in cells.values()))
+        table = [[()] * dim for _ in range(dim)]
+        for (i, j), (nums, d) in cells.items():
+            table[i][j] = tuple((k, x * (den // d)) for k, x in nums)
+        self._int_table = tuple(map(tuple, table))
+        self._hash = hash(self._key())
         self._assoc = None
         self._validate_unit()
+
+    def _key(self):
+        # equal constants give equal integer tables, and ints hash fast
+        return (self.dim, self._den, self._int_table, self.unit)
 
     def _validate_unit(self):
         for i in range(self.dim):
@@ -97,8 +91,7 @@ class Algebra:
             return True
         if not isinstance(other, Algebra):
             return NotImplemented
-        return (self.dim == other.dim and self.constants == other.constants
-                and self.unit == other.unit)
+        return self._key() == other._key()
 
     def __hash__(self):
         return self._hash
@@ -108,6 +101,17 @@ class Algebra:
 
     def label(self, i: int) -> str:
         return self.labels[i] if self.labels else f"b{i}"
+
+    def products(self) -> dict[tuple[int, int], Vec]:
+        """The nonzero products b_i b_j as `Fraction` vectors, keyed by (i, j)
+        in row-major order."""
+        out = {}
+        for i, plane in enumerate(self._int_table):
+            for j, cell in enumerate(plane):
+                if cell:
+                    nums = dict(cell)
+                    out[i, j] = frac_vec([nums.get(k, 0) for k in range(self.dim)], self._den)
+        return out
 
     def basis_vec(self, i: int) -> Vec:
         return tuple(Fraction(1) if k == i else _ZERO for k in range(self.dim))

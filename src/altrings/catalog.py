@@ -30,20 +30,15 @@ def matrix_algebra(n: int) -> Algebra:
         raise ValueError("matrix algebra needs n >= 1")
     dim = n * n
     idx = lambda p, q: p * n + q
-    constants = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for s in range(n):
-                    if q == r:
-                        v = [_Z] * dim
-                        v[idx(p, s)] = _O
-                        constants[idx(p, q)][idx(r, s)] = tuple(v)
+    e = lambda k: tuple(_O if t == k else _Z for t in range(dim))
+    # E_pq E_qs = E_ps; every other product of matrix units is zero
+    products = {(idx(p, q), idx(q, s)): e(idx(p, s))
+                for p in range(n) for q in range(n) for s in range(n)}
     unit = [_Z] * dim
     for p in range(n):
         unit[idx(p, p)] = _O
     labels = [f"E{p+1}{q+1}" for p in range(n) for q in range(n)]
-    return Algebra(constants, unit, labels)
+    return Algebra(products, unit, labels)
 
 
 def _cross(a, b):
@@ -74,10 +69,10 @@ def zorn() -> Algebra:
         return (a,) + v + w + (b,)
 
     basis = [tuple(_O if k == i else _Z for k in range(8)) for i in range(8)]
-    constants = [[mul(basis[i], basis[j]) for j in range(8)] for i in range(8)]
+    products = {(i, j): mul(basis[i], basis[j]) for i in range(8) for j in range(8)}
     unit = (_O, _Z, _Z, _Z, _Z, _Z, _Z, _O)
     labels = ["e1", "u1", "u2", "u3", "v1", "v2", "v3", "e2"]
-    return Algebra(constants, unit, labels)
+    return Algebra(products, unit, labels)
 
 
 class InvolutiveAlgebra(Record):
@@ -89,7 +84,7 @@ class InvolutiveAlgebra(Record):
 
 def rationals() -> InvolutiveAlgebra:
     """The scalars with the trivial involution: the doubling seed."""
-    return InvolutiveAlgebra(Algebra((((_O,),),), (_O,), ["1"]), Matrix.identity(1))
+    return InvolutiveAlgebra(Algebra({(0, 0): (_O,)}, (_O,), ["1"]), Matrix.identity(1))
 
 
 def cayley_dickson(base: InvolutiveAlgebra, mu) -> InvolutiveAlgebra:
@@ -105,7 +100,7 @@ def cayley_dickson(base: InvolutiveAlgebra, mu) -> InvolutiveAlgebra:
         return tuple(first) + tuple(second)
 
     zero = zero_vec(n)
-    constants = [[None] * dim for _ in range(dim)]
+    products = {}
     for i in range(dim):
         for j in range(dim):
             a = alg.basis_vec(i) if i < n else zero
@@ -119,9 +114,9 @@ def cayley_dickson(base: InvolutiveAlgebra, mu) -> InvolutiveAlgebra:
             second = tuple(
                 x + y for x, y in zip(alg.mul_vec(d, a), alg.mul_vec(b, conj.apply(c)))
             )
-            constants[i][j] = pad(first, second)
+            products[i, j] = pad(first, second)
     unit = pad(alg.unit, zero)
-    doubled = Algebra(constants, unit, [f"e{k}" for k in range(dim)])
+    doubled = Algebra(products, unit, [f"e{k}" for k in range(dim)])
     conj_rows = []
     for r in range(dim):
         if r < n:
@@ -142,19 +137,13 @@ def octonion_algebra(mus: Sequence) -> Algebra:
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     """Componentwise product on the concatenated basis."""
     n, m = a.dim, b.dim
-    dim = n + m
-    constants = [[zero_vec(dim) for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            constants[i][j] = tuple(a.constants[i][j]) + zero_vec(m)
-    for i in range(m):
-        for j in range(m):
-            constants[n + i][n + j] = zero_vec(n) + tuple(b.constants[i][j])
+    products = {(i, j): v + zero_vec(m) for (i, j), v in a.products().items()}
+    products.update(((n + i, n + j), zero_vec(n) + v) for (i, j), v in b.products().items())
     unit = tuple(a.unit) + tuple(b.unit)
     labels = None
     if a.labels and b.labels:
         labels = [f"L.{s}" for s in a.labels] + [f"R.{s}" for s in b.labels]
-    return Algebra(constants, unit, labels)
+    return Algebra(products, unit, labels)
 
 
 def find_idempotent(a: Algebra) -> Optional[Element]:

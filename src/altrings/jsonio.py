@@ -16,7 +16,7 @@ from typing import Optional, Union
 from . import liederiv
 from .algebra import Algebra
 from .errors import InputError, NotCentralError
-from .linalg import Matrix, Vec, zero_vec
+from .linalg import Matrix, Vec
 
 
 def format_rational(q: Fraction) -> str:
@@ -59,12 +59,8 @@ def vector_from_json(data, expected_len: Optional[int] = None,
 
 
 def algebra_to_dict(a: Algebra, provenance: Optional[str] = None) -> dict:
-    entries = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            row = a.constants[i][j]
-            if any(row):
-                entries.append({"i": i, "j": j, "value": vector_to_json(row)})
+    entries = [{"i": i, "j": j, "value": vector_to_json(v)}
+               for (i, j), v in a.products().items()]
     out = {"dim": a.dim, "unit": vector_to_json(a.unit), "constants": entries}
     if a.labels:
         out["labels"] = list(a.labels)
@@ -94,11 +90,9 @@ def algebra_from_dict(data: dict) -> Algebra:
     labels = data.get("labels")
     if labels is not None and (not isinstance(labels, list) or len(labels) != dim):
         raise InputError("labels must be a list of length dim")
-    # the grid is built only now that the unit has length dim: missing cells
-    # share one zero row, so its size is bounded by that of the input
-    zero = zero_vec(dim)
-    constants = [[cells.get((i, j), zero) for j in range(dim)] for i in range(dim)]
-    return Algebra(constants, unit, labels)
+    if labels is not None and not all(type(s) is str for s in labels):
+        raise InputError("labels must be strings")
+    return Algebra(cells, unit, labels)
 
 
 def matrix_to_json(m: Matrix) -> list[list[str]]:
@@ -134,6 +128,8 @@ def mapspec_from_dict(data: dict, algebra: Algebra) -> liederiv.MapSpec:
     for entry in data.get("central_terms", []):
         if not isinstance(entry, dict) or not {"functional", "poly", "central"} <= set(entry):
             raise InputError("central_terms entries need functional, poly, central")
+        if not isinstance(entry["poly"], list):
+            raise InputError("central-term poly must be a JSON list")
         poly = tuple(parse_rational(c) for c in entry["poly"])
         if poly and poly[0] != 0:
             raise InputError("central-term polynomial must serialize constant term as \"0\"")

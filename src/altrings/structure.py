@@ -20,7 +20,8 @@ from .algebra import (
     check_flexible,
 )
 from .errors import NotAlternativeError
-from .linalg import Matrix, Record, SparseMatrix, Subspace, int_vec, is_zero_vec, kernel, stack
+from .linalg import (Matrix, Record, SparseMatrix, Subspace, int_vec, is_zero_vec, kernel, stack,
+                     vec_sub, zero_vec)
 from .sampling import random_nonzero_vector, rng_for
 
 
@@ -71,14 +72,11 @@ def centralizer(a: Algebra, s: Subspace) -> Subspace:
 @lru_cache(maxsize=None)
 def commutator_subspace(a: Algebra) -> Subspace:
     """Span of all commutators [x, y], computed from basis pairs."""
-    n = a.dim
-    vectors = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = tuple(x - y for x, y in zip(a.constants[i][j], a.constants[j][i]))
-            if any(c):
-                vectors.append(c)
-    return Subspace.span(n, vectors)
+    n, prods = a.dim, a.products()
+    zero = zero_vec(n)
+    vectors = [vec_sub(prods.get((i, j), zero), prods.get((j, i), zero))
+               for i in range(n) for j in range(i + 1, n)]
+    return Subspace.span(n, [c for c in vectors if any(c)])
 
 
 def _leibniz_rows(a: Algebra) -> list[dict[int, int]]:

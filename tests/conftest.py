@@ -64,10 +64,9 @@ def nonalternative():
     def basis(i):
         return tuple(o if k == i else z for k in range(3))
 
-    zero = (z, z, z)
-    constants = [
-        [basis(0), basis(1), basis(2)],
-        [basis(1), basis(2), zero],
-        [basis(2), basis(0), zero],
-    ]
-    return Algebra(constants, basis(0), ["1", "a", "b"])
+    products = {
+        (0, 0): basis(0), (0, 1): basis(1), (0, 2): basis(2),
+        (1, 0): basis(1), (1, 1): basis(2),
+        (2, 0): basis(2), (2, 1): basis(0),
+    }
+    return Algebra(products, basis(0), ["1", "a", "b"])

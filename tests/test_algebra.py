@@ -24,7 +24,19 @@ F = Fraction
 
 def test_unit_validation_rejects_bad_unit(m2):
     with pytest.raises(UnitValidationError):
-        Algebra(m2.constants, m2.basis_vec(0))  # E11 is not a two-sided unit
+        Algebra(m2.products(), m2.basis_vec(0))  # E11 is not a two-sided unit
+
+
+def test_equal_constants_give_equal_algebras():
+    """Dual numbers Q[x]/(x^2), once from ints with explicit zero cells and
+    once from Fractions with the zero cells omitted."""
+    ints = Algebra({(0, 0): (1, 0), (0, 1): (0, 1), (1, 0): (0, 1), (1, 1): (0, 0)}, (1, 0))
+    fracs = Algebra({(0, 0): (F(1), F(0)), (0, 1): (F(0), F(1)), (1, 0): (F(0), F(1))},
+                    (F(1), F(0)))
+    assert ints == fracs and hash(ints) == hash(fracs)
+    for x2 in [(F(1, 2), F(0)), (F(0), F(-1))]:  # x^2 = 1/2, x^2 = -x
+        other = Algebra({**fracs.products(), (1, 1): x2}, fracs.unit)
+        assert other != fracs
 
 
 def test_unit_laws(zorn_algebra):

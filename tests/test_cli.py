@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from altrings.cli import main
-from altrings.errors import InputError
+from altrings.errors import InputError, UnitValidationError
 from altrings.jsonio import algebra_from_dict, load_algebra, load_mapspec, save_mapspec
 from altrings.liederiv import MapSpec
 
@@ -98,12 +98,27 @@ def test_analyze_parse_error_exits_2(tmp_path, capsys):
     ('{"dim": 200, "unit": ["1"]}', "vector length 1 != expected 200"),
 ])
 def test_unit_checked_before_constants_grid(text, message):
-    """A missing or short unit is rejected before the dim x dim grid is built:
-    at dim 200 that grid of zero rows alone took 66 MB."""
+    """A missing or short unit is rejected before the algebra is built, in
+    memory bounded by the size of the file."""
     data = json.loads(text)
     tracemalloc.start()
     try:
         with pytest.raises(InputError, match=message):
+            algebra_from_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_unit_only_file_rejected_in_bounded_memory():
+    """A dim-100 file with a unit of the right length and no constants fails
+    the unit check without building a dim x dim grid of rows (8.75 MB when
+    the algebra kept one)."""
+    data = {"dim": 100, "unit": ["1"] + ["0"] * 99}
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnitValidationError, match="claimed unit fails"):
             algebra_from_dict(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -132,6 +147,39 @@ def test_json_true_is_not_an_integer(data, message, tmp_path, capsys):
     assert err.startswith("error: ") and message in err
     path.write_text(json.dumps(data).replace("true", "1"))
     assert run(capsys, "analyze", str(path))[0] == 0
+
+
+def test_labels_must_be_strings(tmp_path, capsys):
+    """Labels name basis elements in reports: a number or null is bad input,
+    not a label printed as '1' or 'None'."""
+    path = tmp_path / "labels.json"
+    data = {"dim": 2, "unit": ["1", "1"], "constants": QXQ, "labels": [1, None]}
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "analyze", "--json", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: labels must be strings\n"
+    path.write_text(json.dumps({**data, "labels": ["1", "None"]}))
+    assert run(capsys, "analyze", "--json", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("poly", [5, "012"], ids=["number", "string"])
+def test_central_term_poly_must_be_a_list(poly, m2_file, tmp_path, capsys):
+    """A poly that is not a list is bad input: neither a traceback for a
+    number nor a string read one character per coefficient.  The same map
+    with the list ["0", "1", "2"] (trace times s + 2s^2) is valid."""
+    trace = ["1", "0", "0", "1"]
+    data = {"linear": [["0"] * 4] * 4,
+            "central_terms": [{"functional": trace, "poly": poly, "central": trace}]}
+    map_path = tmp_path / "poly.json"
+    map_path.write_text(json.dumps(data))
+    argv = ("decompose", str(m2_file), "--idempotent", "1,0,0,0", "--map", str(map_path),
+            "--seed", "1", "--samples", "5")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: central-term poly must be a JSON list\n"
+    data["central_terms"][0]["poly"] = ["0", "1", "2"]
+    map_path.write_text(json.dumps(data))
+    assert run(capsys, *argv)[0] == 0
 
 
 def test_analyze_unit_failure_exits_1(tmp_path, capsys):

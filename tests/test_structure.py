@@ -206,22 +206,27 @@ def test_nucleus_checks_every_slot(products):
 
     vec = {"0": (F(0),) * 3, "a": e(1), "b": e(2)}
     aa, ab, ba, bb = (vec[p] for p in products)
-    alg = Algebra([[e(0), e(1), e(2)], [e(1), aa, ab], [e(2), ba, bb]], e(0))
+    alg = Algebra({(0, 0): e(0), (0, 1): e(1), (0, 2): e(2), (1, 0): e(1), (2, 0): e(2),
+                   (1, 1): aa, (1, 2): ab, (2, 1): ba, (2, 2): bb}, e(0))
     assert nucleus(alg) == Subspace.span(3, [alg.unit])
 
 
 @st.composite
-def unital_algebras(draw):
-    """Random unital algebras up to dim 4, b0 the unit, with sparse rational constants."""
+def unital_products(draw):
+    """Random sparse rational constants {(i, j): b_i b_j} up to dim 4, b0 a unit."""
     n = draw(st.integers(2, 4))
     coeff = st.sampled_from([F(0)] * 6 + [F(1), F(-1), F(2), F(1, 2), F(-3, 2)])
 
     def e(k):
         return tuple(F(int(t == k)) for t in range(n))
 
-    constants = [[e(i + j) if 0 in (i, j) else tuple(draw(coeff) for _ in range(n))
-                  for j in range(n)] for i in range(n)]
-    return Algebra(constants, e(0))
+    return {(i, j): e(i + j) if 0 in (i, j) else tuple(draw(coeff) for _ in range(n))
+            for i in range(n) for j in range(n)}
+
+
+def unital_algebras():
+    """Random unital algebras from `unital_products`: b0 b0 = b0 is the unit."""
+    return unital_products().map(lambda c: Algebra(c, c[0, 0]))
 
 
 def _kernel_of_maps(dim, maps, inputs):
@@ -282,12 +287,12 @@ def _vectors(a):
 @settings(max_examples=80)
 @given(st.data())
 def test_integer_products_match_fraction_reference(data):
-    a = data.draw(unital_algebras())
+    c = data.draw(unital_products())  # the reference: the constants as drawn
+    a = Algebra(c, c[0, 0])
     n = a.dim
     vectors = _vectors(a)
     x, y = data.draw(vectors), data.draw(vectors)
-    c = a.constants
-    product = tuple(sum((c[i][j][k] * x[i] * y[j] for i in range(n) for j in range(n)), F(0))
+    product = tuple(sum((c[i, j][k] * x[i] * y[j] for i in range(n) for j in range(n)), F(0))
                     for k in range(n))
     assert a.mul_vec(x, y) == product
     assert a.left_mult_matrix(x).apply(y) == product
