@@ -14,12 +14,17 @@ variables (Leibniz for matrices, corner containments of linear maps) are
 decided exactly on basis tuples; statements about non-additive maps are
 checked on basis tuples plus seeded random samples and labeled "sampled",
 except where the MapSpec form makes an exact structural decision possible.
+
+One such decision is `commutator_witness`: the functional of every effective
+central term (polynomial, target and functional nonzero, as `MapSpec.is_linear`
+reads it) vanishes on the commutator span.  `compose` requires it of its terms,
+and `decompose` decides "tau kills commutators" from it and the linear part.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 from .algebra import Algebra, Element
 from .errors import (
@@ -38,7 +43,6 @@ from .linalg import (
     Subspace,
     Vec,
     combine,
-    fvec,
     invert,
     is_zero_vec,
     vec_add,
@@ -72,6 +76,11 @@ class CentralTerm(Record):
     functional: Vec
     poly: tuple[Fraction, ...]  # coefficient at index d multiplies s**d
     central: Vec
+
+    @property
+    def is_effective(self) -> bool:
+        """False when the term is inert: zero polynomial, target or functional."""
+        return any(self.poly) and any(self.central) and any(self.functional)
 
     def eval_scalar(self, s: Fraction) -> Fraction:
         acc = _ZERO
@@ -113,10 +122,7 @@ class MapSpec(Record):
     @property
     def is_linear(self) -> bool:
         """True when every nonlinear term is inert (zero polynomial, target, or functional)."""
-        return all(
-            not any(t.poly) or is_zero_vec(t.central) or is_zero_vec(t.functional)
-            for t in self.terms
-        )
+        return not any(t.is_effective for t in self.terms)
 
     @property
     def is_identically_zero(self) -> bool:
@@ -174,8 +180,22 @@ def _shifted(d: MapLike, delta: Matrix) -> MapLike:
     """The map a -> d(a) - delta a, in closed form when possible."""
     if isinstance(d, MapSpec):
         return MapSpec(d.algebra, d.linear - delta, d.terms)
-    mat = delta
-    return OpaqueMap(d.algebra, lambda a, _d=d, _m=mat: _d(a) - Element(a.algebra, _m.apply(a.coeffs)))
+    return OpaqueMap(d.algebra, lambda a: d(a) - Element(a.algebra, delta.apply(a.coeffs)))
+
+
+def commutator_witness(algebra: Algebra, terms: tuple[CentralTerm, ...]) -> Optional[Vec]:
+    """A commutator-span basis vector on which some effective term's functional
+    is nonzero, or None when every effective functional vanishes on the span.
+
+    None is sufficient for the terms to vanish on every commutator, not
+    necessary: effective terms whose sum vanishes there still give a witness.
+    """
+    effective = [t.functional for t in terms if t.is_effective]
+    for c in commutator_subspace(algebra).basis:
+        for f in effective:
+            if sum((x * y for x, y in zip(f, c) if x and y), _ZERO):
+                return c
+    return None
 
 
 def check_lie_law(d: MapLike, budget: SampleBudget) -> Check:
@@ -415,10 +435,7 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
     delta_prime = value_mat * invert(basis_mat)
     delta = delta_prime + f
 
-    if isinstance(d, MapSpec):
-        tau: MapLike = MapSpec(alg, d.linear - delta, d.terms)
-    else:
-        tau = _shifted(d, delta)
+    tau = _shifted(d, delta)
 
     # -- verification --
 
@@ -464,32 +481,26 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
         checks.append(Check("tau-central", True, "sampled",
                             detail=f"{budget.element_samples} random elements"))
 
-    comm = commutator_subspace(alg)
     if isinstance(tau, MapSpec):
-        ok = all(is_zero_vec(tau.linear.apply(c)) for c in comm.basis)
-        for t in tau.terms:
-            if not any(t.poly):
-                continue
-            ok = ok and all(
-                sum((f * x for f, x in zip(t.functional, c)), _ZERO) == 0
-                for c in comm.basis
-            )
+        # exact: the linear part and every effective term vanish on the commutator span
+        bad = next((c for c in commutator_subspace(alg).basis if any(tau.linear.apply(c))),
+                   None) or commutator_witness(alg, tau.terms)
+        witness = None if bad is None else f"commutator-span vector {Element(alg, bad)!r}"
         mode = "exact"
     else:
-        ok = True
+        witness = None
+        pairs = [(alg.basis_vec(i), alg.basis_vec(j))
+                 for i in range(n) for j in range(n) if i < j]
+        pairs += [(random_vector(rng, n, budget.height), random_vector(rng, n, budget.height))
+                  for _ in range(budget.pair_samples)]
+        for x, yv in pairs:
+            c = vec_sub(alg.mul_vec(x, yv), alg.mul_vec(yv, x))
+            if not is_zero_vec(tau.eval_vec(c)):
+                witness = f"x={Element(alg, x)!r}, y={Element(alg, yv)!r}"
+                break
         mode = "sampled"
-    pairs = [(alg.basis_vec(i), alg.basis_vec(j)) for i in range(n) for j in range(n) if i < j]
-    pairs += [(random_vector(rng, n, budget.height), random_vector(rng, n, budget.height))
-              for _ in range(budget.pair_samples)]
-    witness = None
-    for x, yv in pairs:
-        c = vec_sub(alg.mul_vec(x, yv), alg.mul_vec(yv, x))
-        if not is_zero_vec(tau.eval_vec(c)):
-            ok = False
-            witness = f"x={Element(alg, x)!r}, y={Element(alg, yv)!r}"
-            break
-    checks.append(Check("tau-kills-commutators", ok, mode, witness=witness))
-    if not ok:
+    checks.append(Check("tau-kills-commutators", witness is None, mode, witness=witness))
+    if witness is not None:
         raise InternalInvariantError(f"tau does not vanish on a commutator ({witness})")
 
     if isinstance(d, MapSpec):
@@ -517,20 +528,14 @@ def compose(algebra: Algebra, delta: Matrix, terms: tuple[CentralTerm, ...] = ()
     """Assemble delta + tau as a MapSpec, validating both halves.
 
     delta must satisfy the Leibniz rule; every nonlinear term must be central
-    (checked by MapSpec) and must vanish on commutators, which for one
-    polynomial term means its functional annihilates the commutator span.
+    (checked by MapSpec) and must vanish on commutators, which
+    `commutator_witness` decides from the term functionals.
     """
     if not is_derivation(algebra, delta):
         raise NotDerivationError("linear part fails the Leibniz rule on a basis pair")
-    comm = commutator_subspace(algebra)
-    for t in terms:
-        if not any(t.poly) or is_zero_vec(fvec(t.central)):
-            continue
-        for c in comm.basis:
-            s = sum((f * x for f, x in zip(t.functional, c)), _ZERO)
-            if s != 0:
-                raise LieLawViolatedError(
-                    "central-term functional does not vanish on the commutator "
-                    "span; the composed map would break the Lie product rule"
-                )
+    if commutator_witness(algebra, tuple(terms)) is not None:
+        raise LieLawViolatedError(
+            "central-term functional does not vanish on the commutator "
+            "span; the composed map would break the Lie product rule"
+        )
     return MapSpec(algebra, delta, tuple(terms))

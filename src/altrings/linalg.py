@@ -184,22 +184,13 @@ class Matrix(Record):
         return tuple(row[j] for row in self.rows)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
+        """Matrix product, one integer `apply` per column of `other`."""
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        bt = list(zip(*other.rows)) if other.rows else [()] * other.cols
-        out = []
-        for row in self.rows:
-            new = []
-            for bcol in bt:
-                acc = _ZERO
-                for x, y in zip(row, bcol):
-                    if x and y:
-                        acc += x * y
-                new.append(acc)
-            out.append(tuple(new))
-        return Matrix(tuple(out), other.cols)
+        cols = [self.apply(other.col(j)) for j in range(other.cols)]
+        return Matrix(tuple(zip(*cols)) if cols else ((),) * self.nrows, other.cols)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols or self.nrows != other.nrows:

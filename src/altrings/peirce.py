@@ -30,9 +30,11 @@ class PeirceContext:
 
     `central_splits` holds, per side, the central system that
     `liederiv.split_diagonal` eliminates once and reuses on later calls.
+    Corner conditions (1)-(3) are decided once per context: `conditions_123`
+    holds their checks from the first call that needs them.
     """
 
-    __slots__ = ("algebra", "e1", "e2", "proj", "spaces", "central_splits")
+    __slots__ = ("algebra", "e1", "e2", "proj", "spaces", "central_splits", "conditions_123")
 
     def __init__(self, algebra: Algebra, e1: Element, e2: Element,
                  proj: tuple[tuple[Matrix, Matrix], tuple[Matrix, Matrix]],
@@ -43,6 +45,7 @@ class PeirceContext:
         self.proj = proj
         self.spaces = spaces
         self.central_splits: dict = {}
+        self.conditions_123: Optional[tuple[Check, Check, Check]] = None
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -92,21 +95,10 @@ def make_context(algebra: Algebra, e1: Element) -> PeirceContext:
     total = proj[0][0] + proj[0][1] + proj[1][0] + proj[1][1]
     if total != Matrix.identity(algebra.dim):
         raise AmbiguityError("corner projections do not sum to the identity")
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    prod = proj[i][j] * proj[k][l]
-                    expected = proj[i][j] if (i, j) == (k, l) else None
-                    if expected is None:
-                        if not prod.is_zero():
-                            raise AmbiguityError("corner projections are not orthogonal")
-                    elif prod != expected:
-                        raise AmbiguityError("corner projection is not idempotent")
-
     spaces = tuple(
         tuple(column_space(proj[i][j]) for j in range(2)) for i in range(2)
     )
+    # maps summing to the identity whose ranks sum to dim are orthogonal idempotents
     if sum(spaces[i][j].dim for i in range(2) for j in range(2)) != algebra.dim:
         raise AmbiguityError("corner dimensions do not sum to the algebra dimension")
     return PeirceContext(algebra, e1, e2, proj, spaces)
@@ -206,14 +198,10 @@ def _annihilator_in(alg: Algebra, domain: Subspace, multipliers: Subspace,
     return Element(alg, combine(coeffs, domain.basis, alg.dim))
 
 
-def check_conditions(ctx: PeirceContext, seed: int = 0, samples: int = 20) -> ConditionsReport:
-    """Corner conditions (1)-(4).
-
-    (1)-(3) are linear in the quantified element, so kernel triviality over the
-    corner bases decides them exactly.  (4) is exact when the center is a
-    line (left multiplication by the basis element must be invertible) and
-    sampled otherwise; the verdict mode records which.
-    """
+def _conditions_123(ctx: PeirceContext) -> tuple[Check, Check, Check]:
+    """Corner conditions (1)-(3), decided on the first call and kept on `ctx`."""
+    if ctx.conditions_123 is not None:
+        return ctx.conditions_123
     alg = ctx.algebra
     s = ctx.spaces
     checks = []
@@ -235,7 +223,20 @@ def check_conditions(ctx: PeirceContext, seed: int = 0, samples: int = 20) -> Co
     checks.append(Check("condition-3", w is None, "exact",
                         witness=None if w is None else repr(w),
                         detail="R_12 x_22 = 0 or x_22 R_21 = 0 forces x_22 = 0"))
+    ctx.conditions_123 = tuple(checks)
+    return ctx.conditions_123
 
+
+def check_conditions(ctx: PeirceContext, seed: int = 0, samples: int = 20) -> ConditionsReport:
+    """Corner conditions (1)-(4).
+
+    (1)-(3) are linear in the quantified element, so kernel triviality over the
+    corner bases decides them exactly, once per context.  (4) is exact when the
+    center is a line (left multiplication by the basis element must be
+    invertible) and sampled otherwise; the verdict mode records which.
+    """
+    alg = ctx.algebra
+    checks = list(_conditions_123(ctx))
     cen = center(alg)
     if cen.dim == 0:
         checks.append(Check("condition-4", True, "exact", detail="center is zero; vacuous"))
@@ -264,8 +265,7 @@ def check_conditions(ctx: PeirceContext, seed: int = 0, samples: int = 20) -> Co
 
 
 def _require_conditions_123(ctx: PeirceContext):
-    rep = check_conditions(ctx)
-    for c in rep.checks[:3]:
+    for c in _conditions_123(ctx):
         if not c.ok:
             raise PreconditionFailedError(
                 f"{c.name} fails (witness {c.witness}); proposition needs (1)-(3)"

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,8 @@ from altrings.cli import main
 from altrings.errors import InputError, UnitValidationError
 from altrings.jsonio import algebra_from_dict, load_algebra, load_mapspec, save_mapspec
 from altrings.liederiv import MapSpec
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -210,6 +213,28 @@ def test_peirce_zorn(zorn_file, capsys):
             "prop-spade", "prop-club", "offdiag-centralizer"} <= names
 
 
+def test_peirce_decides_each_corner_fact_once(zorn_file, capsys, monkeypatch):
+    # conditions (1)-(3) take two annihilator systems each, evaluated once per
+    # context; the only matrix products are the eight operator compositions
+    # that build the corner projections
+    import altrings.peirce as peirce
+    from altrings.linalg import Matrix
+
+    calls = {"annihilator": 0, "matmul": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(peirce, "_annihilator_in", counted("annihilator", peirce._annihilator_in))
+    monkeypatch.setattr(Matrix, "__mul__", counted("matmul", Matrix.__mul__))
+    code, _, _ = run(capsys, "peirce", str(zorn_file), "--idempotent", "1,0,0,0,0,0,0,0")
+    assert code == 0
+    assert calls == {"annihilator": 6, "matmul": 8}
+
+
 def test_peirce_m2(m2_file, capsys):
     code, out, _ = run(capsys, "peirce", str(m2_file), "--idempotent", "1,0,0,0", "--json")
     assert code == 0
@@ -344,6 +369,50 @@ def test_decompose_hypothesis_failure_named(tmp_path, capsys, monkeypatch):
                        "--idempotent", "1,0,0,0,0,0,0,0,0", "--map", str(map_path))
     assert code == 1
     assert "HypothesisAFailed" in err
+
+
+def test_decompose_accepts_zero_target_term(tmp_path, capsys, monkeypatch):
+    # a term with a zero target is inert even though its functional (E12) does
+    # not vanish on the commutator span: decompose and compose both accept it
+    from altrings.liederiv import compose
+
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "make", "matrix", "--n", "3", "-o", "m3.json")[0] == 0
+    data = json.loads((GOLDEN / "decompose" / "matrix-3.map.json").read_text())
+    data["central_terms"].append({"functional": ["0", "1"] + ["0"] * 7, "poly": ["0", "1"],
+                                  "central": ["0"] * 9})
+    Path("inert.json").write_text(json.dumps(data))
+    code, out, err = run(capsys, "decompose", "m3.json", "--idempotent", "1,0,0,0,0,0,0,0,0",
+                         "--map", "inert.json", "--json")
+    assert (code, err) == (0, "")
+    kills = next(c for c in json.loads(out)["checks"] if c["name"] == "tau-kills-commutators")
+    assert (kills["ok"], kills["mode"]) == (True, "exact")
+    spec = load_mapspec("inert.json", load_algebra("m3.json"))
+    assert compose(spec.algebra, spec.linear, spec.terms) == spec
+
+
+def test_fuzz_failing_trial_prints_replay_map(capsys, monkeypatch):
+    import altrings.liederiv as liederiv
+    from altrings.errors import InternalInvariantError
+
+    real = liederiv.decompose
+
+    def fail_trial_1(ctx, spec, budget):
+        if budget.seed == 1:
+            raise InternalInvariantError("planted failure")
+        return real(ctx, spec, budget)
+
+    monkeypatch.setattr(liederiv, "decompose", fail_trial_1)
+    code, out, err = run(capsys, "fuzz", "zorn", "--trials", "2", "--json")
+    assert code == 3
+    report = json.loads(out)
+    assert report["ok"] is False
+    good, bad = report["results"]
+    assert good["ok"] is True
+    assert bad["ok"] is False
+    assert bad["error"] == "InternalInvariantError: planted failure"
+    assert set(bad["replay_map"]) == {"linear", "central_terms"}
+    assert err == "fuzz trial 1 (seed 1) failed; replay map embedded in report\n"
 
 
 def test_fuzz_zorn(capsys):

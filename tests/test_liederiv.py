@@ -340,6 +340,31 @@ def test_decompose_rejects_corrupted_map_with_named_error(m3_ctx):
         decompose(m3_ctx, MapSpec(m3, Matrix.from_rows(rows)), budget())
 
 
+def test_tau_commutator_failure_names_the_span_vector(m2_ctx, monkeypatch):
+    # the exact verdict for a MapSpec is final and carries its witness
+    import altrings.liederiv as liederiv
+    from altrings.errors import InternalInvariantError
+
+    m2 = m2_ctx.algebra
+    monkeypatch.setattr(liederiv, "commutator_witness", lambda alg, terms: m2.basis_vec(1))
+    with pytest.raises(InternalInvariantError,
+                       match=r"tau does not vanish on a commutator \(commutator-span vector E12\)"):
+        decompose(m2_ctx, MapSpec(m2, Matrix.zeros(4, 4)), budget())
+
+
+def test_commutator_witness_skips_inert_terms(m2):
+    from altrings.liederiv import commutator_witness
+
+    e11 = (F(1), F(0), F(0), F(0))
+    assert commutator_witness(m2, (CentralTerm(e11, (F(0), F(1)), m2.unit),)) == \
+        (F(1), F(0), F(0), F(-1))
+    inert = (CentralTerm(e11, (F(0), F(1)), (F(0),) * 4),
+             CentralTerm(e11, (F(0), F(0)), m2.unit),
+             CentralTerm((F(0),) * 4, (F(0), F(1)), m2.unit))
+    assert commutator_witness(m2, inert) is None
+    assert commutator_witness(m2, (trace_term(m2, [0, 0, 1]),)) is None
+
+
 # -- compose --
 
 

@@ -301,6 +301,41 @@ def test_reduce_vector_matches_fraction_reference(spanning, vectors):
         assert all(type(x) is Fraction for x in got)
 
 
+def _reference_matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The dense `Fraction` triple loop `Matrix.__mul__` ran before it took one
+    integer `apply` per column: the reference for the exact product."""
+    bt = list(zip(*b.rows)) if b.rows else [()] * b.cols
+    out = []
+    for row in a.rows:
+        new = []
+        for bcol in bt:
+            acc = _ZERO
+            for x, y in zip(row, bcol):
+                if x and y:
+                    acc += x * y
+            new.append(acc)
+        out.append(tuple(new))
+    return Matrix(tuple(out), b.cols)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4), st.data())
+def test_matmul_matches_fraction_reference(r, k, c, data):
+    """Every shape with sides 0-4, sparse entries of wide denominators: the
+    same matrix as the reference, every entry a normalized Fraction."""
+    entries = st.one_of(st.just(F(0)), wide_rationals)
+
+    def matrix(nrows, ncols):
+        rows = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                                  min_size=nrows, max_size=nrows))
+        return Matrix.from_rows(rows, ncols)
+
+    a, b = matrix(r, k), matrix(k, c)
+    got = a * b
+    assert got == _reference_matmul(a, b)
+    assert (got.nrows, got.cols) == (r, c)
+    assert all(type(x) is Fraction for row in got.rows for x in row)
+
+
 @pytest.mark.parametrize("cls, args, other, invalid, cached", [
     (Check, ("lie-law", True, "exact"), ("lie-law", False, "exact"), None, None),
     (Element, (M2, M2.unit), (M2, (F(1), F(0), F(0), F(0))), None, None),
