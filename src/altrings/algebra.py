@@ -271,16 +271,15 @@ def check_alternative(a: Algebra) -> bool:
 
 
 def alternativity_witness(a: Algebra) -> Optional[tuple[int, int, int]]:
-    """Basis triple violating (i,j,k)+(j,i,k)=0 or (i,j,k)+(i,k,j)=0, if any."""
-    ass = a.associator_table()
-    n = a.dim
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                u = ass.get((i, j, k))
-                if not _cancel(u, ass.get((j, i, k))) or not _cancel(u, ass.get((i, k, j))):
-                    return (i, j, k)
-    return None
+    """First basis triple violating (i,j,k)+(j,i,k)=0 or (i,j,k)+(i,k,j)=0, if any.
+    Such a sum fails for both triples in it, and one of them is a table key."""
+    ass, best = a.associator_table(), None
+    for (i, j, k), u in ass.items():
+        if best is None or min(i, j) <= best[0]:  # else every triple it pairs comes later
+            for p in ((j, i, k), (i, k, j)):
+                if not _cancel(u, ass.get(p)):
+                    best = min(best or p, p, (i, j, k))
+    return best
 
 
 def check_flexible(a: Algebra) -> bool:

@@ -183,12 +183,10 @@ def random_lie_derivation(a: Algebra, budget: SampleBudget, central_terms: int =
     from .liederiv import CentralTerm, compose  # here, so that `make` never runs liederiv
 
     rng = rng_for(budget.seed)
-    ders = derivation_algebra(a)
-    linear = Matrix.zeros(a.dim, a.dim)
-    for dmat in ders:
-        c = random_rational(rng, budget.height)
-        if c:
-            linear = linear + dmat.scale(c)
+    n, ders = a.dim, derivation_algebra(a)
+    coeffs = [random_rational(rng, budget.height) for _ in ders]
+    flat = combine(coeffs, [sum(dmat.rows, ()) for dmat in ders], n * n)
+    linear = Matrix(tuple(flat[r * n:(r + 1) * n] for r in range(n)), n)
     terms = []
     if central_terms:
         ell = commutator_annihilating_functional(a)

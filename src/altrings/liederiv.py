@@ -9,16 +9,15 @@ construction: normalize D at the idempotent with an inner correction, read off
 delta on the off-diagonal corners directly, and strip the unique central part
 on the diagonal corners.
 
-Verification policy: identities that are multilinear in the quantified
-variables (Leibniz for matrices, corner containments of linear maps) are
-decided exactly on basis tuples; statements about non-additive maps are
-checked on basis tuples plus seeded random samples and labeled "sampled",
-except where the MapSpec form makes an exact structural decision possible.
-
-One such decision is `commutator_witness`: the functional of every effective
-central term (polynomial, target and functional nonzero, as `MapSpec.is_linear`
-reads it) vanishes on the commutator span.  `compose` requires it of its terms,
-and `decompose` decides "tau kills commutators" from it and the linear part.
+Verification policy: multilinear identities are decided exactly on basis
+tuples.  A MapSpec passes the gate when `commutator_witness` is None: the
+functional of every effective central term vanishes on the commutator span.
+The terms are then central and kill commutators, so the Lie law is that of the
+linear part, and as R12 = [e1, R12] and R21 = [R21, e1] lie in that span, the
+corner construction is linear on each corner up to central summands: every
+step is decided on basis tuples, "exact".  The corner hypotheses are exact for
+every MapSpec (a term adds a multiple of P(z) to P(D(a))).  OpaqueMaps and
+MapSpecs that fail the gate also get seeded random samples, "sampled".
 """
 
 from __future__ import annotations
@@ -199,23 +198,28 @@ def commutator_witness(algebra: Algebra, terms: tuple[CentralTerm, ...]) -> Opti
 
 
 def check_lie_law(d: MapLike, budget: SampleBudget) -> Check:
-    """D([x,y]) = [D(x),y] + [x,D(y)] on basis pairs plus sampled pairs.
+    """D([x,y]) = [D(x),y] + [x,D(y)].
 
-    Exact for maps with no effective nonlinear term (the defect is bilinear);
-    sampled otherwise.
+    Exact for a MapSpec that passes the `commutator_witness` gate: its terms are
+    central and vanish on commutators, so they drop out of both sides, and the
+    defect of the linear part is bilinear and antisymmetric, decided on basis
+    pairs i < j (the first failing one is the first failing pair i != j).
+    Otherwise basis pairs i != j plus sampled pairs, labeled "sampled".
     """
     alg = d.algebra
     n = alg.dim
-    exact = isinstance(d, MapSpec) and d.is_linear
-    pairs = [(alg.basis_vec(i), alg.basis_vec(j)) for i in range(n) for j in range(n) if i != j]
+    exact = isinstance(d, MapSpec) and commutator_witness(alg, d.terms) is None
+    pairs = [(alg.basis_vec(i), alg.basis_vec(j))
+             for i in range(n) for j in range(n) if i < j or (i > j and not exact)]
     rng = rng_for(budget.seed)
     if not exact:
         pairs += [(random_vector(rng, n, budget.height), random_vector(rng, n, budget.height))
                   for _ in range(budget.pair_samples)]
+    ev = d.linear.apply if exact else d.eval_vec
     for x, y in pairs:
         comm = vec_sub(alg.mul_vec(x, y), alg.mul_vec(y, x))
-        lhs = d.eval_vec(comm)
-        dx, dy = d.eval_vec(x), d.eval_vec(y)
+        lhs = ev(comm)
+        dx, dy = ev(x), ev(y)
         rhs = vec_add(vec_sub(alg.mul_vec(dx, y), alg.mul_vec(y, dx)),
                       vec_sub(alg.mul_vec(x, dy), alg.mul_vec(dy, x)))
         if lhs != rhs:
@@ -263,12 +267,14 @@ def _corner_samples(ctx: PeirceContext, i: int, rng, count: int, height: int) ->
 def check_hypotheses(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> HypothesesReport:
     """Corner hypotheses: e2 D(R_11) e2 inside Z e2, and e1 D(R_22) e1 inside Z e1.
 
-    Checked on the corner basis plus sampled corner elements; exact for purely
-    linear maps (the containment is then linear in the corner argument).
+    Exact on the corner basis for every MapSpec: a term adds a multiple of
+    P(z_t), which lies in the target P(Z), so the containment is that of the
+    linear part.  An OpaqueMap is checked on the corner basis plus sampled
+    corner elements, labeled "sampled".
     """
     alg = ctx.algebra
     cen = center(alg)
-    exact = isinstance(d, MapSpec) and d.is_linear
+    exact = isinstance(d, MapSpec)
     rng = rng_for(budget.seed)
     checks = []
     for which, i in (("a", 0), ("b", 1)):
@@ -413,10 +419,14 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
     (1)-(4), and the corner hypotheses first; violations surface here as
     precondition errors from the construction steps.  Failures of the final
     verification raise InternalInvariantError: with honest inputs they cannot
-    happen.
+    happen.  For a MapSpec that passes the `commutator_witness` gate the
+    construction is linear on each corner up to central summands (R12 and R21
+    lie in the commutator span), so it is decided on the adapted basis alone.
     """
     alg = ctx.algebra
     checks: list[Check] = []
+    term_witness = commutator_witness(alg, d.terms) if isinstance(d, MapSpec) else None
+    exact = isinstance(d, MapSpec) and term_witness is None
 
     shifted, y, f = normalize_at_idempotent(ctx, d)
     checks.append(Check("normalized-e1-central", True, "exact"))
@@ -424,7 +434,7 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
 
     adapted = _adapted_basis(ctx)
     values = [_delta_value(ctx, shifted, i, j, v) for (i, j, v) in adapted]
-    checks.append(Check("corner-images", True, "sampled",
+    checks.append(Check("corner-images", True, "exact" if exact else "sampled",
                         detail="off-diagonal images stay in their corner; "
                                "diagonal images split as corner + center"))
 
@@ -448,7 +458,7 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
 
     rng = rng_for(budget.seed)
     n = alg.dim
-    for _ in range(budget.element_samples):
+    for _ in range(0 if exact else budget.element_samples):
         v = random_vector(rng, n, budget.height)
         parts = [(i, j, ctx.proj[i][j].apply(v)) for i in range(2) for j in range(2)]
         rule = zero_vec(n)
@@ -460,8 +470,9 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
                 "matrix extension of delta disagrees with the corner construction "
                 f"at {Element(alg, v)!r}"
             )
-    checks.append(Check("delta-matches-construction", True, "sampled",
-                        detail=f"{budget.element_samples} random elements"))
+    checks.append(Check("delta-matches-construction", True, "exact" if exact else "sampled",
+                        detail="adapted basis; linear on each corner" if exact else
+                        f"{budget.element_samples} random elements"))
 
     cen = center(alg)
     if isinstance(tau, MapSpec):
@@ -484,7 +495,7 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
     if isinstance(tau, MapSpec):
         # exact: the linear part and every effective term vanish on the commutator span
         bad = next((c for c in commutator_subspace(alg).basis if any(tau.linear.apply(c))),
-                   None) or commutator_witness(alg, tau.terms)
+                   None) or term_witness
         witness = None if bad is None else f"commutator-span vector {Element(alg, bad)!r}"
         mode = "exact"
     else:

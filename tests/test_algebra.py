@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from altrings import (
@@ -14,10 +14,12 @@ from altrings import (
     mult_operators,
     multiply,
 )
-from altrings.algebra import Algebra, alternativity_witness
+from altrings.algebra import Algebra, _cancel, alternativity_witness
+from altrings.catalog import build, parse_recipe
 from altrings.errors import AlgebraMismatchError, UnitValidationError
 from altrings.linalg import Matrix
 from altrings.sampling import random_vector, rng_for
+from test_structure import unital_algebras
 
 F = Fraction
 
@@ -131,6 +133,43 @@ def test_identity_flags(m2, m3, zorn_algebra, nonalternative):
     assert not check_alternative(nonalternative)
     assert not check_flexible(nonalternative)
     assert alternativity_witness(nonalternative) is not None
+
+
+def _reference_alternativity_witness(a):
+    """The walk over all dim^3 basis triples that `alternativity_witness` replaced."""
+    ass = a.associator_table()
+    n = a.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                u = ass.get((i, j, k))
+                if not _cancel(u, ass.get((j, i, k))) or not _cancel(u, ass.get((i, k, j))):
+                    return (i, j, k)
+    return None
+
+
+def _late_partner():
+    """a a = a, b a = -b, b b = a: the first failing triple (1, 2, 1) is not a key
+    of the associator table, only the partner of the later key (2, 1, 1)."""
+    e = [tuple(F(int(t == k)) for t in range(3)) for k in range(3)]
+    products = {(0, 0): e[0], (0, 1): e[1], (0, 2): e[2], (1, 0): e[1], (2, 0): e[2],
+                (1, 1): e[1], (2, 1): tuple(-x for x in e[2]), (2, 2): e[1]}
+    return Algebra(products, e[0])
+
+
+@settings(max_examples=80)
+@given(unital_algebras())
+@example(_late_partner())
+def test_alternativity_witness_matches_triple_walk(a):
+    assert alternativity_witness(a) == _reference_alternativity_witness(a)
+
+
+@pytest.mark.parametrize("recipe", ["cd:-1,-1,-1,-1", "cd:-1,1/2,-3,2", "zorn", "matrix:3"])
+def test_alternativity_witness_matches_triple_walk_on_catalog(recipe):
+    a = build(parse_recipe(recipe))
+    witness = alternativity_witness(a)
+    assert witness == _reference_alternativity_witness(a)
+    assert (witness is None) == (recipe in ("zorn", "matrix:3"))  # doublings of dim 16 are not
 
 
 def test_alternative_implies_flexible_on_builtins(m2, zorn_algebra):

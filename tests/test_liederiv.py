@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altrings import (
     CentralTerm,
@@ -17,6 +19,7 @@ from altrings import (
     normalize_at_idempotent,
     split_diagonal,
 )
+from altrings.algebra import Element, commutator
 from altrings.catalog import random_lie_derivation
 from altrings.errors import (
     LieLawViolatedError,
@@ -25,8 +28,9 @@ from altrings.errors import (
     NotCentralError,
     NotDerivationError,
 )
-from altrings.linalg import Matrix
-from altrings.sampling import random_vector, rng_for
+from altrings.linalg import Matrix, combine
+from altrings.liederiv import commutator_witness
+from altrings.sampling import random_rational, random_vector, rng_for
 from altrings.structure import derivation_span, is_derivation
 
 F = Fraction
@@ -93,13 +97,129 @@ def test_derivations_satisfy_lie_law(m2):
 def test_lie_law_with_trace_polynomial(m2):
     d = MapSpec(m2, ad(m2, 1), (trace_term(m2, [0, 0, 1]),))
     verdict = check_lie_law(d, budget())
-    assert verdict.ok and verdict.mode == "sampled"
+    assert verdict.ok and verdict.mode == "exact"
 
 
 def test_lie_law_fails_for_left_multiplication(m2):
     verdict = check_lie_law(MapSpec(m2, m2.left_mult_matrix(m2.basis_vec(1))), budget())
     assert not verdict.ok
     assert verdict.witness is not None
+
+
+def test_trace_square_map_keeps_the_sampled_lie_law(m2_ctx):
+    # D(a) = (a11^2 - a22^2) 1 kills commutators, but its term functionals E11 and
+    # E22 do not vanish on the commutator span, so it fails the gate
+    m2 = m2_ctx.algebra
+    square = (F(0), F(0), F(1))
+    d = MapSpec(m2, Matrix.zeros(4, 4),
+                (CentralTerm((F(1), F(0), F(0), F(0)), square, m2.unit),
+                 CentralTerm((F(0), F(0), F(0), F(1)), square, tuple(-x for x in m2.unit))))
+    assert commutator_witness(m2, d.terms) is not None
+    verdict = check_lie_law(d, budget())
+    assert verdict.ok and verdict.mode == "sampled"
+    rep = check_hypotheses(m2_ctx, d, budget())
+    assert rep.both_hold and rep.a.mode == rep.b.mode == "exact"
+
+
+def test_lie_law_outside_the_gate_tries_both_orders(m2):
+    # D(a) = p(a11) 1 with p(s) = s^2 - s: [E12, E21] = E11 - E22 gives p(1) = 0,
+    # and only the reversed basis pair (E21, E12) gives p(-1) = 2
+    d = MapSpec(m2, Matrix.zeros(4, 4),
+                (CentralTerm((F(1), F(0), F(0), F(0)), (F(0), F(-1), F(1)), m2.unit),))
+    verdict = check_lie_law(d, budget())
+    assert (verdict.ok, verdict.mode, verdict.witness) == (False, "sampled", "x=E21, y=E12")
+
+
+def _reference_lie_law(d, bud):
+    """(ok, witness) of the loop `check_lie_law` ran on every MapSpec with an
+    effective term: basis pairs i != j, then `pair_samples` sampled pairs."""
+    alg, n = d.algebra, d.algebra.dim
+    rng = rng_for(bud.seed)
+    pairs = [(alg.basis_vec(i), alg.basis_vec(j)) for i in range(n) for j in range(n) if i != j]
+    pairs += [(random_vector(rng, n, bud.height), random_vector(rng, n, bud.height))
+              for _ in range(bud.pair_samples)]
+    for x, y in (tuple(Element(alg, v) for v in pair) for pair in pairs):
+        if d(commutator(x, y)) != commutator(d(x), y) + commutator(x, d(y)):
+            return False, f"x={x!r}, y={y!r}"
+    return True, None
+
+
+def _reference_hypotheses(ctx, d, bud):
+    """(ok, witness) per corner hypothesis from the loop `check_hypotheses` ran
+    on every MapSpec with an effective term: the corner basis, then
+    `element_samples` sampled corner elements."""
+    alg = ctx.algebra
+    rng = rng_for(bud.seed)
+    out = []
+    for i in (0, 1):
+        other = 1 - i
+        proj = ctx.proj[other][other]
+        target = center(alg).image_under(proj)
+        basis = ctx.spaces[i][i].basis
+        samples = list(basis) + [combine([random_rational(rng, bud.height) for _ in basis],
+                                         basis, alg.dim) for _ in range(bud.element_samples)]
+        verdict = (True, None)
+        for v in samples:
+            img = proj.apply(d.eval_vec(v))
+            if not target.contains_vector(img):
+                verdict = (False, f"a{i+1}{i+1}={Element(alg, v)!r} -> corner "
+                                  f"{Element(alg, img)!r} outside Z*e{other+1}")
+                break
+        out.append(verdict)
+    return out
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_gated_checks_match_sampled_reference(m2_ctx, m3_ctx, zorn_ctx, data):
+    """Random Lie derivations, perturbed, give the verdict and witness of the
+    sampled loops; the gate decides the mode of the Lie law."""
+    ctx = data.draw(st.sampled_from([m2_ctx, m3_ctx, zorn_ctx]))
+    alg, n = ctx.algebra, ctx.algebra.dim
+    bud = SampleBudget(seed=data.draw(st.integers(0, 10**6)), pair_samples=5,
+                       element_samples=5)
+    d = random_lie_derivation(alg, bud)
+    linear, (term,) = d.linear, d.terms
+    if data.draw(st.booleans()):  # add a matrix unit E_pq to the linear part
+        # q = 0 moves e1 itself, the likeliest way to break hypothesis a
+        p, q = data.draw(st.integers(0, n - 1)), data.draw(st.just(0) | st.integers(0, n - 1))
+        linear = linear + Matrix(tuple(tuple(F(int((r, c) == (p, q))) for c in range(n))
+                                       for r in range(n)), n)
+    scale = data.draw(st.sampled_from([F(1), F(0), F(-2), F(3, 5)]))
+    functional = term.functional
+    if data.draw(st.booleans()):  # a functional that may fail the gate
+        functional = alg.basis_vec(data.draw(st.integers(0, n - 1)))
+    d = MapSpec(alg, linear,
+                (CentralTerm(functional, term.poly, tuple(scale * z for z in term.central)),))
+
+    lie = check_lie_law(d, bud)
+    assert (lie.ok, lie.witness) == _reference_lie_law(d, bud)
+    assert lie.mode == ("exact" if commutator_witness(alg, d.terms) is None else "sampled")
+    hyp = check_hypotheses(ctx, d, bud)
+    assert [(c.ok, c.witness) for c in (hyp.a, hyp.b)] == _reference_hypotheses(ctx, d, bud)
+    assert hyp.a.mode == hyp.b.mode == "exact"
+
+
+def test_hypotheses_match_sampled_reference_for_every_matrix_unit(m3_ctx):
+    """Every single-unit perturbation of a map on matrix:3, with its term's
+    functional inside and outside the gate."""
+    m3 = m3_ctx.algebra
+    bud = budget(seed=11, n=5)
+    d = random_lie_derivation(m3, bud)
+    (term,) = d.terms
+    failures = 0
+    for functional in (term.functional, m3.basis_vec(1)):
+        terms = (CentralTerm(functional, term.poly, term.central),)
+        for p in range(9):
+            for q in range(9):
+                rows = [list(r) for r in d.linear.rows]
+                rows[p][q] += 1
+                e = MapSpec(m3, Matrix.from_rows(rows), terms)
+                hyp = check_hypotheses(m3_ctx, e, bud)
+                reference = _reference_hypotheses(m3_ctx, e, bud)
+                assert [(c.ok, c.witness) for c in (hyp.a, hyp.b)] == reference
+                failures += not all(ok for ok, _ in reference)
+    assert failures == 8  # e1 sent into the (2,2) corner off its center line, per functional
 
 
 # -- inner correction --
@@ -317,6 +437,25 @@ def test_decompose_opaque_callback(m2_ctx):
     assert any(c.name == "tau-central" and c.mode == "sampled" for c in res.checks)
     spec_res = decompose(m2_ctx, spec, budget(seed=9))
     assert res.delta == spec_res.delta
+
+
+def test_decompose_modes_follow_the_gate(m2_ctx):
+    # the closed form passes the gate; the same map as a callback is sampled
+    m2 = m2_ctx.algebra
+    spec = MapSpec(m2, ad(m2, 1), (trace_term(m2, [0, 0, 1]),))
+    for d, mode in ((spec, "exact"), (OpaqueMap(m2, spec), "sampled")):
+        modes = {c.name: c.mode for c in decompose(m2_ctx, d, budget(seed=9)).checks}
+        assert modes["corner-images"] == modes["delta-matches-construction"] == mode
+
+
+def test_decompose_samples_the_construction_outside_the_gate(m3_ctx):
+    # D(a) = p(a12 + a13) 1 with p(s) = s^2 - s vanishes on the adapted basis but
+    # leaves R12 at 2 E12; only the sampled elements can find that
+    m3 = m3_ctx.algebra
+    functional = tuple(F(int(k in (1, 2))) for k in range(9))
+    d = MapSpec(m3, Matrix.zeros(9, 9), (CentralTerm(functional, (F(0), F(-1), F(1)), m3.unit),))
+    with pytest.raises(LieLawViolatedError, match="leaves corner R12"):
+        decompose(m3_ctx, d, budget())
 
 
 def test_decompose_rejects_non_lie_map(m2_ctx):
