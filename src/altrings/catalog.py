@@ -184,7 +184,7 @@ def random_lie_derivation(a: Algebra, budget: SampleBudget, central_terms: int =
 
     rng = rng_for(budget.seed)
     n, ders = a.dim, derivation_algebra(a)
-    coeffs = [random_rational(rng, budget.height) for _ in ders]
+    coeffs = [random_rational(rng) for _ in ders]
     flat = combine(coeffs, [sum(dmat.rows, ()) for dmat in ders], n * n)
     linear = Matrix(tuple(flat[r * n:(r + 1) * n] for r in range(n)), n)
     terms = []
@@ -192,9 +192,9 @@ def random_lie_derivation(a: Algebra, budget: SampleBudget, central_terms: int =
         ell = commutator_annihilating_functional(a)
         cen = center(a)
         for _ in range(central_terms):
-            coeffs = [random_rational(rng, budget.height) for _ in cen.basis]
+            coeffs = [random_rational(rng) for _ in cen.basis]
             z = combine(coeffs, cen.basis, a.dim)
-            terms.append(CentralTerm(fvec(ell), random_poly(rng, height=budget.height), fvec(z)))
+            terms.append(CentralTerm(fvec(ell), random_poly(rng), fvec(z)))
     return compose(a, linear, tuple(terms))
 
 

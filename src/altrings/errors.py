@@ -42,10 +42,6 @@ class TrivialIdempotentError(PreconditionError):
     """Supplied idempotent is 0 or the unit; a nontrivial one is required."""
 
 
-class AmbiguityError(PreconditionError):
-    """A Peirce construction invariant failed (corrupt or inconsistent data)."""
-
-
 class PreconditionFailedError(PreconditionError):
     """Required Peirce conditions do not hold for this context."""
 

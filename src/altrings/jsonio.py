@@ -58,6 +58,14 @@ def vector_from_json(data, expected_len: Optional[int] = None,
     return tuple(v)
 
 
+def _json_list(data: dict, field: str) -> list:
+    """The list under an optional field; absent means empty."""
+    items = data.get(field, [])
+    if not isinstance(items, list):
+        raise InputError(f"'{field}' must be a JSON list")
+    return items
+
+
 def algebra_to_dict(a: Algebra, provenance: Optional[str] = None) -> dict:
     entries = [{"i": i, "j": j, "value": vector_to_json(v)}
                for (i, j), v in a.products().items()]
@@ -77,12 +85,14 @@ def algebra_from_dict(data: dict) -> Algebra:
         raise InputError("'dim' must be a positive integer")
     memo: dict[str, Fraction] = {}
     cells = {}
-    for entry in data.get("constants", []):
+    for entry in _json_list(data, "constants"):
         if not isinstance(entry, dict) or not {"i", "j", "value"} <= set(entry):
             raise InputError("constants entries need fields i, j, value")
         i, j = entry["i"], entry["j"]
         if not (type(i) is int and type(j) is int and 0 <= i < dim and 0 <= j < dim):
             raise InputError(f"constants entry index ({i},{j}) is not an integer in [0, dim)")
+        if (i, j) in cells:
+            raise InputError(f"constants entry ({i},{j}) appears twice")
         cells[i, j] = vector_from_json(entry["value"], dim, memo)
     if "unit" not in data:
         raise InputError("algebra JSON must declare its unit")
@@ -125,7 +135,7 @@ def mapspec_from_dict(data: dict, algebra: Algebra) -> liederiv.MapSpec:
     n = algebra.dim
     linear = matrix_from_json(data["linear"], n)
     terms = []
-    for entry in data.get("central_terms", []):
+    for entry in _json_list(data, "central_terms"):
         if not isinstance(entry, dict) or not {"functional", "poly", "central"} <= set(entry):
             raise InputError("central_terms entries need functional, poly, central")
         if not isinstance(entry["poly"], list):

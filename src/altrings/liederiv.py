@@ -62,7 +62,6 @@ class SampleBudget(Record):
     seed: int
     pair_samples: int = 20
     element_samples: int = 20
-    height: int = 9
 
     def __post_init__(self):
         if self.pair_samples < 1 or self.element_samples < 1:
@@ -213,7 +212,7 @@ def check_lie_law(d: MapLike, budget: SampleBudget) -> Check:
              for i in range(n) for j in range(n) if i < j or (i > j and not exact)]
     rng = rng_for(budget.seed)
     if not exact:
-        pairs += [(random_vector(rng, n, budget.height), random_vector(rng, n, budget.height))
+        pairs += [(random_vector(rng, n), random_vector(rng, n))
                   for _ in range(budget.pair_samples)]
     ev = d.linear.apply if exact else d.eval_vec
     for x, y in pairs:
@@ -255,11 +254,11 @@ class HypothesesReport(Record):
         return self.a.ok and self.b.ok
 
 
-def _corner_samples(ctx: PeirceContext, i: int, rng, count: int, height: int) -> list[Vec]:
+def _corner_samples(ctx: PeirceContext, i: int, rng, count: int) -> list[Vec]:
     basis = ctx.spaces[i][i].basis
     out = list(basis)
     for _ in range(count):
-        coeffs = [random_rational(rng, height) for _ in basis]
+        coeffs = [random_rational(rng) for _ in basis]
         out.append(combine(coeffs, basis, ctx.algebra.dim))
     return out
 
@@ -282,7 +281,7 @@ def check_hypotheses(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Hy
         target = cen.image_under(ctx.proj[other][other])
         count = 0 if exact else budget.element_samples
         ok, witness = True, None
-        for v in _corner_samples(ctx, i, rng, count, budget.height):
+        for v in _corner_samples(ctx, i, rng, count):
             img = ctx.proj[other][other].apply(d.eval_vec(v))
             if not target.contains_vector(img):
                 ok, witness = False, (f"a{i+1}{i+1}={Element(alg, v)!r} -> corner "
@@ -459,7 +458,7 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
     rng = rng_for(budget.seed)
     n = alg.dim
     for _ in range(0 if exact else budget.element_samples):
-        v = random_vector(rng, n, budget.height)
+        v = random_vector(rng, n)
         parts = [(i, j, ctx.proj[i][j].apply(v)) for i in range(2) for j in range(2)]
         rule = zero_vec(n)
         for i, j, part in parts:
@@ -484,7 +483,7 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
             raise InternalInvariantError("tau has a non-central linear column")
     else:
         for _ in range(budget.element_samples):
-            v = random_vector(rng, n, budget.height)
+            v = random_vector(rng, n)
             if not cen.contains_vector(tau.eval_vec(v)):
                 raise InternalInvariantError(
                     f"tau({Element(alg, v)!r}) is not central"
@@ -502,7 +501,7 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
         witness = None
         pairs = [(alg.basis_vec(i), alg.basis_vec(j))
                  for i in range(n) for j in range(n) if i < j]
-        pairs += [(random_vector(rng, n, budget.height), random_vector(rng, n, budget.height))
+        pairs += [(random_vector(rng, n), random_vector(rng, n))
                   for _ in range(budget.pair_samples)]
         for x, yv in pairs:
             c = vec_sub(alg.mul_vec(x, yv), alg.mul_vec(yv, x))
@@ -521,8 +520,8 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
         ok = True
         witness = None
         for _ in range(budget.pair_samples):
-            x = random_vector(rng, n, budget.height)
-            yv = random_vector(rng, n, budget.height)
+            x = random_vector(rng, n)
+            yv = random_vector(rng, n)
             defect = vec_sub(d.eval_vec(vec_add(x, yv)),
                              vec_add(d.eval_vec(x), d.eval_vec(yv)))
             if not cen.contains_vector(defect):

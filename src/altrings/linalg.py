@@ -412,7 +412,7 @@ class Subspace(Record):
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls.span(ambient_dim, Matrix.identity(ambient_dim).rows)
+        return cls(ambient_dim, Matrix.identity(ambient_dim).rows)  # already reduced
 
     @property
     def dim(self) -> int:

@@ -1,8 +1,9 @@
 """Peirce decomposition relative to a nontrivial idempotent.
 
 For e1 nontrivial idempotent and e2 = 1 - e1, the four corner projections
-a -> e_i a e_j are explicit matrices, so "component lies in R_ij" and the
-corner conditions all become exact kernel questions.  Index convention:
+a -> e_i a e_j are explicit matrices, built from L_e1 and R_e1 alone, so
+"component lies in R_ij" and the corner conditions all become exact kernel
+questions.  Index convention:
 corners are addressed 0/1 in code and printed 1/2 in reports.
 """
 
@@ -12,14 +13,13 @@ from typing import Optional
 
 from .algebra import Algebra, Element, check_alternative
 from .errors import (
-    AmbiguityError,
     NotAlternativeError,
     NotIdempotentError,
     PreconditionFailedError,
     TrivialIdempotentError,
 )
 from .linalg import (Matrix, Record, Subspace, column_space, combine, kernel, rank,
-                     restrict_map, stack)
+                     restrict_map, stack, vec_add)
 from .report import Check
 from .sampling import random_rational, rng_for
 from .structure import IdempotentKind, center, centralizer, verify_idempotent
@@ -67,7 +67,7 @@ class PeirceContext:
 
 
 def make_context(algebra: Algebra, e1: Element) -> PeirceContext:
-    """Build and validate the full Peirce context for a nontrivial idempotent."""
+    """The Peirce context of a nontrivial idempotent of an alternative algebra."""
     kind = verify_idempotent(algebra, e1)
     if kind is IdempotentKind.NOT_IDEMPOTENT:
         raise NotIdempotentError("supplied element is not idempotent")
@@ -76,31 +76,14 @@ def make_context(algebra: Algebra, e1: Element) -> PeirceContext:
     if not check_alternative(algebra):
         raise NotAlternativeError("Peirce decomposition requires an alternative algebra")
 
+    # Alternativity gives L^2 = L and R^2 = R for L = L_e1, R = R_e1, and
+    # flexibility LR = RL; so RL, L - RL, R - RL and I - L - R + RL are
+    # orthogonal idempotents summing to I, the maps a -> e_i a e_j.
     e2 = algebra.one() - e1
-    lm = [algebra.left_mult_matrix(e.coeffs) for e in (e1, e2)]
-    rm = [algebra.right_mult_matrix(e.coeffs) for e in (e1, e2)]
-    proj_rows = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            p = rm[j] * lm[i]
-            if p != lm[i] * rm[j]:
-                raise AmbiguityError(
-                    f"(e{i+1} a) e{j+1} != e{i+1} (a e{j+1}) on some basis element"
-                )
-            row.append(p)
-        proj_rows.append(tuple(row))
-    proj = tuple(proj_rows)
-
-    total = proj[0][0] + proj[0][1] + proj[1][0] + proj[1][1]
-    if total != Matrix.identity(algebra.dim):
-        raise AmbiguityError("corner projections do not sum to the identity")
-    spaces = tuple(
-        tuple(column_space(proj[i][j]) for j in range(2)) for i in range(2)
-    )
-    # maps summing to the identity whose ranks sum to dim are orthogonal idempotents
-    if sum(spaces[i][j].dim for i in range(2) for j in range(2)) != algebra.dim:
-        raise AmbiguityError("corner dimensions do not sum to the algebra dimension")
+    lm, rm = algebra.left_mult_matrix(e1.coeffs), algebra.right_mult_matrix(e1.coeffs)
+    p11 = rm * lm
+    proj = ((p11, lm - p11), (rm - p11, Matrix.identity(algebra.dim) - lm - rm + p11))
+    spaces = tuple(tuple(column_space(p) for p in row) for row in proj)
     return PeirceContext(algebra, e1, e2, proj, spaces)
 
 
@@ -128,6 +111,7 @@ def verify_relations(ctx: PeirceContext) -> RelationReport:
     """
     alg = ctx.algebra
     bad: list[RelationViolation] = []
+    prods = {}  # (ii)'s products x_a x_b in each off-diagonal corner, read again by (iv)
     for i in range(2):
         for j in range(2):
             for k in range(2):
@@ -138,26 +122,25 @@ def verify_relations(ctx: PeirceContext) -> RelationReport:
                         name, target = f"(ii) R{i+1}{j+1}R{i+1}{j+1}<=R{j+1}{i+1}", ctx.spaces[j][i]
                     else:
                         name, target = f"(iii) R{i+1}{j+1}R{k+1}{l+1}=0", None
-                    for x in ctx.spaces[i][j].basis:
-                        for y in ctx.spaces[k][l].basis:
+                    for a, x in enumerate(ctx.spaces[i][j].basis):
+                        for b, y in enumerate(ctx.spaces[k][l].basis):
                             p = alg.mul_vec(x, y)
+                            if i != j and (i, j) == (k, l):
+                                prods[i, a, b] = p
                             ok = not any(p) if target is None else target.contains_vector(p)
                             if not ok:
                                 bad.append(RelationViolation(
                                     name, Element(alg, x), Element(alg, y), Element(alg, p)))
     for (i, j) in ((0, 1), (1, 0)):
         basis = ctx.spaces[i][j].basis
-        for x in basis:
-            sq = alg.mul_vec(x, x)
+        for a, x in enumerate(basis):
+            sq = prods[i, a, a]
             if any(sq):
                 bad.append(RelationViolation(
                     f"(iv) x{i+1}{j+1}^2=0", Element(alg, x), Element(alg, x), Element(alg, sq)))
         for a in range(len(basis)):
             for b in range(len(basis)):
-                anti = tuple(
-                    u + v for u, v in zip(alg.mul_vec(basis[a], basis[b]),
-                                          alg.mul_vec(basis[b], basis[a]))
-                )
+                anti = vec_add(prods[i, a, b], prods[i, b, a])
                 if any(anti):
                     bad.append(RelationViolation(
                         f"(iv) xy+yx=0 on R{i+1}{j+1}",
@@ -188,14 +171,10 @@ def _annihilator_in(alg: Algebra, domain: Subspace, multipliers: Subspace,
     for r in multipliers.basis:
         op = alg.right_mult_matrix(r) if side == "right" else alg.left_mult_matrix(r)
         blocks.append(restrict_map(op, domain))
-    if not blocks:
-        coeffs = (1,) + (0,) * (domain.dim - 1)
-    else:
-        ker = kernel(stack(blocks, domain.dim))
-        if ker.dim == 0:
-            return None
-        coeffs = ker.basis[0]
-    return Element(alg, combine(coeffs, domain.basis, alg.dim))
+    ker = kernel(stack(blocks, domain.dim))  # no multipliers: the whole domain
+    if ker.dim == 0:
+        return None
+    return Element(alg, combine(ker.basis[0], domain.basis, alg.dim))
 
 
 def _conditions_123(ctx: PeirceContext) -> tuple[Check, Check, Check]:
@@ -205,24 +184,16 @@ def _conditions_123(ctx: PeirceContext) -> tuple[Check, Check, Check]:
     alg = ctx.algebra
     s = ctx.spaces
     checks = []
-
-    w = _annihilator_in(alg, s[0][1], s[1][0], "right") or \
-        _annihilator_in(alg, s[1][0], s[0][1], "right")
-    checks.append(Check("condition-1", w is None, "exact",
-                        witness=None if w is None else repr(w),
-                        detail="x_ij R_ji = 0 forces x_ij = 0"))
-
-    w = _annihilator_in(alg, s[0][0], s[0][1], "right") or \
-        _annihilator_in(alg, s[0][0], s[1][0], "left")
-    checks.append(Check("condition-2", w is None, "exact",
-                        witness=None if w is None else repr(w),
-                        detail="x_11 R_12 = 0 or R_21 x_11 = 0 forces x_11 = 0"))
-
-    w = _annihilator_in(alg, s[1][1], s[0][1], "left") or \
-        _annihilator_in(alg, s[1][1], s[1][0], "right")
-    checks.append(Check("condition-3", w is None, "exact",
-                        witness=None if w is None else repr(w),
-                        detail="R_12 x_22 = 0 or x_22 R_21 = 0 forces x_22 = 0"))
+    for name, tests, detail in (
+            ("condition-1", ((s[0][1], s[1][0], "right"), (s[1][0], s[0][1], "right")),
+             "x_ij R_ji = 0 forces x_ij = 0"),
+            ("condition-2", ((s[0][0], s[0][1], "right"), (s[0][0], s[1][0], "left")),
+             "x_11 R_12 = 0 or R_21 x_11 = 0 forces x_11 = 0"),
+            ("condition-3", ((s[1][1], s[0][1], "left"), (s[1][1], s[1][0], "right")),
+             "R_12 x_22 = 0 or x_22 R_21 = 0 forces x_22 = 0")):
+        w = _annihilator_in(alg, *tests[0]) or _annihilator_in(alg, *tests[1])
+        checks.append(Check(name, w is None, "exact", witness=None if w is None else repr(w),
+                            detail=detail))
     ctx.conditions_123 = tuple(checks)
     return ctx.conditions_123
 
@@ -238,29 +209,19 @@ def check_conditions(ctx: PeirceContext, seed: int = 0, samples: int = 20) -> Co
     alg = ctx.algebra
     checks = list(_conditions_123(ctx))
     cen = center(alg)
-    if cen.dim == 0:
-        checks.append(Check("condition-4", True, "exact", detail="center is zero; vacuous"))
-    elif cen.dim == 1:
-        ok = rank(alg.left_mult_matrix(cen.basis[0])) == alg.dim
-        checks.append(Check("condition-4", ok, "exact",
-                            witness=None if ok else repr(Element(alg, cen.basis[0])),
-                            detail="z R = R for nonzero central z (center is a line)"))
-    else:
+    cands = list(cen.basis)
+    if cen.dim > 1:
+        mode, detail = "sampled", f"center dim {cen.dim} > 1; basis plus {samples} samples"
         rng = rng_for(seed)
-        ok = True
-        witness = None
-        cands = list(cen.basis)
         for _ in range(samples):
             v = tuple(random_rational(rng) for _ in range(cen.dim))
             if any(v):
                 cands.append(combine(v, cen.basis, alg.dim))
-        for z in cands:
-            if rank(alg.left_mult_matrix(z)) != alg.dim:
-                ok = False
-                witness = repr(Element(alg, z))
-                break
-        checks.append(Check("condition-4", ok, "sampled", witness=witness,
-                            detail=f"center dim {cen.dim} > 1; basis plus {samples} samples"))
+    else:  # the unit is central, so the center is at least a line
+        mode, detail = "exact", "z R = R for nonzero central z (center is a line)"
+    z = next((z for z in cands if rank(alg.left_mult_matrix(z)) != alg.dim), None)
+    checks.append(Check("condition-4", z is None, mode,
+                        witness=None if z is None else repr(Element(alg, z)), detail=detail))
     return ConditionsReport(tuple(checks))
 
 

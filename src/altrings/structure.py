@@ -45,28 +45,27 @@ def nucleus(a: Algebra) -> Subspace:
 @lru_cache(maxsize=None)
 def center(a: Algebra) -> Subspace:
     """Nuclear elements commuting with everything."""
-    n, table = a.dim, a._int_table
-    # row (i, k) of x -> x b_i - b_i x: the coefficient of x_m is [b_m, b_i]_k
-    rows = []
-    for i in range(n):
-        block = [{} for _ in range(n)]
-        for m in range(n):
-            for k, c in table[m][i]:
-                block[k][m] = block[k].get(m, 0) + c
-            for k, c in table[i][m]:
-                block[k][m] = block[k].get(m, 0) - c
-        rows += ({m: x for m, x in r.items() if x} for r in block)
-    return nucleus(a) & kernel(SparseMatrix(tuple(rows), n))
+    return nucleus(a) & centralizer(a, Subspace.full(a.dim))
 
 
 def centralizer(a: Algebra, s: Subspace) -> Subspace:
-    """Elements of the whole algebra commuting with every element of s."""
+    """Elements of the whole algebra commuting with every element of s: row
+    (v, k) of x -> x v - v x, v in the basis of s scaled to integers, has
+    coefficient sum_i v_i [b_m, b_i]_k at x_m, read off `Algebra._int_table`."""
     if s.ambient_dim != a.dim:
         raise ValueError("subspace does not live in this algebra")
-    if s.dim == 0:
-        return Subspace.full(a.dim)
-    blocks = [a.right_mult_matrix(v) - a.left_mult_matrix(v) for v in s.basis]
-    return kernel(stack(blocks, a.dim))
+    n, table = a.dim, a._int_table
+    rows = []
+    for v in s.basis:
+        block = [{} for _ in range(n)]
+        for i, c in int_vec(v)[0]:
+            for m in range(n):
+                for k, x in table[m][i]:
+                    block[k][m] = block[k].get(m, 0) + c * x
+                for k, x in table[i][m]:
+                    block[k][m] = block[k].get(m, 0) - c * x
+        rows += ({m: x for m, x in r.items() if x} for r in block)
+    return kernel(SparseMatrix(tuple(rows), n))
 
 
 @lru_cache(maxsize=None)

@@ -1,13 +1,19 @@
+import copy
 import json
 import tracemalloc
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altrings.cli import main
-from altrings.errors import InputError, UnitValidationError
-from altrings.jsonio import algebra_from_dict, load_algebra, load_mapspec, save_mapspec
-from altrings.liederiv import MapSpec
+from altrings.errors import AltRingsError, InputError, UnitValidationError
+from altrings.jsonio import (algebra_from_dict, algebra_to_dict, load_algebra, load_mapspec,
+                             mapspec_from_dict, mapspec_to_dict, save_mapspec)
+from altrings.liederiv import CentralTerm, MapSpec
+from altrings.linalg import Matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -165,6 +171,46 @@ def test_labels_must_be_strings(tmp_path, capsys):
     assert run(capsys, "analyze", "--json", str(path))[0] == 0
 
 
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+ALGEBRA_FIELDS = [("dim",), ("unit",), ("constants",), ("labels",), ("provenance",),
+                  ("unit", 0), ("labels", 0), ("constants", 0), ("constants", 0, "i"),
+                  ("constants", 0, "j"), ("constants", 0, "value"), ("constants", 0, "value", 0)]
+MAP_FIELDS = [("linear",), ("central_terms",), ("linear", 0), ("linear", 0, 0),
+              ("central_terms", 0), ("central_terms", 0, "functional"),
+              ("central_terms", 0, "poly"), ("central_terms", 0, "poly", 0),
+              ("central_terms", 0, "central")]
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_loaders_raise_only_library_errors(m2, data):
+    """Any field of a valid algebra file or map file, replaced by any bounded
+    JSON value, either loads or raises an `AltRingsError`, never another
+    exception (which the CLI would print as a traceback)."""
+    docs = {"algebra": algebra_to_dict(m2, "matrix:2"),
+            "map": mapspec_to_dict(MapSpec(m2, Matrix.zeros(4, 4), (CentralTerm(
+                m2.unit, (F(0), F(1), F(2)), m2.unit),)))}
+    kind, path = data.draw(st.sampled_from([("algebra", p) for p in ALGEBRA_FIELDS]
+                                           + [("map", p) for p in MAP_FIELDS]))
+    doc = copy.deepcopy(docs[kind])
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = data.draw(_json_values)
+    try:
+        if kind == "algebra":
+            algebra_from_dict(doc)
+        else:
+            mapspec_from_dict(doc, m2)
+    except AltRingsError:
+        pass
+
+
 @pytest.mark.parametrize("poly", [5, "012"], ids=["number", "string"])
 def test_central_term_poly_must_be_a_list(poly, m2_file, tmp_path, capsys):
     """A poly that is not a list is bad input: neither a traceback for a
@@ -215,8 +261,8 @@ def test_peirce_zorn(zorn_file, capsys):
 
 def test_peirce_decides_each_corner_fact_once(zorn_file, capsys, monkeypatch):
     # conditions (1)-(3) take two annihilator systems each, evaluated once per
-    # context; the only matrix products are the eight operator compositions
-    # that build the corner projections
+    # context; the only matrix product is R_e1 L_e1, from which the four
+    # corner projections are formed by sums
     import altrings.peirce as peirce
     from altrings.linalg import Matrix
 
@@ -232,7 +278,7 @@ def test_peirce_decides_each_corner_fact_once(zorn_file, capsys, monkeypatch):
     monkeypatch.setattr(Matrix, "__mul__", counted("matmul", Matrix.__mul__))
     code, _, _ = run(capsys, "peirce", str(zorn_file), "--idempotent", "1,0,0,0,0,0,0,0")
     assert code == 0
-    assert calls == {"annihilator": 6, "matmul": 8}
+    assert calls == {"annihilator": 6, "matmul": 1}
 
 
 def test_peirce_m2(m2_file, capsys):
@@ -457,11 +503,15 @@ def test_console_entrypoint():
 
 @pytest.mark.parametrize("case", ["analyze-directory", "analyze-not-utf8",
                                   "analyze-deeply-nested", "make-missing-dir",
-                                  "decompose-missing-dir"])
+                                  "decompose-missing-dir", "analyze-constants-number",
+                                  "analyze-constants-null", "analyze-repeated-cell",
+                                  "decompose-central-terms-number",
+                                  "decompose-central-terms-null"])
 def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
-    """A path that cannot be read or written, or a file nested too deeply to
-    parse, is bad input: exit 2 and one line on stderr, from a fresh process
-    so that a traceback would show."""
+    """A path that cannot be read or written, a file nested too deeply to
+    parse, a list field holding a number or null, or a product given twice is
+    bad input: exit 2 and one line on stderr, from a fresh process so that a
+    traceback would show."""
     import subprocess
     import sys
 
@@ -476,13 +526,29 @@ def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
     map_path = tmp_path / "ad.json"
     save_mapspec(MapSpec(algebra, ad), map_path)
     missing = tmp_path / "missing" / "out"
+    for field, value in (("constants", 5), ("constants", None), ("central_terms", 5),
+                         ("central_terms", None)):
+        source = map_path if field == "central_terms" else m2_file
+        data = {**json.loads(source.read_text()), field: value}
+        (tmp_path / f"{field}-{value}.json").write_text(json.dumps(data))
+    # b1 b1 = 0, then b1 b1 = b0: keeping the last would load Q[x]/(x^2 - 1)
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(json.dumps({"dim": 2, "unit": ["1", "0"], "constants": [
+        {"i": 0, "j": 0, "value": ["1", "0"]}, {"i": 0, "j": 1, "value": ["0", "1"]},
+        {"i": 1, "j": 0, "value": ["0", "1"]}, {"i": 1, "j": 1, "value": ["0", "0"]},
+        {"i": 1, "j": 1, "value": ["1", "0"]}]}))
+    decompose = ["decompose", str(m2_file), "--idempotent", "1,0,0,0", "--map"]
     argv = {
         "analyze-directory": ["analyze", str(tmp_path)],
         "analyze-not-utf8": ["analyze", str(not_utf8)],
         "analyze-deeply-nested": ["analyze", str(nested)],
         "make-missing-dir": ["make", "zorn", "-o", str(missing)],
-        "decompose-missing-dir": ["decompose", str(m2_file), "--idempotent", "1,0,0,0",
-                                  "--map", str(map_path), "-o", str(missing)],
+        "decompose-missing-dir": [*decompose, str(map_path), "-o", str(missing)],
+        "analyze-constants-number": ["analyze", str(tmp_path / "constants-5.json")],
+        "analyze-constants-null": ["analyze", str(tmp_path / "constants-None.json")],
+        "analyze-repeated-cell": ["analyze", str(repeated)],
+        "decompose-central-terms-number": [*decompose, str(tmp_path / "central_terms-5.json")],
+        "decompose-central-terms-null": [*decompose, str(tmp_path / "central_terms-None.json")],
     }[case]
     proc = subprocess.run([sys.executable, "-m", "altrings", *argv],
                           capture_output=True, text=True)

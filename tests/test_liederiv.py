@@ -136,7 +136,7 @@ def _reference_lie_law(d, bud):
     alg, n = d.algebra, d.algebra.dim
     rng = rng_for(bud.seed)
     pairs = [(alg.basis_vec(i), alg.basis_vec(j)) for i in range(n) for j in range(n) if i != j]
-    pairs += [(random_vector(rng, n, bud.height), random_vector(rng, n, bud.height))
+    pairs += [(random_vector(rng, n), random_vector(rng, n))
               for _ in range(bud.pair_samples)]
     for x, y in (tuple(Element(alg, v) for v in pair) for pair in pairs):
         if d(commutator(x, y)) != commutator(d(x), y) + commutator(x, d(y)):
@@ -156,7 +156,7 @@ def _reference_hypotheses(ctx, d, bud):
         proj = ctx.proj[other][other]
         target = center(alg).image_under(proj)
         basis = ctx.spaces[i][i].basis
-        samples = list(basis) + [combine([random_rational(rng, bud.height) for _ in basis],
+        samples = list(basis) + [combine([random_rational(rng) for _ in basis],
                                          basis, alg.dim) for _ in range(bud.element_samples)]
         verdict = (True, None)
         for v in samples:

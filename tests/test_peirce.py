@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,13 +10,15 @@ from altrings import (
     verify_prop_spade_club,
     verify_relations,
 )
+from altrings.catalog import build, find_idempotent, parse_recipe
 from altrings.errors import (
     NotAlternativeError,
     NotIdempotentError,
     PreconditionFailedError,
     TrivialIdempotentError,
 )
-from altrings.linalg import Matrix, is_zero_vec
+from altrings.linalg import Matrix, Subspace, is_zero_vec
+from altrings.peirce import PeirceContext
 from altrings.sampling import random_vector, rng_for
 
 F = Fraction
@@ -43,22 +46,51 @@ def test_make_context_rejections(m2, nonalternative):
         make_context(s, e)
 
 
-def test_projections_resolve_identity(zorn_ctx):
-    total = (zorn_ctx.proj[0][0] + zorn_ctx.proj[0][1]
-             + zorn_ctx.proj[1][0] + zorn_ctx.proj[1][1])
-    assert total == Matrix.identity(8)
+@pytest.fixture(scope="module")
+def contexts(zorn_ctx, m3_ctx, m2m2_ctx):
+    """Peirce contexts on zorn, matrix:3, m2m2 (at the unit of one summand
+    and at its E11), cd:1,1,1 and sum(zorn|zorn) (at e1 of one summand)."""
+    cd = build(parse_recipe("cd:1,1,1"))
+    zz = build(parse_recipe("sum(zorn|zorn)"))
+    m2m2 = m2m2_ctx.algebra
+    return {"zorn": zorn_ctx, "matrix:3": m3_ctx, "m2m2": m2m2_ctx,
+            "m2m2 E11": make_context(m2m2, m2m2.basis_element(0)),
+            "cd:1,1,1": make_context(cd, find_idempotent(cd)),
+            "sum(zorn|zorn)": make_context(zz, zz.basis_element(0))}
 
 
-def test_projections_orthogonal_idempotent(zorn_ctx):
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    prod = zorn_ctx.proj[i][j] * zorn_ctx.proj[k][l]
-                    if (i, j) == (k, l):
-                        assert prod == zorn_ctx.proj[i][j]
-                    else:
-                        assert prod.is_zero()
+def _eight_product_projections(ctx):
+    """a -> (e_i a) e_j as R_ej L_ei from the operators of both idempotents,
+    each compared with L_ei R_ej: the construction the context once used."""
+    alg = ctx.algebra
+    lm = [alg.left_mult_matrix(e.coeffs) for e in (ctx.e1, ctx.e2)]
+    rm = [alg.right_mult_matrix(e.coeffs) for e in (ctx.e1, ctx.e2)]
+    proj = tuple(tuple(rm[j] * lm[i] for j in range(2)) for i in range(2))
+    assert all(proj[i][j] == lm[i] * rm[j] for i in range(2) for j in range(2))
+    return proj
+
+
+def test_projections_match_eight_product_construction(contexts):
+    for name, ctx in contexts.items():
+        assert ctx.proj == _eight_product_projections(ctx), name
+        assert sum(ctx.dims) == ctx.algebra.dim, name
+
+
+def test_projections_resolve_identity(contexts):
+    for name, ctx in contexts.items():
+        total = ctx.proj[0][0] + ctx.proj[0][1] + ctx.proj[1][0] + ctx.proj[1][1]
+        assert total == Matrix.identity(ctx.algebra.dim), name
+
+
+def test_projections_orthogonal_idempotent(contexts):
+    for name, ctx in contexts.items():
+        for (i, j), (k, l) in itertools.product(itertools.product(range(2), repeat=2),
+                                                repeat=2):
+            prod = ctx.proj[i][j] * ctx.proj[k][l]
+            if (i, j) == (k, l):
+                assert prod == ctx.proj[i][j], (name, i, j)
+            else:
+                assert prod.is_zero(), (name, i, j, k, l)
 
 
 def test_decompose_idempotent_and_unit(zorn_ctx):
@@ -122,6 +154,32 @@ def test_condition_two_fails_on_direct_sum(m2m2_ctx):
     assert c2.witness is not None
     # witness is a nonzero (1,1)-corner element annihilating the empty R12
     assert rep.checks[0].ok  # condition (1) is vacuous here: both corners are 0
+
+
+def test_condition_four_mode_follows_the_center(m2_ctx, m2m2_ctx):
+    c4 = check_conditions(m2_ctx).checks[3]
+    assert (c4.ok, c4.mode, c4.witness, c4.detail) == (
+        True, "exact", None, "z R = R for nonzero central z (center is a line)")
+    # the unit of one summand is central and kills the other summand
+    c4 = check_conditions(m2m2_ctx, seed=3, samples=5).checks[3]
+    assert (c4.ok, c4.mode, c4.witness, c4.detail) == (
+        False, "sampled", "L.E11 + L.E22", "center dim 2 > 1; basis plus 5 samples")
+
+
+def test_relation_iv_reads_each_pair_product(m2_ctx):
+    """(iv) can fail: on M_2 with span(E11, E12) posing as R12, E11^2 = E11
+    and E11 E12 + E12 E11 = E12 are reported, pair by pair."""
+    alg, s = m2_ctx.algebra, m2_ctx.spaces
+    fake = Subspace.span(4, [alg.basis_vec(0), alg.basis_vec(1)])
+    ctx = PeirceContext(alg, m2_ctx.e1, m2_ctx.e2, m2_ctx.proj, ((s[0][0], fake), s[1]))
+    e11, e12 = alg.basis_element(0), alg.basis_element(1)
+    assert [(v.relation, v.x, v.y, v.product) for v in verify_relations(ctx).violations
+            if v.relation.startswith("(iv)")] == [
+        ("(iv) x12^2=0", e11, e11, e11),
+        ("(iv) xy+yx=0 on R12", e11, e11, 2 * e11),
+        ("(iv) xy+yx=0 on R12", e11, e12, e12),
+        ("(iv) xy+yx=0 on R12", e12, e11, e12),
+    ]
 
 
 def test_props_spade_club(m2_ctx, zorn_ctx):

@@ -20,7 +20,7 @@ from altrings import (
 from altrings.algebra import alternativity_witness, check_flexible, find_nonassociative_triple
 from altrings.catalog import build, direct_sum, matrix_algebra, parse_recipe
 from altrings.errors import NotAlternativeError
-from altrings.linalg import Matrix, Subspace, is_zero_vec, kernel
+from altrings.linalg import Matrix, Subspace, is_zero_vec, kernel, stack
 from altrings.structure import IdempotentKind, derivation_span
 
 F = Fraction
@@ -282,6 +282,17 @@ def _vectors(a):
     return st.one_of(st.lists(_rationals, min_size=n, max_size=n).map(tuple),
                      st.just((F(0),) * n),
                      st.integers(0, n - 1).map(a.basis_vec))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_centralizer_matches_dense_commutator_system(data):
+    """The sparse integer rows of `centralizer` have the kernel of the stacked
+    dense matrices R_v - L_v, v over a basis of the subspace."""
+    a = data.draw(unital_algebras())
+    s = Subspace.span(a.dim, data.draw(st.lists(_vectors(a), max_size=3)))
+    blocks = [a.right_mult_matrix(v) - a.left_mult_matrix(v) for v in s.basis]
+    assert centralizer(a, s) == kernel(stack(blocks, a.dim))
 
 
 @settings(max_examples=80)
