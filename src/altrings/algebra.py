@@ -149,9 +149,8 @@ class Algebra:
                         for m, c in table[j][k]:
                             for p, x in table[i][m]:
                                 v[p] = v.get(p, 0) - c * x
-                        v = {p: x for p, x in v.items() if x}
-                        if v:
-                            out[(i, j, k)] = v
+                        if any(v.values()):
+                            out[(i, j, k)] = {p: x for p, x in v.items() if x}
             self._assoc = out
         return self._assoc
 
@@ -262,7 +261,10 @@ def _cancel(u: Optional[dict], v: Optional[dict]) -> bool:
     stores no empty vector)."""
     if u is None or v is None:
         return u is v
-    return u == {k: -c for k, c in v.items()}
+    for k, c in u.items():
+        if v.get(k) != -c:
+            return False
+    return len(u) == len(v)
 
 
 def check_alternative(a: Algebra) -> bool:

@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import Algebra, Element
 from .errors import InputError
+from .jsonio import parse_rational
 from .linalg import Matrix, Record, combine, fvec, kernel, zero_vec
 from .sampling import random_poly, random_rational, rng_for
 from .structure import IdempotentKind, center, commutator_subspace, derivation_algebra, verify_idempotent
@@ -241,8 +242,8 @@ def parse_recipe(text: str) -> ConstructionRecipe:
     if low.startswith(("cayley-dickson:", "cd:")):
         arg = text.split(":", 1)[1]
         try:
-            mus = tuple(Fraction(s) for s in arg.split(","))
-        except (ValueError, ZeroDivisionError):
+            mus = tuple(parse_rational(s.strip()) for s in arg.split(","))
+        except InputError:
             raise InputError(f"bad doubling parameters {arg!r}")
         if not mus or any(m == 0 for m in mus):
             raise InputError("doubling parameters must be nonzero")

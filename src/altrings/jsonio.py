@@ -9,6 +9,7 @@ Rationals travel as canonical strings ("-3/2", "0", "7").
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
@@ -24,11 +25,15 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(s) -> Fraction:
-    if isinstance(s, bool) or isinstance(s, float):
+    """A JSON integer, or a string "[-]digits" or "[-]digits/digits" as the writer
+    emits; no exponent string, so parsing costs what the text's length costs."""
+    if type(s) is not int and type(s) is not str:  # a JSON true is a bool
         raise InputError(f"rationals must be strings or integers, got {s!r}")
+    if type(s) is str and not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", s):
+        raise InputError(f"bad rational {s!r}")
     try:
         return Fraction(s)
-    except (ValueError, ZeroDivisionError, TypeError):
+    except (ValueError, ZeroDivisionError):  # digits past int_max_str_digits, or "1/0"
         raise InputError(f"bad rational {s!r}")
 
 
@@ -166,7 +171,7 @@ def _load_json(path: Union[str, Path]) -> dict:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int_max_str_digits
         raise InputError(f"invalid JSON in {path}: {exc}")
     except RecursionError:
         raise InputError(f"invalid JSON in {path}: nested too deeply")

@@ -245,9 +245,6 @@ class SparseMatrix(Record):
     def nrows(self) -> int:
         return len(self.rows)
 
-    def sparse_rows(self) -> list[dict[int, Fraction]]:
-        return [dict(r) for r in self.rows]
-
 
 def _primitive(row: dict[int, int]) -> None:
     """Divide a nonzero integer row by the gcd of its entries, in place."""
@@ -283,9 +280,9 @@ def _clear(dst: dict[int, int], p: int, src: dict[int, int]) -> None:
 
 def _eliminate(rows: Iterable[dict], ncols: int) -> list[tuple[int, dict[int, Fraction]]]:
     """Fraction-free Gauss-Jordan elimination on sparse rows of ints and
-    Fractions, which it consumes.
+    Fractions, which it reads and never mutates.
 
-    Each row is scaled once to integers and combined as s*r - t*q; it is
+    Each row is copied once, scaled to integers, and combined as s*r - t*q; it is
     divided by its content when it becomes a pivot row and whenever a
     combination scaled it, and no Fraction is built until a reduced row is
     emitted, divided by its pivot. Returns the
@@ -344,7 +341,7 @@ def rank(m: Matrix) -> int:
 
 def kernel(m: Matrix | SparseMatrix) -> "Subspace":
     """Canonical basis of the right null space {x : m x = 0} of a Matrix or SparseMatrix."""
-    red = _eliminate(m.sparse_rows(), m.cols)
+    red = _eliminate(m.rows if type(m) is SparseMatrix else m.sparse_rows(), m.cols)
     pivots = {p for p, _ in red}
     basis = {fc: {fc: _ONE} for fc in range(m.cols) if fc not in pivots}
     for p, row in red:

@@ -34,7 +34,8 @@ class PeirceContext:
     holds their checks from the first call that needs them.
     """
 
-    __slots__ = ("algebra", "e1", "e2", "proj", "spaces", "central_splits", "conditions_123")
+    __slots__ = ("algebra", "e1", "e2", "proj", "spaces", "central_splits", "centralizers",
+                 "conditions_123")
 
     def __init__(self, algebra: Algebra, e1: Element, e2: Element,
                  proj: tuple[tuple[Matrix, Matrix], tuple[Matrix, Matrix]],
@@ -45,7 +46,14 @@ class PeirceContext:
         self.proj = proj
         self.spaces = spaces
         self.central_splits: dict = {}
+        self.centralizers: dict[tuple[int, int], Subspace] = {}
         self.conditions_123: Optional[tuple[Check, Check, Check]] = None
+
+    def centralizer(self, i: int, j: int) -> Subspace:
+        """centralizer(R_ij), built on the first call and kept in `centralizers`."""
+        if (i, j) not in self.centralizers:
+            self.centralizers[i, j] = centralizer(self.algebra, self.spaces[i][j])
+        return self.centralizers[i, j]
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -240,21 +248,19 @@ def verify_prop_spade_club(ctx: PeirceContext) -> tuple[bool, bool]:
     R_21 analogue.  Requires corner conditions (1)-(3).
     """
     _require_conditions_123(ctx)
-    alg = ctx.algebra
-    cen = center(alg)
+    cen = center(ctx.algebra)
     diag = ctx.spaces[0][0] + ctx.spaces[1][1]
-    spade = cen.contains(centralizer(alg, ctx.spaces[0][1]) & diag)
-    club = cen.contains(centralizer(alg, ctx.spaces[1][0]) & diag)
+    spade = cen.contains(ctx.centralizer(0, 1) & diag)
+    club = cen.contains(ctx.centralizer(1, 0) & diag)
     return spade, club
 
 
 def verify_offdiag_centralizer(ctx: PeirceContext) -> bool:
     """Centralizer of an off-diagonal corner sits inside corner + center."""
     _require_conditions_123(ctx)
-    alg = ctx.algebra
-    cen = center(alg)
+    cen = center(ctx.algebra)
     for (i, j) in ((0, 1), (1, 0)):
         target = ctx.spaces[i][j] + cen
-        if not target.contains(centralizer(alg, ctx.spaces[i][j])):
+        if not target.contains(ctx.centralizer(i, j)):
             return False
     return True

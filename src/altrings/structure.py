@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from math import gcd
 from typing import Optional
 
 from .algebra import (
@@ -32,11 +33,17 @@ def nucleus(a: Algebra) -> Subspace:
     Associators are linear in r: component k of (b_i, b_j, b_m) is the
     coefficient of r_m in row (i, j, k) of (b_i, b_j, r), row (i, m, k) of
     (b_i, r, b_m) and row (j, m, k) of (r, b_j, b_m). The rows are integer,
-    read off the scaled `Algebra.associator_table`."""
-    rows = {}
-    for (i, j, m), v in a.associator_table().items():
+    read off the scaled `Algebra.associator_table`. When the (x, y, r) rows
+    alone leave a line, it is the nucleus: the validated unit is nuclear."""
+    ass, rows = a.associator_table(), {}
+    for (i, j, m), v in ass.items():
         for k, x in v.items():
             rows.setdefault((0, i, j, k), {})[m] = x
+    nuc = kernel(SparseMatrix(tuple(rows.values()), a.dim))
+    if nuc.dim == 1:
+        return nuc
+    for (i, j, m), v in ass.items():
+        for k, x in v.items():
             rows.setdefault((1, i, m, k), {})[j] = x
             rows.setdefault((2, j, m, k), {})[i] = x
     return kernel(SparseMatrix(tuple(rows.values()), a.dim))
@@ -78,33 +85,51 @@ def commutator_subspace(a: Algebra) -> Subspace:
     return Subspace.span(n, [c for c in vectors if any(c)])
 
 
-def _leibniz_rows(a: Algebra) -> list[dict[int, int]]:
+@lru_cache(maxsize=None)
+def _leibniz_rows(table) -> tuple[dict[int, int], ...]:
     """Linear system on vec(d), d an n x n matrix with unknowns d[r][c] at r*n+c:
     d(b_i b_j) - d(b_i) b_j - b_i d(b_j) = 0 for all basis pairs, one row per
-    output component k, read off the integer structure table (`Algebra._int_table`,
-    so each row is the rational one times the common denominator)."""
-    n, table = a.dim, a._int_table
-    rows = []
+    output component k, read off an integer structure table such as
+    `Algebra._int_table`; built once per table, and callers must not mutate it.
+    An unknown that a one-entry row forces to zero is emitted once, as a unit
+    row, and dropped from later rows; a row equal up to scale to one already
+    emitted is skipped."""
+    n = len(table)
+    # the nonzero c[m][j][k] and c[i][m][k] as (m*n, k, c), per j and per i
+    right = [[(m * n, k, c) for m in range(n) for k, c in table[m][j]] for j in range(n)]
+    left = [[(m * n, k, c) for m in range(n) for k, c in table[i][m]] for i in range(n)]
+    zero, seen, rows = set(), set(), []
     for i in range(n):
         for j in range(n):
             block = [{} for _ in range(n)]
             for m, c in table[i][j]:
                 for k in range(n):
                     block[k][k * n + m] = c
-            for m in range(n):
-                for k, c in table[m][j]:
-                    block[k][m * n + i] = block[k].get(m * n + i, 0) - c
-                for k, c in table[i][m]:
-                    block[k][m * n + j] = block[k].get(m * n + j, 0) - c
-            rows += [r for r in ({col: x for col, x in r.items() if x} for r in block) if r]
-    return rows
+            for mn, k, c in right[j]:
+                block[k][mn + i] = block[k].get(mn + i, 0) - c
+            for mn, k, c in left[i]:
+                block[k][mn + j] = block[k].get(mn + j, 0) - c
+            for row in block:
+                if not (zero.isdisjoint(row) and all(row.values())):
+                    row = {col: x for col, x in row.items() if x and col not in zero}
+                if len(row) == 1:
+                    zero.update(row)
+                    rows.append(dict.fromkeys(row, 1))
+                elif row:
+                    g = gcd(*row.values()) if row[min(row)] > 0 else -gcd(*row.values())
+                    key = frozenset(row.items() if g == 1 else
+                                    ((c, x // g) for c, x in row.items()))
+                    if key not in seen:
+                        seen.add(key)
+                        rows.append(row)
+    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
 def derivation_algebra(a: Algebra) -> tuple[Matrix, ...]:
     """Basis of all matrices satisfying the Leibniz rule on every basis pair."""
     n = a.dim
-    sols = kernel(SparseMatrix(tuple(_leibniz_rows(a)), n * n))
+    sols = kernel(SparseMatrix(_leibniz_rows(a._int_table), n * n))
     return tuple(
         Matrix(tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n)), n)
         for v in sols.basis
@@ -120,12 +145,6 @@ def derivation_span(a: Algebra) -> Subspace:
     )
 
 
-@lru_cache(maxsize=None)
-def _leibniz_int_rows(a: Algebra) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The Leibniz system with integer entries, as (column, value) pairs."""
-    return tuple(tuple(r.items()) for r in _leibniz_rows(a))
-
-
 def is_derivation(a: Algebra, d: Matrix) -> bool:
     """Exact Leibniz check of one matrix on all basis pairs: vec(d), scaled to
     integers, must be orthogonal to every row of the Leibniz system."""
@@ -135,7 +154,7 @@ def is_derivation(a: Algebra, d: Matrix) -> bool:
     vd = [0] * (n * n)
     for col, x in int_vec(x for row in d.rows for x in row)[0]:
         vd[col] = x
-    return not any(sum(x * vd[col] for col, x in row) for row in _leibniz_int_rows(a))
+    return not any(sum(x * vd[c] for c, x in row.items()) for row in _leibniz_rows(a._int_table))
 
 
 class IdempotentKind(enum.Enum):

@@ -148,6 +148,15 @@ def _reference_alternativity_witness(a):
     return None
 
 
+def test_cancel_compares_whole_vectors():
+    # u + v = 0 needs the same support: an entry of either one alone is a residue
+    assert _cancel({0: 1, 2: -3}, {2: 3, 0: -1})
+    assert not _cancel({0: 1}, {0: -1, 1: 2})
+    assert not _cancel({0: 1, 1: 2}, {0: -1})
+    assert not _cancel({0: 1}, {0: 1})
+    assert _cancel(None, None) and not _cancel({0: 1}, None) and not _cancel(None, {0: 1})
+
+
 def _late_partner():
     """a a = a, b a = -b, b b = a: the first failing triple (1, 2, 1) is not a key
     of the associator table, only the partner of the later key (2, 1, 1)."""

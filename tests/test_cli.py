@@ -262,11 +262,12 @@ def test_peirce_zorn(zorn_file, capsys):
 def test_peirce_decides_each_corner_fact_once(zorn_file, capsys, monkeypatch):
     # conditions (1)-(3) take two annihilator systems each, evaluated once per
     # context; the only matrix product is R_e1 L_e1, from which the four
-    # corner projections are formed by sums
+    # corner projections are formed by sums; the two propositions share one
+    # centralizer of R_12 and one of R_21
     import altrings.peirce as peirce
     from altrings.linalg import Matrix
 
-    calls = {"annihilator": 0, "matmul": 0}
+    calls = {"annihilator": 0, "matmul": 0, "centralizer": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -276,9 +277,10 @@ def test_peirce_decides_each_corner_fact_once(zorn_file, capsys, monkeypatch):
 
     monkeypatch.setattr(peirce, "_annihilator_in", counted("annihilator", peirce._annihilator_in))
     monkeypatch.setattr(Matrix, "__mul__", counted("matmul", Matrix.__mul__))
+    monkeypatch.setattr(peirce, "centralizer", counted("centralizer", peirce.centralizer))
     code, _, _ = run(capsys, "peirce", str(zorn_file), "--idempotent", "1,0,0,0,0,0,0,0")
     assert code == 0
-    assert calls == {"annihilator": 6, "matmul": 1}
+    assert calls == {"annihilator": 6, "matmul": 1, "centralizer": 2}
 
 
 def test_peirce_m2(m2_file, capsys):
@@ -506,12 +508,14 @@ def test_console_entrypoint():
                                   "decompose-missing-dir", "analyze-constants-number",
                                   "analyze-constants-null", "analyze-repeated-cell",
                                   "decompose-central-terms-number",
-                                  "decompose-central-terms-null"])
+                                  "decompose-central-terms-null", "analyze-5000-digit-unit",
+                                  "analyze-exponent-string", "make-cd-exponent"])
 def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
     """A path that cannot be read or written, a file nested too deeply to
-    parse, a list field holding a number or null, or a product given twice is
-    bad input: exit 2 and one line on stderr, from a fresh process so that a
-    traceback would show."""
+    parse, a list field holding a number or null, a product given twice, a
+    JSON integer past the interpreter's digit limit, or a rational written with
+    an exponent is bad input: exit 2 and one line on stderr, from a fresh
+    process so that a traceback would show."""
     import subprocess
     import sys
 
@@ -537,6 +541,12 @@ def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
         {"i": 0, "j": 0, "value": ["1", "0"]}, {"i": 0, "j": 1, "value": ["0", "1"]},
         {"i": 1, "j": 0, "value": ["0", "1"]}, {"i": 1, "j": 1, "value": ["0", "0"]},
         {"i": 1, "j": 1, "value": ["1", "0"]}]}))
+    long_unit = tmp_path / "long-unit.json"  # json refuses to read the integer back
+    long_unit.write_text('{"dim": 1, "unit": [' + "1" * 5000 + "]}")
+    exponent = tmp_path / "exponent.json"  # 1e1000000 would build 10**1000000
+    exponent.write_text(json.dumps({"dim": 2, "unit": ["1", "0"], "constants": [
+        {"i": 0, "j": 0, "value": ["1", "0"]}, {"i": 0, "j": 1, "value": ["0", "1"]},
+        {"i": 1, "j": 0, "value": ["0", "1"]}, {"i": 1, "j": 1, "value": ["1e1000000", "0"]}]}))
     decompose = ["decompose", str(m2_file), "--idempotent", "1,0,0,0", "--map"]
     argv = {
         "analyze-directory": ["analyze", str(tmp_path)],
@@ -549,6 +559,9 @@ def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
         "analyze-repeated-cell": ["analyze", str(repeated)],
         "decompose-central-terms-number": [*decompose, str(tmp_path / "central_terms-5.json")],
         "decompose-central-terms-null": [*decompose, str(tmp_path / "central_terms-None.json")],
+        "analyze-5000-digit-unit": ["analyze", str(long_unit)],
+        "analyze-exponent-string": ["analyze", str(exponent)],
+        "make-cd-exponent": ["make", "cd:1e300000,-1", "-o", str(tmp_path / "cd.json")],
     }[case]
     proc = subprocess.run([sys.executable, "-m", "altrings", *argv],
                           capture_output=True, text=True)

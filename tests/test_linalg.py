@@ -251,7 +251,8 @@ def test_eliminate_matches_fraction_reference(m, shape, rnd, data):
     """Shuffled redundant rows, with a right-hand side column as `solve` builds
     it or an identity block as `invert` builds it, integral entries passed as
     int or as Fraction at random: the same (pivot, row) pairs as the Fraction
-    reference, every entry a normalized Fraction."""
+    reference, every entry a normalized Fraction; the input rows are left
+    as they were, so `kernel` can pass a `SparseMatrix`'s own rows."""
     rows = [{c: x for c, x in enumerate(r) if x} for r in m.rows]
     ncols = m.cols
     if shape == "solve":
@@ -268,8 +269,10 @@ def test_eliminate_matches_fraction_reference(m, shape, rnd, data):
              for c, x in row.items()} for row in rows]
     rnd.shuffle(rows)
     expected = _reference_eliminate([dict(r) for r in rows], ncols)
-    got = _eliminate([dict(r) for r in rows], ncols)
+    given = tuple(dict(r) for r in rows)
+    got = _eliminate(given, ncols)
     assert got == expected
+    assert given == tuple(rows)
     for _, row in got:
         for x in row.values():
             assert type(x) is Fraction and x.denominator > 0

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,8 @@ from altrings import (
 from altrings.algebra import alternativity_witness, check_flexible, find_nonassociative_triple
 from altrings.catalog import build, direct_sum, matrix_algebra, parse_recipe
 from altrings.errors import NotAlternativeError
-from altrings.linalg import Matrix, Subspace, is_zero_vec, kernel, stack
-from altrings.structure import IdempotentKind, derivation_span
+from altrings.linalg import Matrix, SparseMatrix, Subspace, invert, is_zero_vec, kernel, stack
+from altrings.structure import IdempotentKind, _leibniz_rows, derivation_span
 
 F = Fraction
 
@@ -229,6 +230,24 @@ def unital_algebras():
     return unital_products().map(lambda c: Algebra(c, c[0, 0]))
 
 
+@st.composite
+def rebased_algebras(draw):
+    """A `unital_algebras` draw in the basis P b_0, ..., P b_{n-1}, where
+    P = I + L, L strictly lower triangular with L[1][0] = 1: the unit becomes
+    P^-1 b_0, whose entry 1 is -1, so it is not a basis vector."""
+    a = draw(unital_algebras())
+    n = a.dim
+    p = Matrix.from_rows([[F(int(r == c)) if c >= r else F(1) if (r, c) == (1, 0)
+                           else draw(_rationals) for c in range(n)] for r in range(n)])
+    q, cols = invert(p), [p.col(i) for i in range(n)]
+    return Algebra({(i, j): q.apply(a.mul_vec(cols[i], cols[j]))
+                    for i in range(n) for j in range(n)}, q.apply(a.unit))
+
+
+def any_unital_algebras():
+    return st.one_of(unital_algebras(), rebased_algebras())
+
+
 def _kernel_of_maps(dim, maps, inputs):
     """Common kernel of linear maps given as functions on the basis `inputs` of Q^dim."""
     rows = []
@@ -245,7 +264,7 @@ def _leibniz_defect(a, d, x, y):
 
 
 @settings(max_examples=60)
-@given(unital_algebras())
+@given(any_unital_algebras())
 def test_structure_matches_element_definitions(a):
     n = a.dim
     basis = [a.basis_element(i) for i in range(n)]
@@ -314,6 +333,10 @@ def test_integer_products_match_fraction_reference(data):
     assert all(type(v) is F for v in a.mul_vec(x, y) + m.apply(y))
 
 
+def _unit_matrix(n, p, q):
+    return Matrix(tuple(tuple(F(int((r, c) == (p, q))) for c in range(n)) for r in range(n)), n)
+
+
 @settings(max_examples=60)
 @given(st.data())
 def test_is_derivation_matches_leibniz_oracle(data):
@@ -324,16 +347,88 @@ def test_is_derivation_matches_leibniz_oracle(data):
     def oracle(d):
         return all(_leibniz_defect(a, d, x, y).is_zero() for x in basis for y in basis)
 
-    def unit_matrix(p, q):
-        return Matrix(tuple(tuple(F(int((r, c) == (p, q))) for c in range(n))
-                            for r in range(n)), n)
-
     d = Matrix.zeros(n, n)
     for der in derivation_algebra(a):
         d = d + der.scale(data.draw(_rationals))
     assert is_derivation(a, d) and oracle(d)
     # d(1) = 2 d(1) for every derivation, so adding E_00 (b0 = 1 -> b0) never gives one
-    assert not is_derivation(a, d + unit_matrix(0, 0)) and not oracle(d + unit_matrix(0, 0))
-    for m in [d + unit_matrix(p, q) for p in range(n) for q in range(n)] + [
+    e00 = _unit_matrix(n, 0, 0)
+    assert not is_derivation(a, d + e00) and not oracle(d + e00)
+    for m in [d + _unit_matrix(n, p, q) for p in range(n) for q in range(n)] + [
             Matrix(tuple(data.draw(_vectors(a)) for _ in range(n)), n)]:
         assert is_derivation(a, m) == oracle(m)
+
+
+def _reference_leibniz_rows(a):
+    """The full Leibniz system: one row per basis pair (i, j) and output
+    component k, with no row dropped or reduced."""
+    n, table = a.dim, a._int_table
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            block = [{} for _ in range(n)]
+            for m, c in table[i][j]:
+                for k in range(n):
+                    block[k][k * n + m] = c
+            for m in range(n):
+                for k, c in table[m][j]:
+                    block[k][m * n + i] = block[k].get(m * n + i, 0) - c
+                for k, c in table[i][m]:
+                    block[k][m * n + j] = block[k].get(m * n + j, 0) - c
+            rows += [r for r in ({col: x for col, x in r.items() if x} for r in block) if r]
+    return rows
+
+
+def _reference_nucleus(a):
+    """The kernel of all three associator slots' rows in one system."""
+    rows = {}
+    for (i, j, m), v in a.associator_table().items():
+        for k, x in v.items():
+            rows.setdefault((0, i, j, k), {})[m] = x
+            rows.setdefault((1, i, m, k), {})[j] = x
+            rows.setdefault((2, j, m, k), {})[i] = x
+    return kernel(SparseMatrix(tuple(rows.values()), a.dim))
+
+
+def _assert_matches_reference_systems(a, perturbed):
+    """The deduplicated Leibniz system has the full one's kernel, holds no zero
+    entry and no two rows equal up to scale, and decides `is_derivation` as
+    the full one does on the derivation basis and on `perturbed` matrices;
+    the slot-by-slot nucleus is the three-slot one."""
+    n = a.dim
+    rows = _leibniz_rows(a._int_table)
+    full = _reference_leibniz_rows(a)
+    assert kernel(SparseMatrix(tuple(full), n * n)) == kernel(SparseMatrix(rows, n * n))
+    assert all(r and all(r.values()) for r in rows)
+    assert len({frozenset((c, F(x, r[min(r)])) for c, x in r.items()) for r in rows}) == len(rows)
+    for d in derivation_algebra(a) + tuple(perturbed):
+        vd = [x for row in d.rows for x in row]
+        assert is_derivation(a, d) == (not any(sum(x * vd[c] for c, x in r.items()) for r in full))
+    assert nucleus(a) == _reference_nucleus(a)
+
+
+@pytest.mark.parametrize("recipe", ["zorn", "matrix:3", "m2m2", "cd:1,1,1", "cd:-1,-1,-1,-1",
+                                    "sum(zorn|zorn)", "sum(zorn|matrix:1)"])
+def test_reduced_systems_match_full_systems(recipe):
+    a = build(parse_recipe(recipe))
+    n = a.dim
+    ders = derivation_algebra(a)
+    d = Matrix.zeros(n, n)
+    for k, der in enumerate(ders):
+        d = d + der.scale(k + 1)
+    rng = random.Random(recipe)
+    _assert_matches_reference_systems(
+        a, [d + _unit_matrix(n, *divmod(c, n)) for c in rng.sample(range(n * n), 24)])
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_reduced_systems_match_full_systems_on_random_algebras(data):
+    a = data.draw(any_unital_algebras())
+    n = a.dim
+    d = Matrix.zeros(n, n)
+    for der in derivation_algebra(a):
+        d = d + der.scale(data.draw(_rationals))
+    _assert_matches_reference_systems(
+        a, [d + _unit_matrix(n, p, q) for p in range(n) for q in range(n)]
+        + [Matrix(tuple(data.draw(_vectors(a)) for _ in range(n)), n)])
