@@ -1,35 +1,56 @@
 #!/usr/bin/env python3
-"""Survey the stock algebras: identities, nucleus/center/derivation dimensions.
+"""Survey the stock algebras: identities, nucleus/center/derivation dimensions,
+and the linear form of the theorem on Lie derivations.
+
+`lieder` is the dimension of LieDer, the linear maps D with
+D([x,y]) = [D(x),y] + [x,D(y)]: the kernel of the Leibniz rows over the
+commutator table. T holds the linear maps into the center Z that kill the
+commutator span [A,A], spanned by the maps x -> f(x) z with z in Z and f a
+covector vanishing on [A,A]. Derivations and the maps in T are Lie
+derivations, so Der + T lies inside LieDer; `der+T` is its dimension, and the
+last column says whether the two spaces are equal.
 
 Usage: python scripts/structure_survey.py
 """
 
-from altrings import analyze
-from altrings.catalog import direct_sum, matrix_algebra, octonion_algebra, zorn
+from altrings import analyze, center, commutator_subspace
+from altrings.catalog import build, parse_recipe
+from altrings.linalg import Matrix, SparseMatrix, Subspace, kernel
+from altrings.structure import _leibniz_rows, derivation_span
+
+RECIPES = ("matrix:1", "matrix:2", "matrix:3", "matrix:4", "zorn", "cd:-1,-1", "cd:-1,-1,-1",
+           "cd:1,1,1", "cd:-1,-1,-1,-1", "m2m2", "sum(zorn|matrix:1)", "sum(matrix:2|matrix:1)",
+           "sum(zorn|zorn)")
+
+
+def lie_derivation_split(a):
+    """(LieDer, Der + T) as subspaces of the dim x dim matrices, entry (r, c)
+    at coordinate r*dim + c."""
+    n = a.dim
+    lie = kernel(SparseMatrix(tuple(row for _, row in _leibniz_rows(a.commutator_table())),
+                              n * n))
+    killers = kernel(Matrix(commutator_subspace(a).basis, n))  # covectors vanishing on [A,A]
+    t = [tuple(z[r] * f[c] for r in range(n) for c in range(n))
+         for z in center(a).basis for f in killers.basis]
+    return lie, derivation_span(a) + Subspace.span(n * n, t)
 
 
 def main():
-    subjects = [
-        ("Q", matrix_algebra(1)),
-        ("M2(Q)", matrix_algebra(2)),
-        ("M3(Q)", matrix_algebra(3)),
-        ("Zorn", zorn()),
-        ("O(-1,-1,-1)", octonion_algebra((-1, -1, -1))),
-        ("O(+1,+1,+1)", octonion_algebra((1, 1, 1))),
-        ("M2+M2", direct_sum(matrix_algebra(2), matrix_algebra(2))),
-        ("Zorn+Q", direct_sum(zorn(), matrix_algebra(1))),
-    ]
-    header = f"{'algebra':<14}{'dim':>4}{'nuc':>5}{'cen':>5}{'der':>5}  alt flex assoc"
+    header = (f"{'algebra':<24}{'dim':>4}{'nuc':>5}{'cen':>5}{'der':>5}{'lieder':>8}"
+              f"{'der+T':>7}  alt flex assoc  LieDer=Der+T")
     print(header)
     print("-" * len(header))
-    for name, algebra in subjects:
+    for recipe in RECIPES:
+        algebra = build(parse_recipe(recipe))
         rep = analyze(algebra)
+        lie, der_t = lie_derivation_split(algebra)
         flags = "  ".join(
             "y" if f else "n"
             for f in (rep.is_alternative, rep.is_flexible, rep.is_associative)
         )
-        print(f"{name:<14}{algebra.dim:>4}{rep.nucleus.dim:>5}{rep.center.dim:>5}"
-              f"{rep.derivation_dim:>5}  {flags}")
+        print(f"{recipe:<24}{algebra.dim:>4}{rep.nucleus.dim:>5}{rep.center.dim:>5}"
+              f"{rep.derivation_dim:>5}{lie.dim:>8}{der_t.dim:>7}  {flags}"
+              f"     {'y' if lie == der_t else 'n'}")
 
 
 if __name__ == "__main__":

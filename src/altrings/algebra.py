@@ -40,7 +40,7 @@ _ZERO = Fraction(0)
 class Algebra:
     """Immutable finite-dimensional unital algebra given by structure constants."""
 
-    __slots__ = ("dim", "unit", "labels", "_int_table", "_den", "_hash", "_assoc")
+    __slots__ = ("dim", "unit", "labels", "_int_table", "_den", "_hash", "_assoc", "_comm")
 
     def __init__(self, products: Mapping[tuple[int, int], Sequence], unit: Sequence,
                  labels: Optional[Sequence[str]] = None):
@@ -71,7 +71,7 @@ class Algebra:
             table[i][j] = tuple((k, x * (den // d)) for k, x in nums)
         self._int_table = tuple(map(tuple, table))
         self._hash = hash(self._key())
-        self._assoc = None
+        self._assoc = self._comm = None
         self._validate_unit()
 
     def _key(self):
@@ -153,6 +153,16 @@ class Algebra:
                             out[(i, j, k)] = {p: x for p, x in v.items() if x}
             self._assoc = out
         return self._assoc
+
+    def commutator_table(self) -> tuple:
+        """`_int_table` of the product [b_i, b_j] = b_i b_j - b_j b_i, over `_den`
+        and built once. Callers must not mutate it."""
+        if self._comm is None:
+            r, c = range(self.dim), [[dict(cell) for cell in row] for row in self._int_table]
+            self._comm = tuple(tuple(tuple((k, x) for k in sorted(c[i][j].keys() | c[j][i].keys())
+                                           if (x := c[i][j].get(k, 0) - c[j][i].get(k, 0)))
+                                     for j in r) for i in r)
+        return self._comm
 
     def left_mult_matrix(self, y: Sequence[Fraction]) -> Matrix:
         """Matrix of x -> y x in the algebra basis."""

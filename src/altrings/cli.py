@@ -88,23 +88,31 @@ def _parse_idempotent(spec: str, algebra: Algebra) -> Element:
     return Element(algebra, coeffs)
 
 
-def _recipe_from_args(args) -> catalog.ConstructionRecipe:
+def _recipe_from_args(args) -> str:
     kind = args.kind
     if kind == "matrix":
         if args.n is None:
             raise InputError("make matrix requires --n")
-        return catalog.parse_recipe(f"matrix:{args.n}")
+        return f"matrix:{args.n}"
     if kind in ("cayley-dickson", "cd"):
         if not args.mus:
             raise InputError("make cayley-dickson requires --mus")
-        return catalog.parse_recipe(f"cayley-dickson:{args.mus}")
-    return catalog.parse_recipe(kind)
+        return f"cayley-dickson:{args.mus}"
+    return kind
+
+
+def _build_recipe(text: str) -> tuple[catalog.ConstructionRecipe, Algebra]:
+    """Parse and build a recipe; one nested past the recursion limit is bad input."""
+    try:
+        recipe = catalog.parse_recipe(text)
+        return recipe, catalog.build(recipe)
+    except RecursionError:
+        raise InputError("recipe nested too deeply") from None
 
 
 def cmd_make(args, argv) -> int:
     started = time.perf_counter()
-    recipe = _recipe_from_args(args)
-    algebra = catalog.build(recipe)
+    recipe, algebra = _build_recipe(_recipe_from_args(args))
     jsonio.save_algebra(algebra, args.output, provenance=recipe.describe())
     report = {
         "command": _echo(argv),
@@ -255,8 +263,7 @@ def _fuzz_trial(ctx, algebra, trial: int, master_seed: int, samples: int) -> dic
 def cmd_fuzz(args, argv) -> int:
     started = time.perf_counter()
     _require_positive(trials=args.trials, samples=args.samples)
-    recipe = catalog.parse_recipe(args.recipe)
-    algebra = catalog.build(recipe)
+    recipe, algebra = _build_recipe(args.recipe)
     e1 = catalog.canonical_idempotent(recipe, algebra)
     ctx = peirce.make_context(algebra, e1)
     conditions = peirce.check_conditions(ctx, seed=args.seed, samples=args.samples)

@@ -13,11 +13,12 @@ Verification policy: multilinear identities are decided exactly on basis
 tuples.  A MapSpec passes the gate when `commutator_witness` is None: the
 functional of every effective central term vanishes on the commutator span.
 The terms are then central and kill commutators, so the Lie law is that of the
-linear part, and as R12 = [e1, R12] and R21 = [R21, e1] lie in that span, the
-corner construction is linear on each corner up to central summands: every
-step is decided on basis tuples, "exact".  The corner hypotheses are exact for
-every MapSpec (a term adds a multiple of P(z) to P(D(a))).  OpaqueMaps and
-MapSpecs that fail the gate also get seeded random samples, "sampled".
+linear part, a derivation of the commutator product exactly when it is one, and
+as R12 = [e1, R12] and R21 = [R21, e1] lie in that span, the corner
+construction is linear on each corner up to central summands: every step is
+decided on basis tuples or Leibniz rows, "exact".  The corner hypotheses are
+exact for every MapSpec (a term adds a multiple of P(z) to P(D(a))).  OpaqueMaps
+and MapSpecs that fail the gate also get seeded random samples, "sampled".
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .linalg import (
 from .peirce import PeirceContext
 from .report import Check
 from .sampling import random_rational, random_vector, rng_for
-from .structure import center, commutator_subspace, is_derivation
+from .structure import _leibniz_failure, center, commutator_subspace, is_derivation
 
 _ZERO = Fraction(0)
 
@@ -201,30 +202,28 @@ def check_lie_law(d: MapLike, budget: SampleBudget) -> Check:
 
     Exact for a MapSpec that passes the `commutator_witness` gate: its terms are
     central and vanish on commutators, so they drop out of both sides, and the
-    defect of the linear part is bilinear and antisymmetric, decided on basis
-    pairs i < j (the first failing one is the first failing pair i != j).
-    Otherwise basis pairs i != j plus sampled pairs, labeled "sampled".
+    linear part must be a derivation of the commutator product, decided on the
+    Leibniz rows over `Algebra.commutator_table`; an antisymmetric defect fails
+    first at a pair i < j. Otherwise basis pairs i != j plus sampled pairs,
+    labeled "sampled".
     """
     alg = d.algebra
-    n = alg.dim
-    exact = isinstance(d, MapSpec) and commutator_witness(alg, d.terms) is None
-    pairs = [(alg.basis_vec(i), alg.basis_vec(j))
-             for i in range(n) for j in range(n) if i < j or (i > j and not exact)]
-    rng = rng_for(budget.seed)
-    if not exact:
-        pairs += [(random_vector(rng, n), random_vector(rng, n))
-                  for _ in range(budget.pair_samples)]
-    ev = d.linear.apply if exact else d.eval_vec
+    if isinstance(d, MapSpec) and commutator_witness(alg, d.terms) is None:
+        bad = _leibniz_failure(alg.commutator_table(), d.linear)
+        return Check("lie-law", bad is None, "exact", witness=None if bad is None
+                     else f"x={alg.label(bad[0])}, y={alg.label(bad[1])}")
+    n, rng = alg.dim, rng_for(budget.seed)
+    pairs = [(alg.basis_vec(i), alg.basis_vec(j)) for i in range(n) for j in range(n) if i != j]
+    pairs += [(random_vector(rng, n), random_vector(rng, n)) for _ in range(budget.pair_samples)]
     for x, y in pairs:
-        comm = vec_sub(alg.mul_vec(x, y), alg.mul_vec(y, x))
-        lhs = ev(comm)
-        dx, dy = ev(x), ev(y)
+        lhs = d.eval_vec(vec_sub(alg.mul_vec(x, y), alg.mul_vec(y, x)))
+        dx, dy = d.eval_vec(x), d.eval_vec(y)
         rhs = vec_add(vec_sub(alg.mul_vec(dx, y), alg.mul_vec(y, dx)),
                       vec_sub(alg.mul_vec(x, dy), alg.mul_vec(dy, x)))
         if lhs != rhs:
-            return Check("lie-law", False, "exact" if exact else "sampled",
+            return Check("lie-law", False, "sampled",
                          witness=f"x={Element(alg, x)!r}, y={Element(alg, y)!r}")
-    return Check("lie-law", True, "exact" if exact else "sampled")
+    return Check("lie-law", True, "sampled")
 
 
 def inner_f(algebra: Algebra, y: Element, z: Element) -> Matrix:

@@ -21,8 +21,7 @@ from .algebra import (
     check_flexible,
 )
 from .errors import NotAlternativeError
-from .linalg import (Matrix, Record, SparseMatrix, Subspace, int_vec, is_zero_vec, kernel, stack,
-                     vec_sub, zero_vec)
+from .linalg import Matrix, Record, SparseMatrix, Subspace, int_vec, is_zero_vec, kernel, stack
 from .sampling import random_nonzero_vector, rng_for
 
 
@@ -51,49 +50,49 @@ def nucleus(a: Algebra) -> Subspace:
 
 @lru_cache(maxsize=None)
 def center(a: Algebra) -> Subspace:
-    """Nuclear elements commuting with everything."""
-    return nucleus(a) & centralizer(a, Subspace.full(a.dim))
+    """Nuclear elements commuting with everything; a line nucleus is the central unit line."""
+    nuc = nucleus(a)
+    return nuc if nuc.dim == 1 else nuc & centralizer(a, Subspace.full(a.dim))
 
 
 def centralizer(a: Algebra, s: Subspace) -> Subspace:
     """Elements of the whole algebra commuting with every element of s: row
-    (v, k) of x -> x v - v x, v in the basis of s scaled to integers, has
-    coefficient sum_i v_i [b_m, b_i]_k at x_m, read off `Algebra._int_table`."""
+    (v, k) of x -> [x, v], v in the basis of s scaled to integers, has
+    coefficient sum_i v_i [b_m, b_i]_k at x_m, read off `commutator_table`."""
     if s.ambient_dim != a.dim:
         raise ValueError("subspace does not live in this algebra")
-    n, table = a.dim, a._int_table
+    n, comm = a.dim, a.commutator_table()
     rows = []
     for v in s.basis:
         block = [{} for _ in range(n)]
         for i, c in int_vec(v)[0]:
             for m in range(n):
-                for k, x in table[m][i]:
+                for k, x in comm[m][i]:
                     block[k][m] = block[k].get(m, 0) + c * x
-                for k, x in table[i][m]:
-                    block[k][m] = block[k].get(m, 0) - c * x
         rows += ({m: x for m, x in r.items() if x} for r in block)
     return kernel(SparseMatrix(tuple(rows), n))
 
 
 @lru_cache(maxsize=None)
 def commutator_subspace(a: Algebra) -> Subspace:
-    """Span of all commutators [x, y], computed from basis pairs."""
-    n, prods = a.dim, a.products()
-    zero = zero_vec(n)
-    vectors = [vec_sub(prods.get((i, j), zero), prods.get((j, i), zero))
-               for i in range(n) for j in range(i + 1, n)]
-    return Subspace.span(n, [c for c in vectors if any(c)])
+    """Span of all commutators [x, y]: of the [b_i, b_j], i < j, read off
+    `Algebra.commutator_table` (its common scale leaves the span unchanged)."""
+    comm = a.commutator_table()
+    return Subspace._from_sparse(a.dim, [dict(c) for i, row in enumerate(comm)
+                                         for c in row[i + 1:] if c])
 
 
 @lru_cache(maxsize=None)
-def _leibniz_rows(table) -> tuple[dict[int, int], ...]:
+def _leibniz_rows(table) -> tuple[tuple[tuple[int, int], dict[int, int]], ...]:
     """Linear system on vec(d), d an n x n matrix with unknowns d[r][c] at r*n+c:
     d(b_i b_j) - d(b_i) b_j - b_i d(b_j) = 0 for all basis pairs, one row per
     output component k, read off an integer structure table such as
-    `Algebra._int_table`; built once per table, and callers must not mutate it.
-    An unknown that a one-entry row forces to zero is emitted once, as a unit
-    row, and dropped from later rows; a row equal up to scale to one already
-    emitted is skipped."""
+    `Algebra._int_table` or `Algebra.commutator_table`, as ((i, j), row) in
+    row-major order of the pairs; built once per table, and callers must not
+    mutate it. An unknown that a one-entry row forces to zero is emitted once, as
+    a unit row, and dropped from later rows; a row equal up to scale to one already
+    emitted is skipped. A matrix that satisfies every earlier row is zero at each
+    dropped unknown, so the first row it fails belongs to the first pair it fails."""
     n = len(table)
     # the nonzero c[m][j][k] and c[i][m][k] as (m*n, k, c), per j and per i
     right = [[(m * n, k, c) for m in range(n) for k, c in table[m][j]] for j in range(n)]
@@ -114,47 +113,47 @@ def _leibniz_rows(table) -> tuple[dict[int, int], ...]:
                     row = {col: x for col, x in row.items() if x and col not in zero}
                 if len(row) == 1:
                     zero.update(row)
-                    rows.append(dict.fromkeys(row, 1))
+                    rows.append(((i, j), dict.fromkeys(row, 1)))
                 elif row:
                     g = gcd(*row.values()) if row[min(row)] > 0 else -gcd(*row.values())
                     key = frozenset(row.items() if g == 1 else
                                     ((c, x // g) for c, x in row.items()))
                     if key not in seen:
                         seen.add(key)
-                        rows.append(row)
+                        rows.append(((i, j), row))
     return tuple(rows)
+
+
+@lru_cache(maxsize=None)
+def derivation_span(a: Algebra) -> Subspace:
+    """Derivation algebra as a subspace of vectorized matrices: the kernel of the Leibniz rows."""
+    return kernel(SparseMatrix(tuple(row for _, row in _leibniz_rows(a._int_table)), a.dim ** 2))
 
 
 @lru_cache(maxsize=None)
 def derivation_algebra(a: Algebra) -> tuple[Matrix, ...]:
     """Basis of all matrices satisfying the Leibniz rule on every basis pair."""
     n = a.dim
-    sols = kernel(SparseMatrix(_leibniz_rows(a._int_table), n * n))
-    return tuple(
-        Matrix(tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n)), n)
-        for v in sols.basis
-    )
+    return tuple(Matrix(tuple(v[r * n:(r + 1) * n] for r in range(n)), n)
+                 for v in derivation_span(a).basis)
 
 
-@lru_cache(maxsize=None)
-def derivation_span(a: Algebra) -> Subspace:
-    """Derivation algebra as a subspace of vectorized matrices (for membership)."""
-    n = a.dim
-    return Subspace.span(
-        n * n, [tuple(x for row in d.rows for x in row) for d in derivation_algebra(a)]
-    )
-
-
-def is_derivation(a: Algebra, d: Matrix) -> bool:
-    """Exact Leibniz check of one matrix on all basis pairs: vec(d), scaled to
-    integers, must be orthogonal to every row of the Leibniz system."""
-    n = a.dim
+def _leibniz_failure(table, d: Matrix) -> Optional[tuple[int, int]]:
+    """The first basis pair (i, j), row-major, on which d breaks the Leibniz rule
+    of the product of `table`, or None: vec(d) on `_leibniz_rows(table)`."""
+    n = len(table)
     if d.nrows != n or d.cols != n:
         raise ValueError("a derivation of the algebra is a dim x dim matrix")
     vd = [0] * (n * n)
     for col, x in int_vec(x for row in d.rows for x in row)[0]:
         vd[col] = x
-    return not any(sum(x * vd[c] for c, x in row.items()) for row in _leibniz_rows(a._int_table))
+    return next((ij for ij, row in _leibniz_rows(table)
+                 if sum(x * vd[c] for c, x in row.items())), None)
+
+
+def is_derivation(a: Algebra, d: Matrix) -> bool:
+    """Exact Leibniz check of one matrix on all basis pairs, on integer rows."""
+    return _leibniz_failure(a._int_table, d) is None
 
 
 class IdempotentKind(enum.Enum):

@@ -509,13 +509,14 @@ def test_console_entrypoint():
                                   "analyze-constants-null", "analyze-repeated-cell",
                                   "decompose-central-terms-number",
                                   "decompose-central-terms-null", "analyze-5000-digit-unit",
-                                  "analyze-exponent-string", "make-cd-exponent"])
+                                  "analyze-exponent-string", "make-cd-exponent",
+                                  "make-deeply-nested-recipe", "fuzz-deeply-nested-recipe"])
 def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
-    """A path that cannot be read or written, a file nested too deeply to
-    parse, a list field holding a number or null, a product given twice, a
-    JSON integer past the interpreter's digit limit, or a rational written with
-    an exponent is bad input: exit 2 and one line on stderr, from a fresh
-    process so that a traceback would show."""
+    """A path that cannot be read or written, a file or recipe nested too
+    deeply to parse, a list field holding a number or null, a product given
+    twice, a JSON integer past the interpreter's digit limit, or a rational
+    written with an exponent is bad input: exit 2 and one line on stderr, from
+    a fresh process so that a traceback would show."""
     import subprocess
     import sys
 
@@ -547,6 +548,7 @@ def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
     exponent.write_text(json.dumps({"dim": 2, "unit": ["1", "0"], "constants": [
         {"i": 0, "j": 0, "value": ["1", "0"]}, {"i": 0, "j": 1, "value": ["0", "1"]},
         {"i": 1, "j": 0, "value": ["0", "1"]}, {"i": 1, "j": 1, "value": ["1e1000000", "0"]}]}))
+    deep_recipe = "sum(" * 1200 + "zorn" + "|zorn)" * 1200  # a RecursionError in the parser
     decompose = ["decompose", str(m2_file), "--idempotent", "1,0,0,0", "--map"]
     argv = {
         "analyze-directory": ["analyze", str(tmp_path)],
@@ -562,6 +564,8 @@ def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
         "analyze-5000-digit-unit": ["analyze", str(long_unit)],
         "analyze-exponent-string": ["analyze", str(exponent)],
         "make-cd-exponent": ["make", "cd:1e300000,-1", "-o", str(tmp_path / "cd.json")],
+        "make-deeply-nested-recipe": ["make", deep_recipe, "-o", str(tmp_path / "deep.json")],
+        "fuzz-deeply-nested-recipe": ["fuzz", deep_recipe],
     }[case]
     proc = subprocess.run([sys.executable, "-m", "altrings", *argv],
                           capture_output=True, text=True)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altrings import (
+    Algebra,
     CentralTerm,
     MapSpec,
     OpaqueMap,
@@ -20,7 +21,7 @@ from altrings import (
     split_diagonal,
 )
 from altrings.algebra import Element, commutator
-from altrings.catalog import random_lie_derivation
+from altrings.catalog import random_lie_derivation, zorn
 from altrings.errors import (
     LieLawViolatedError,
     NonUniqueSplitError,
@@ -167,6 +168,23 @@ def _reference_hypotheses(ctx, d, bud):
                 break
         out.append(verdict)
     return out
+
+
+def test_gated_lie_law_is_decided_on_rows(monkeypatch):
+    """A gated map's Lie law takes no product of vectors and applies no matrix:
+    it is read off the Leibniz rows over the commutator table."""
+    z = zorn()  # a fresh algebra, so its commutator table is built here
+    bud = budget(seed=3)
+    maps = [random_lie_derivation(z, bud), MapSpec(z, z.left_mult_matrix(z.basis_vec(1)))]
+
+    def forbidden(*args):
+        raise AssertionError("the gated Lie law evaluated the map")
+
+    monkeypatch.setattr(Algebra, "mul_vec", forbidden)
+    monkeypatch.setattr(Matrix, "apply", forbidden)
+    verdicts = [check_lie_law(d, bud) for d in maps]
+    assert [(v.ok, v.mode, v.witness) for v in verdicts] == [
+        (True, "exact", None), (False, "exact", "x=e1, y=u2")]
 
 
 @settings(max_examples=40)

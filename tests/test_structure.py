@@ -21,8 +21,10 @@ from altrings import (
 from altrings.algebra import alternativity_witness, check_flexible, find_nonassociative_triple
 from altrings.catalog import build, direct_sum, matrix_algebra, parse_recipe
 from altrings.errors import NotAlternativeError
-from altrings.linalg import Matrix, SparseMatrix, Subspace, invert, is_zero_vec, kernel, stack
-from altrings.structure import IdempotentKind, _leibniz_rows, derivation_span
+from altrings.linalg import (Matrix, SparseMatrix, Subspace, frac_vec, invert, is_zero_vec, kernel,
+                             stack, vec_sub, zero_vec)
+from altrings.structure import (IdempotentKind, _leibniz_failure, _leibniz_rows,
+                                commutator_subspace, derivation_span)
 
 F = Fraction
 
@@ -138,7 +140,9 @@ def test_check_prime_rejects_zero_trials(m2):
 
 
 def test_centralizer_of_everything_is_center(m2, zorn_algebra):
-    for a in (m2, zorn_algebra):
+    # the sedenions have a line for nucleus, sum(zorn|zorn) a nucleus of dim 2
+    for a in (m2, zorn_algebra, build(parse_recipe("cd:-1,-1,-1,-1")),
+              build(parse_recipe("sum(zorn|zorn)"))):
         assert centralizer(a, Subspace.full(a.dim)) == center(a)
 
 
@@ -314,6 +318,22 @@ def test_centralizer_matches_dense_commutator_system(data):
     assert centralizer(a, s) == kernel(stack(blocks, a.dim))
 
 
+@settings(max_examples=60)
+@given(any_unital_algebras())
+def test_commutator_table_matches_product_differences(a):
+    """`commutator_table` and `commutator_subspace` give what the differences of
+    the `Fraction` products b_i b_j - b_j b_i give."""
+    n, prods = a.dim, a.products()
+    diffs = {(i, j): vec_sub(prods.get((i, j), zero_vec(n)), prods.get((j, i), zero_vec(n)))
+             for i in range(n) for j in range(n)}
+    comm = a.commutator_table()
+    assert {(i, j): frac_vec([dict(comm[i][j]).get(k, 0) for k in range(n)], a._den)
+            for i in range(n) for j in range(n)} == diffs
+    assert all(x for row in comm for cell in row for _, x in cell)
+    assert commutator_subspace(a) == Subspace.span(
+        n, [c for (i, j), c in diffs.items() if i < j and any(c)])
+
+
 @settings(max_examples=80)
 @given(st.data())
 def test_integer_products_match_fraction_reference(data):
@@ -359,10 +379,11 @@ def test_is_derivation_matches_leibniz_oracle(data):
         assert is_derivation(a, m) == oracle(m)
 
 
-def _reference_leibniz_rows(a):
-    """The full Leibniz system: one row per basis pair (i, j) and output
-    component k, with no row dropped or reduced."""
-    n, table = a.dim, a._int_table
+def _reference_leibniz_rows(table):
+    """The full Leibniz system of an integer structure table: one row per basis
+    pair (i, j) and output component k, tagged (i, j), with no row dropped or
+    reduced."""
+    n = len(table)
     rows = []
     for i in range(n):
         for j in range(n):
@@ -375,7 +396,8 @@ def _reference_leibniz_rows(a):
                     block[k][m * n + i] = block[k].get(m * n + i, 0) - c
                 for k, c in table[i][m]:
                     block[k][m * n + j] = block[k].get(m * n + j, 0) - c
-            rows += [r for r in ({col: x for col, x in r.items() if x} for r in block) if r]
+            rows += [((i, j), r) for r in ({col: x for col, x in r.items() if x}
+                                           for r in block) if r]
     return rows
 
 
@@ -391,19 +413,27 @@ def _reference_nucleus(a):
 
 
 def _assert_matches_reference_systems(a, perturbed):
-    """The deduplicated Leibniz system has the full one's kernel, holds no zero
-    entry and no two rows equal up to scale, and decides `is_derivation` as
-    the full one does on the derivation basis and on `perturbed` matrices;
+    """On the product table and on the commutator table, the deduplicated
+    Leibniz system has the full one's kernel, holds no zero entry and no two
+    rows equal up to scale, and gives the full one's first failing pair on the
+    derivation basis and on `perturbed` matrices, which `is_derivation` reads;
     the slot-by-slot nucleus is the three-slot one."""
     n = a.dim
-    rows = _leibniz_rows(a._int_table)
-    full = _reference_leibniz_rows(a)
-    assert kernel(SparseMatrix(tuple(full), n * n)) == kernel(SparseMatrix(rows, n * n))
-    assert all(r and all(r.values()) for r in rows)
-    assert len({frozenset((c, F(x, r[min(r)])) for c, x in r.items()) for r in rows}) == len(rows)
-    for d in derivation_algebra(a) + tuple(perturbed):
-        vd = [x for row in d.rows for x in row]
-        assert is_derivation(a, d) == (not any(sum(x * vd[c] for c, x in r.items()) for r in full))
+    for table in (a._int_table, a.commutator_table()):
+        tagged = _leibniz_rows(table)
+        rows = tuple(r for _, r in tagged)
+        full = _reference_leibniz_rows(table)
+        assert kernel(SparseMatrix(tuple(r for _, r in full), n * n)) == \
+            kernel(SparseMatrix(rows, n * n))
+        assert all(r and all(r.values()) for r in rows)
+        assert len({frozenset((c, F(x, r[min(r)])) for c, x in r.items()) for r in rows}) == \
+            len(rows)
+        for d in derivation_algebra(a) + tuple(perturbed):
+            vd = [x for row in d.rows for x in row]
+            first = next((ij for ij, r in full if sum(x * vd[c] for c, x in r.items())), None)
+            assert _leibniz_failure(table, d) == first
+            if table is a._int_table:
+                assert is_derivation(a, d) == (first is None)
     assert nucleus(a) == _reference_nucleus(a)
 
 
@@ -432,3 +462,28 @@ def test_reduced_systems_match_full_systems_on_random_algebras(data):
     _assert_matches_reference_systems(
         a, [d + _unit_matrix(n, p, q) for p in range(n) for q in range(n)]
         + [Matrix(tuple(data.draw(_vectors(a)) for _ in range(n)), n)])
+
+
+def _survey_script():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "structure_survey.py"
+    spec = importlib.util.spec_from_file_location("structure_survey", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("recipe, dims", [
+    ("zorn", (15, 14, 15)), ("matrix:2", (4, 3, 4)), ("matrix:3", (9, 8, 9)),
+    ("matrix:4", (16, 15, 16)), ("m2m2", (10, 6, 10)), ("sum(zorn|zorn)", (32, 28, 32)),
+    ("cd:1,1,1", (15, 14, 15)), ("cd:-1,-1", (4, 3, 4)), ("cd:-1,-1,-1,-1", (15, 14, 15)),
+    ("sum(zorn|matrix:1)", (18, 14, 18)), ("sum(matrix:2|matrix:1)", (7, 3, 7))])
+def test_linear_lie_derivations_are_derivations_plus_central_maps(recipe, dims):
+    """dim LieDer, dim Der and dim (Der + T) from the structure survey, T the
+    center-valued linear maps that kill commutators: LieDer = Der + T."""
+    a = build(parse_recipe(recipe))
+    lie, der_t = _survey_script().lie_derivation_split(a)
+    assert (lie.dim, len(derivation_algebra(a)), der_t.dim) == dims
+    assert lie == der_t
