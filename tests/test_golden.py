@@ -94,6 +94,26 @@ def test_lie_split_matches_golden_bytes(stem, tmp_path, monkeypatch):
         assert text == (GOLDEN / rel).read_text(encoding="utf-8"), rel
 
 
+# peirce reports whose corner conditions fail, so the annihilator witnesses are
+# pinned: m2m2 at the unit of its first summand (conditions 2, 3 and 4 fail), and
+# sum(zorn|zorn) at the first summand's e1 (dims [1, 3, 3, 9]; condition 3 fails
+# with R.e1 and condition 4 on the center's basis)
+PEIRCE_WITNESSES = {
+    "m2m2": (["m2m2"], "1,0,0,1,0,0,0,0"),
+    "zorn+zorn": (MAKE_ARGS["zorn+zorn"], ",".join(["1"] + ["0"] * 15)),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(PEIRCE_WITNESSES))
+def test_peirce_witnesses_match_golden_bytes(stem, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args, idempotent = PEIRCE_WITNESSES[stem]
+    name = f"{stem}.json"
+    _stdout(["make", *args, "-o", name])
+    out = _stdout(["peirce", "--json", name, "--idempotent", idempotent])
+    assert out == (GOLDEN / "peirce" / name).read_text(encoding="utf-8")
+
+
 def test_make_matches_golden_digest_with_rational_constants(tmp_path, monkeypatch):
     """A doubled algebra whose constants include halves and three-halves."""
     monkeypatch.chdir(tmp_path)

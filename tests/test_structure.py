@@ -23,6 +23,7 @@ from altrings.catalog import build, direct_sum, matrix_algebra, parse_recipe
 from altrings.errors import NotAlternativeError
 from altrings.linalg import (Matrix, SparseMatrix, Subspace, frac_vec, invert, is_zero_vec, kernel,
                              stack, vec_sub, zero_vec)
+from altrings.sampling import random_nonzero_vector, rng_for
 from altrings.structure import (IdempotentKind, _leibniz_failure, _leibniz_rows,
                                 commutator_subspace, derivation_span)
 
@@ -137,6 +138,31 @@ def test_check_prime_requires_alternative(nonalternative):
 def test_check_prime_rejects_zero_trials(m2):
     with pytest.raises(ValueError):
         check_prime(m2, trials=0, seed=0)
+
+
+def _reference_prime(a, trials, seed):
+    """The witness and candidate count of the search over the kernel of the
+    stacked dense L_p, p over the products a0 b_k, per candidate a0."""
+    n, rng = a.dim, rng_for(seed)
+    candidates = [a.basis_vec(i) for i in range(n)]
+    candidates += [random_nonzero_vector(rng, n) for _ in range(trials)]
+    for cand in candidates:
+        prods = [a.mul_vec(cand, a.basis_vec(k)) for k in range(n)]
+        ker = kernel(stack([a.left_mult_matrix(p) for p in prods], n))
+        if ker.dim > 0:
+            return (cand, ker.basis[0]), len(candidates)
+    return None, len(candidates)
+
+
+@pytest.mark.parametrize("recipe", ["matrix:2", "matrix:3", "zorn", "m2m2", "zornq",
+                                    "sum(zorn|zorn)", "sum(matrix:1|matrix:1)", "cd:-1,-1",
+                                    "cd:1,-1,1"])
+def test_check_prime_matches_stacked_reference(recipe):
+    a = build(parse_recipe(recipe))
+    for seed in range(3):
+        result = check_prime(a, trials=5, seed=seed)
+        witness = None if result.witness is None else tuple(x.coeffs for x in result.witness)
+        assert (witness, result.candidates_tried) == _reference_prime(a, 5, seed)
 
 
 def test_centralizer_of_everything_is_center(m2, zorn_algebra):
