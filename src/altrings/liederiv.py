@@ -197,6 +197,14 @@ def commutator_witness(algebra: Algebra, terms: tuple[CentralTerm, ...]) -> Opti
     return None
 
 
+def _sample_pairs(alg: Algebra, rng, count: int) -> list[tuple[Vec, Vec]]:
+    """Basis pairs i != j (to a nonlinear map, [b_j, b_i] is another input than
+    [b_i, b_j]), then `count` pairs drawn from `rng`."""
+    n = alg.dim
+    pairs = [(alg.basis_vec(i), alg.basis_vec(j)) for i in range(n) for j in range(n) if i != j]
+    return pairs + [(random_vector(rng, n), random_vector(rng, n)) for _ in range(count)]
+
+
 def check_lie_law(d: MapLike, budget: SampleBudget) -> Check:
     """D([x,y]) = [D(x),y] + [x,D(y)].
 
@@ -212,10 +220,7 @@ def check_lie_law(d: MapLike, budget: SampleBudget) -> Check:
         bad = _leibniz_failure(alg.commutator_table(), d.linear)
         return Check("lie-law", bad is None, "exact", witness=None if bad is None
                      else f"x={alg.label(bad[0])}, y={alg.label(bad[1])}")
-    n, rng = alg.dim, rng_for(budget.seed)
-    pairs = [(alg.basis_vec(i), alg.basis_vec(j)) for i in range(n) for j in range(n) if i != j]
-    pairs += [(random_vector(rng, n), random_vector(rng, n)) for _ in range(budget.pair_samples)]
-    for x, y in pairs:
+    for x, y in _sample_pairs(alg, rng_for(budget.seed), budget.pair_samples):
         lhs = d.eval_vec(vec_sub(alg.mul_vec(x, y), alg.mul_vec(y, x)))
         dx, dy = d.eval_vec(x), d.eval_vec(y)
         rhs = vec_add(vec_sub(alg.mul_vec(dx, y), alg.mul_vec(y, dx)),
@@ -268,21 +273,21 @@ def check_hypotheses(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Hy
     Exact on the corner basis for every MapSpec: a term adds a multiple of
     P(z_t), which lies in the target P(Z), so the containment is that of the
     linear part.  An OpaqueMap is checked on the corner basis plus sampled
-    corner elements, labeled "sampled".
+    corner elements, labeled "sampled".  P(Z) is read off `_central_split`.
     """
     alg = ctx.algebra
-    cen = center(alg)
+    n = alg.dim
     exact = isinstance(d, MapSpec)
     rng = rng_for(budget.seed)
     checks = []
     for which, i in (("a", 0), ("b", 1)):
         other = 1 - i
-        target = cen.image_under(ctx.proj[other][other])
+        split = _central_split(ctx, i + 1)
         count = 0 if exact else budget.element_samples
         ok, witness = True, None
         for v in _corner_samples(ctx, i, rng, count):
             img = ctx.proj[other][other].apply(d.eval_vec(v))
-            if not target.contains_vector(img):
+            if any(split.reduce_vector(img + zero_vec(n))[:n]):
                 ok, witness = False, (f"a{i+1}{i+1}={Element(alg, v)!r} -> corner "
                                       f"{Element(alg, img)!r} outside Z*e{other+1}")
                 break
@@ -318,9 +323,10 @@ def _central_split(ctx: PeirceContext, side: int) -> Subspace:
     """Canonical basis of the pairs (P z, z) for central z, P the projection on the
     opposite corner, in Q^(2 dim); eliminated once per context and side.
 
-    P is injective on the center exactly when every basis row has its pivot in the
-    first half.  Then reducing (v, 0) against this basis leaves (v - P z, -z) for
-    the one central z whose pivot coordinates match v's."""
+    Rows with a first-half pivot hold the reduced basis of P(Z) there, the others
+    zero, so (v, 0) reduces to zero in the first half exactly when v is in P(Z).
+    P is injective on the center exactly when every pivot is in the first half;
+    then reducing (v, 0) leaves (v - P z, -z) for the one matching central z."""
     cached = ctx.central_splits.get(side)
     if cached is None:
         alg = ctx.algebra
@@ -498,11 +504,7 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
         mode = "exact"
     else:
         witness = None
-        pairs = [(alg.basis_vec(i), alg.basis_vec(j))
-                 for i in range(n) for j in range(n) if i < j]
-        pairs += [(random_vector(rng, n), random_vector(rng, n))
-                  for _ in range(budget.pair_samples)]
-        for x, yv in pairs:
+        for x, yv in _sample_pairs(alg, rng, budget.pair_samples):
             c = vec_sub(alg.mul_vec(x, yv), alg.mul_vec(yv, x))
             if not is_zero_vec(tau.eval_vec(c)):
                 witness = f"x={Element(alg, x)!r}, y={Element(alg, yv)!r}"

@@ -282,23 +282,22 @@ def _eliminate(rows: Iterable[dict], ncols: int) -> list[tuple[int, dict[int, Fr
     """Fraction-free Gauss-Jordan elimination on sparse rows of ints and
     Fractions, which it reads and never mutates.
 
-    Each row is copied once, scaled to integers, and combined as s*r - t*q; it is
-    divided by its content when it becomes a pivot row and whenever a
-    combination scaled it, and no Fraction is built until a reduced row is
-    emitted, divided by its pivot. Returns the
-    nonzero rows of the unique RREF as (pivot column, row) pairs sorted by
-    pivot; each row omits its pivot entry, an implicit 1, and is zero in every
-    other pivot column.
+    Each row is copied once, scaled to integers unless it holds only ints, and
+    combined as s*r - t*q; it is divided by its content when it becomes a pivot
+    row and whenever a combination scaled it, and no Fraction is built until a
+    reduced row is emitted, divided by its pivot. Returns the nonzero rows of
+    the unique RREF as (pivot column, row) pairs sorted by pivot; each row omits
+    its pivot entry, an implicit 1, and is zero in every other pivot column.
     """
     piv: dict[int, dict[int, int]] = {}
     for row in rows:
         if len(row) == 1:
             row = dict.fromkeys(row, 1)  # a unit row, up to scale
-        elif row:
+        elif all(type(x) is int for x in row.values()):
+            row = dict(row)  # an empty row is skipped below
+        else:
             den = lcm(*map(_denominator, row.values()))
             row = {c: x.numerator * (den // x.denominator) for c, x in row.items()}
-        else:
-            continue
         for p in row.keys() & piv.keys():
             _clear(row, p, piv[p])
         if not row:

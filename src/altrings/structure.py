@@ -21,7 +21,7 @@ from .algebra import (
     check_flexible,
 )
 from .errors import NotAlternativeError
-from .linalg import Matrix, Record, SparseMatrix, Subspace, int_vec, is_zero_vec, kernel, stack
+from .linalg import Matrix, Record, SparseMatrix, Subspace, combine, int_vec, is_zero_vec, kernel
 from .sampling import random_nonzero_vector, rng_for
 
 
@@ -48,29 +48,40 @@ def nucleus(a: Algebra) -> Subspace:
     return kernel(SparseMatrix(tuple(rows.values()), a.dim))
 
 
+def _annihilator(table, domain: Subspace, multipliers, side: str = "right") -> Subspace:
+    """The x in `domain` with x r = 0 (r x = 0 for side "left") for all r in `multipliers`:
+    the kernel, over `domain.basis` d_t, of rows (r, k) holding (d_t r)_k under an integer
+    table (`_int_table`, or `commutator_table` for [x, r]), the d_t over one denominator."""
+    n, rows = len(table), []
+    dom = int_vec(x for v in domain.basis for x in v)[0]  # (t*n + i, d_t[i]) pairs
+    for r in multipliers:
+        block = [{} for _ in range(n)]
+        for m, c in int_vec(r)[0]:
+            for flat, y in dom:
+                t, i = divmod(flat, n)
+                for k, x in table[i][m] if side == "right" else table[m][i]:
+                    block[k][t] = block[k].get(t, 0) + c * x * y
+        rows += filter(None, ({t: x for t, x in row.items() if x} for row in block))
+    return kernel(SparseMatrix(tuple(rows), domain.dim))
+
+
 @lru_cache(maxsize=None)
 def center(a: Algebra) -> Subspace:
-    """Nuclear elements commuting with everything; a line nucleus is the central unit line."""
+    """Nuclear elements that every basis vector annihilates under [ , ]; a line
+    nucleus is the central unit line."""
     nuc = nucleus(a)
-    return nuc if nuc.dim == 1 else nuc & centralizer(a, Subspace.full(a.dim))
+    if nuc.dim == 1:
+        return nuc
+    ker = _annihilator(a.commutator_table(), nuc, Subspace.full(a.dim).basis)
+    return Subspace.span(a.dim, [combine(c, nuc.basis, a.dim) for c in ker.basis])
 
 
 def centralizer(a: Algebra, s: Subspace) -> Subspace:
-    """Elements of the whole algebra commuting with every element of s: row
-    (v, k) of x -> [x, v], v in the basis of s scaled to integers, has
-    coefficient sum_i v_i [b_m, b_i]_k at x_m, read off `commutator_table`."""
+    """Elements of the whole algebra commuting with every element of s: the
+    annihilator of s's basis under [ , ], read off `commutator_table`."""
     if s.ambient_dim != a.dim:
         raise ValueError("subspace does not live in this algebra")
-    n, comm = a.dim, a.commutator_table()
-    rows = []
-    for v in s.basis:
-        block = [{} for _ in range(n)]
-        for i, c in int_vec(v)[0]:
-            for m in range(n):
-                for k, x in comm[m][i]:
-                    block[k][m] = block[k].get(m, 0) + c * x
-        rows += ({m: x for m, x in r.items() if x} for r in block)
-    return kernel(SparseMatrix(tuple(rows), n))
+    return _annihilator(a.commutator_table(), Subspace.full(a.dim), s.basis)
 
 
 @lru_cache(maxsize=None)
@@ -92,14 +103,18 @@ def _leibniz_rows(table) -> tuple[tuple[tuple[int, int], dict[int, int]], ...]:
     mutate it. An unknown that a one-entry row forces to zero is emitted once, as
     a unit row, and dropped from later rows; a row equal up to scale to one already
     emitted is skipped. A matrix that satisfies every earlier row is zero at each
-    dropped unknown, so the first row it fails belongs to the first pair it fails."""
+    dropped unknown, so the first row it fails belongs to the first pair it fails.
+    A skew table (cell [j][i] = -[i][j], as in [ , ]) builds only pairs i < j: the
+    rows of (j, i) are those of (i, j) negated, and those of (i, i) vanish."""
     n = len(table)
+    skew = all(table[j][i] == tuple((k, -x) for k, x in table[i][j])
+               for i in range(n) for j in range(i, n))
     # the nonzero c[m][j][k] and c[i][m][k] as (m*n, k, c), per j and per i
     right = [[(m * n, k, c) for m in range(n) for k, c in table[m][j]] for j in range(n)]
     left = [[(m * n, k, c) for m in range(n) for k, c in table[i][m]] for i in range(n)]
     zero, seen, rows = set(), set(), []
     for i in range(n):
-        for j in range(n):
+        for j in range(i + 1 if skew else 0, n):
             block = [{} for _ in range(n)]
             for m, c in table[i][j]:
                 for k in range(n):
@@ -188,8 +203,9 @@ def check_prime(a: Algebra, trials: int, seed: int) -> PrimalityResult:
     """Search for nonzero a0, b with (a0 x) b = 0 for every basis x.
 
     Candidates a0 are the basis vectors plus `trials` seeded random nonzero
-    vectors.  Any hit is returned as an exact, substitution-verified witness;
-    exhaustion means ProbablyPrime.
+    vectors; b is read off the annihilator of the products a0 x on the left.  Any
+    hit is returned as an exact, substitution-verified witness; exhaustion means
+    ProbablyPrime.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -201,8 +217,7 @@ def check_prime(a: Algebra, trials: int, seed: int) -> PrimalityResult:
     candidates += [random_nonzero_vector(rng, n) for _ in range(trials)]
     for cand in candidates:
         prods = [a.mul_vec(cand, a.basis_vec(k)) for k in range(n)]
-        blocks = [a.left_mult_matrix(p) for p in prods]
-        ker = kernel(stack(blocks, n))
+        ker = _annihilator(a._int_table, Subspace.full(n), prods, side="left")
         if ker.dim > 0:
             b = ker.basis[0]
             for p in prods:

@@ -262,12 +262,18 @@ def test_peirce_zorn(zorn_file, capsys):
 def test_peirce_decides_each_corner_fact_once(zorn_file, capsys, monkeypatch):
     # conditions (1)-(3) take two annihilator systems each, evaluated once per
     # context; the only matrix product is R_e1 L_e1, from which the four
-    # corner projections are formed by sums; the two propositions share one
-    # centralizer of R_12 and one of R_21
+    # corner projections are formed by sums, and L_e1 and R_e1 are the only
+    # multiplication matrices: every annihilator is read off the structure
+    # table, with no dense operator restricted, stacked or ranked; the two
+    # propositions share one centralizer of R_12 and one of R_21
+    import altrings.linalg as linalg
+    import altrings.liederiv as liederiv
     import altrings.peirce as peirce
+    import altrings.structure as structure
+    from altrings.algebra import Algebra
     from altrings.linalg import Matrix
 
-    calls = {"annihilator": 0, "matmul": 0, "centralizer": 0}
+    calls = {"annihilator": 0, "matmul": 0, "centralizer": 0, "mult_matrix": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -275,12 +281,21 @@ def test_peirce_decides_each_corner_fact_once(zorn_file, capsys, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dense operator system was built")
+
     monkeypatch.setattr(peirce, "_annihilator_in", counted("annihilator", peirce._annihilator_in))
     monkeypatch.setattr(Matrix, "__mul__", counted("matmul", Matrix.__mul__))
     monkeypatch.setattr(peirce, "centralizer", counted("centralizer", peirce.centralizer))
+    for name in ("left_mult_matrix", "right_mult_matrix"):
+        monkeypatch.setattr(Algebra, name, counted("mult_matrix", getattr(Algebra, name)))
+    for module in (linalg, structure, peirce, liederiv):
+        for name in ("restrict_map", "stack", "rank"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
     code, _, _ = run(capsys, "peirce", str(zorn_file), "--idempotent", "1,0,0,0,0,0,0,0")
     assert code == 0
-    assert calls == {"annihilator": 6, "matmul": 1, "centralizer": 2}
+    assert calls == {"annihilator": 6, "matmul": 1, "centralizer": 2, "mult_matrix": 2}
 
 
 def test_peirce_m2(m2_file, capsys):

@@ -23,6 +23,7 @@ from altrings import (
 from altrings.algebra import Element, commutator
 from altrings.catalog import random_lie_derivation, zorn
 from altrings.errors import (
+    InternalInvariantError,
     LieLawViolatedError,
     NonUniqueSplitError,
     NoSplitError,
@@ -455,6 +456,22 @@ def test_decompose_opaque_callback(m2_ctx):
     assert any(c.name == "tau-central" and c.mode == "sampled" for c in res.checks)
     spec_res = decompose(m2_ctx, spec, budget(seed=9))
     assert res.delta == spec_res.delta
+
+
+def test_tau_check_tries_reversed_basis_pairs(m2_ctx):
+    # D is the unit at exactly E22 - E11 = [E21, E12] and 0 elsewhere: no basis
+    # pair i < j has that commutator ([E12, E21] = E11 - E22), so only the
+    # reversed pair finds it, for the Lie law and for tau alike
+    m2 = m2_ctx.algebra
+    target = m2.element([-1, 0, 0, 1])
+    d = OpaqueMap(m2, lambda a: m2.one() if a == target else m2.zero())
+    for seed in range(5):
+        bud = SampleBudget(seed=seed)
+        lie = check_lie_law(d, bud)
+        assert (lie.ok, lie.witness) == (False, "x=E21, y=E12")
+        with pytest.raises(InternalInvariantError,
+                           match=r"tau does not vanish on a commutator \(x=E21, y=E12\)"):
+            decompose(m2_ctx, d, bud)
 
 
 def test_decompose_modes_follow_the_gate(m2_ctx):

@@ -22,9 +22,9 @@ from altrings.algebra import alternativity_witness, check_flexible, find_nonasso
 from altrings.catalog import build, direct_sum, matrix_algebra, parse_recipe
 from altrings.errors import NotAlternativeError
 from altrings.linalg import (Matrix, SparseMatrix, Subspace, frac_vec, invert, is_zero_vec, kernel,
-                             stack, vec_sub, zero_vec)
+                             restrict_map, stack, vec_sub, zero_vec)
 from altrings.sampling import random_nonzero_vector, rng_for
-from altrings.structure import (IdempotentKind, _leibniz_failure, _leibniz_rows,
+from altrings.structure import (IdempotentKind, _annihilator, _leibniz_failure, _leibniz_rows,
                                 commutator_subspace, derivation_span)
 
 F = Fraction
@@ -344,6 +344,30 @@ def test_centralizer_matches_dense_commutator_system(data):
     assert centralizer(a, s) == kernel(stack(blocks, a.dim))
 
 
+@settings(max_examples=80)
+@given(st.data())
+def test_annihilator_matches_dense_operator_system(data):
+    """The integer rows of `_annihilator` have the kernel of the stacked dense
+    operators x -> x r (R_r) or x -> r x (L_r), or x -> [x, r] (R_r - L_r) or
+    x -> [r, x] (L_r - R_r) over the commutator table, restricted to the domain."""
+    a = data.draw(any_unital_algebras())
+    vectors = st.lists(_vectors(a), max_size=3)
+    domain = Subspace.span(a.dim, data.draw(vectors))
+    multipliers = data.draw(vectors)
+    side = data.draw(st.sampled_from(["right", "left"]))
+    commutes = data.draw(st.booleans())
+
+    def op(r):
+        first, second = a.right_mult_matrix(r), a.left_mult_matrix(r)
+        if side == "left":
+            first, second = second, first
+        return first - second if commutes else first
+
+    table = a.commutator_table() if commutes else a._int_table
+    assert _annihilator(table, domain, multipliers, side) == kernel(
+        stack([restrict_map(op(r), domain) for r in multipliers], domain.dim))
+
+
 @settings(max_examples=60)
 @given(any_unital_algebras())
 def test_commutator_table_matches_product_differences(a):
@@ -488,6 +512,15 @@ def test_reduced_systems_match_full_systems_on_random_algebras(data):
     _assert_matches_reference_systems(
         a, [d + _unit_matrix(n, p, q) for p in range(n) for q in range(n)]
         + [Matrix(tuple(data.draw(_vectors(a)) for _ in range(n)), n)])
+
+
+@pytest.mark.parametrize("recipe", ["zorn", "matrix:3", "m2m2", "cd:-1,-1,-1,-1"])
+def test_leibniz_rows_of_a_skew_table_come_from_pairs_i_below_j(recipe):
+    """The commutator table is skew, so its rows are built on the pairs i < j
+    only; the product table of a unital algebra is not, so (0, 0) gives rows."""
+    a = build(parse_recipe(recipe))
+    assert all(i < j for (i, j), _ in _leibniz_rows(a.commutator_table()))
+    assert _leibniz_rows(a._int_table)[0][0] == (0, 0)
 
 
 def _survey_script():
