@@ -589,3 +589,55 @@ def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
     assert proc.stdout == ""
+
+
+_IDEMPOTENT_TOKENS = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=3).map(str),
+    st.sampled_from(["0", "1", "", "1/0", "1e0", "-", " 1 ", "9" * 5000]))
+_RATIONAL_VECTORS = st.lists(st.sampled_from(["0", "1", "-1", "1/2"]), min_size=8, max_size=8)
+_IDEMPOTENT_SPECS = st.one_of(
+    st.just(("inline", "1,0,0,0,0,0,0,0")),
+    st.tuples(st.just("inline"), _RATIONAL_VECTORS.map(",".join)),
+    st.tuples(st.just("inline"), st.lists(_IDEMPOTENT_TOKENS, max_size=10).map(",".join)),
+    st.tuples(st.just("file"), st.one_of(
+        _json_values, _RATIONAL_VECTORS,
+        st.lists(_IDEMPOTENT_TOKENS, min_size=7, max_size=9),
+        st.lists(_json_values | _IDEMPOTENT_TOKENS, min_size=8, max_size=8),
+        st.lists(st.lists(_IDEMPOTENT_TOKENS, max_size=2), min_size=8, max_size=8))))
+
+
+@pytest.fixture(scope="module")
+def zorn_inputs(tmp_path_factory):
+    """zorn.json and a Lie derivation of it, written once for the module."""
+    from altrings.catalog import random_lie_derivation, zorn
+    from altrings.jsonio import save_algebra
+    from altrings.liederiv import SampleBudget
+
+    root = tmp_path_factory.mktemp("idempotent")
+    algebra = zorn()
+    save_algebra(algebra, root / "zorn.json")
+    save_mapspec(random_lie_derivation(algebra, SampleBudget(seed=1)), root / "map.json")
+    return root
+
+
+@settings(max_examples=60)
+@given(_IDEMPOTENT_SPECS)
+def test_idempotent_option_exits_cleanly(zorn_inputs, spec):
+    """Any inline or @file value of --idempotent makes peirce and decompose on
+    zorn exit 0, 1 or 2, never with a traceback, and with one stderr line on 2."""
+    import contextlib
+    import io
+
+    kind, value = spec
+    if kind == "file":
+        path = zorn_inputs / "idempotent.json"
+        path.write_text(json.dumps(value))
+        value = f"@{path}"
+    algebra, map_path = str(zorn_inputs / "zorn.json"), str(zorn_inputs / "map.json")
+    for argv in (["peirce", algebra], ["decompose", algebra, "--map", map_path]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, f"--idempotent={value}"])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")

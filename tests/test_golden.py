@@ -56,8 +56,15 @@ def test_analyze_matches_golden_bytes(stem, tmp_path, monkeypatch, capsys):
     assert digest == json.loads((GOLDEN / "derivation_sha256.json").read_text())[stem]
 
 
-# stems of MAKE_ARGS whose Lie-split reports are pinned, with their recipes
-LIE_SPLIT = {"zorn": "zorn", "matrix-3": "matrix:3"}
+# stems whose Lie-split reports are pinned: their `make` arguments and recipe.
+# The split octonions cd:-1,1,1 are taken at their canonical idempotent
+# (e0 + e2)/2, whose corners (dims [1, 3, 3, 1], R12 spanned by vectors such as
+# e1 - e3) are not spanned by basis vectors.
+LIE_SPLIT = {
+    "zorn": (MAKE_ARGS["zorn"], "zorn"),
+    "matrix-3": (MAKE_ARGS["matrix-3"], "matrix:3"),
+    "split-octonions": (["cd", "--mus", "-1,1,1"], "cd:-1,1,1"),
+}
 
 
 def _stdout(argv: list[str]) -> str:
@@ -70,16 +77,17 @@ def lie_split_outputs(stem: str) -> dict[str, str]:
     """Run peirce, decompose -o and fuzz on one algebra in the working
     directory: the text of each pinned output, by its path under tests/golden/."""
     name = f"{stem}.json"
-    _stdout(["make", *MAKE_ARGS[stem], "-o", name])
+    args, recipe = LIE_SPLIT[stem]
+    _stdout(["make", *args, "-o", name])
     algebra = load_algebra(name)
-    e1 = canonical_idempotent(parse_recipe(LIE_SPLIT[stem]), algebra)
+    e1 = canonical_idempotent(parse_recipe(recipe), algebra)
     idempotent = ",".join(vector_to_json(e1.coeffs))
     save_mapspec(random_lie_derivation(algebra, SampleBudget(seed=1)), f"{stem}.map.json")
     out = {
         f"peirce/{name}": _stdout(["peirce", "--json", name, "--idempotent", idempotent]),
         f"decompose/{name}": _stdout(["decompose", "--json", name, "--idempotent", idempotent,
                                       "--map", f"{stem}.map.json", "-o", stem]),
-        f"fuzz/{name}": _stdout(["fuzz", LIE_SPLIT[stem], "--trials", "2", "--json"]),
+        f"fuzz/{name}": _stdout(["fuzz", recipe, "--trials", "2", "--json"]),
     }
     for suffix in ("map", "delta", "tau"):
         out[f"decompose/{stem}.{suffix}.json"] = Path(f"{stem}.{suffix}.json").read_text(
