@@ -66,13 +66,16 @@ class Algebra:
         # the nonzero constants over one denominator: c[i][j][k] == num / _den
         # for each pair (k, num) of _int_table[i][j]
         self._den = den = lcm(*(d for _, d in cells.values()))
-        table = [[()] * dim for _ in range(dim)]
+        # a row only per left factor that occurs, and the unit checked before the
+        # table is hashed, so a load costs what its input costs
+        rows = {}
         for (i, j), (nums, d) in cells.items():
-            table[i][j] = tuple((k, x * (den // d)) for k, x in nums)
-        self._int_table = tuple(map(tuple, table))
-        self._hash = hash(self._key())
+            rows.setdefault(i, [()] * dim)[j] = tuple((k, x * (den // d)) for k, x in nums)
+        empty = ((),) * dim
+        self._int_table = tuple(tuple(rows[i]) if i in rows else empty for i in range(dim))
         self._assoc = self._comm = None
         self._validate_unit()
+        self._hash = hash(self._key())
 
     def _key(self):
         # equal constants give equal integer tables, and ints hash fast

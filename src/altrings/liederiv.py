@@ -5,9 +5,10 @@ represented either in closed form (`MapSpec`: a linear part plus finitely many
 polynomial central terms) or as an opaque callback (`OpaqueMap`).  `decompose`
 splits such a map into an additive derivation `delta` (a matrix) and a
 center-valued residual `tau` vanishing on commutators, following the corner
-construction: normalize D at the idempotent with an inner correction, read off
-delta on the off-diagonal corners directly, and strip the unique central part
-on the diagonal corners.
+construction: normalize D at the idempotent with an inner correction taken
+from products, read off delta on the off-diagonal corners directly, and strip
+the unique central part on the diagonal corners; delta' at any element is
+that rule summed over its corner components.
 
 Verification policy: multilinear identities are decided exactly on basis
 tuples.  A MapSpec passes the gate when `commutator_witness` is None: the
@@ -40,10 +41,8 @@ from .errors import (
 from .linalg import (
     Matrix,
     Record,
-    Subspace,
     Vec,
     combine,
-    invert,
     is_zero_vec,
     vec_add,
     vec_sub,
@@ -234,15 +233,20 @@ def check_lie_law(d: MapLike, budget: SampleBudget) -> Check:
 def inner_f(algebra: Algebra, y: Element, z: Element) -> Matrix:
     """Inner correction [L_y,L_z] + [L_y,R_z] + [R_y,R_z].
 
-    Operators compose left to right here (x S T means T(S(x))), so as matrices
-    the bracket [S, T] is M_T M_S - M_S M_T.  In an alternative algebra the
-    result is a derivation; that is re-verified and failure raises.
+    Operators compose left to right here (x S T means T(S(x))), so the value at
+    x is z(yx) - y(zx) + (yx)z - y(xz) + (xy)z - (xz)y, taken with `mul_vec` on
+    each basis vector.  In an alternative algebra the result is a derivation;
+    that is re-verified and failure raises.
     """
-    ly = algebra.left_mult_matrix(y.coeffs)
-    ry = algebra.right_mult_matrix(y.coeffs)
-    lz = algebra.left_mult_matrix(z.coeffs)
-    rz = algebra.right_mult_matrix(z.coeffs)
-    f = (lz * ly - ly * lz) + (rz * ly - ly * rz) + (rz * ry - ry * rz)
+    mul, y, z = algebra.mul_vec, y.coeffs, z.coeffs
+    cols = []
+    for k in range(algebra.dim):
+        x = algebra.basis_vec(k)
+        yx, xy, zx, xz = mul(y, x), mul(x, y), mul(z, x), mul(x, z)
+        cols.append(combine((1, -1, 1, -1, 1, -1), (mul(z, yx), mul(y, zx), mul(yx, z),
+                                                    mul(y, xz), mul(xy, z), mul(xz, y)),
+                            algebra.dim))
+    f = Matrix(tuple(zip(*cols)), algebra.dim)
     if not is_derivation(algebra, f):
         raise NotDerivationError("inner correction fails the Leibniz rule "
                                  "(is the algebra alternative?)")
@@ -273,7 +277,7 @@ def check_hypotheses(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Hy
     Exact on the corner basis for every MapSpec: a term adds a multiple of
     P(z_t), which lies in the target P(Z), so the containment is that of the
     linear part.  An OpaqueMap is checked on the corner basis plus sampled
-    corner elements, labeled "sampled".  P(Z) is read off `_central_split`.
+    corner elements, labeled "sampled".  P(Z) is read off `ctx.central_splits`.
     """
     alg = ctx.algebra
     n = alg.dim
@@ -282,7 +286,7 @@ def check_hypotheses(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Hy
     checks = []
     for which, i in (("a", 0), ("b", 1)):
         other = 1 - i
-        split = _central_split(ctx, i + 1)
+        split = ctx.central_splits[i]
         count = 0 if exact else budget.element_samples
         ok, witness = True, None
         for v in _corner_samples(ctx, i, rng, count):
@@ -319,23 +323,6 @@ def normalize_at_idempotent(ctx: PeirceContext, d: MapLike) -> tuple[MapLike, El
     return shifted, y, f
 
 
-def _central_split(ctx: PeirceContext, side: int) -> Subspace:
-    """Canonical basis of the pairs (P z, z) for central z, P the projection on the
-    opposite corner, in Q^(2 dim); eliminated once per context and side.
-
-    Rows with a first-half pivot hold the reduced basis of P(Z) there, the others
-    zero, so (v, 0) reduces to zero in the first half exactly when v is in P(Z).
-    P is injective on the center exactly when every pivot is in the first half;
-    then reducing (v, 0) leaves (v - P z, -z) for the one matching central z."""
-    cached = ctx.central_splits.get(side)
-    if cached is None:
-        alg = ctx.algebra
-        proj = ctx.proj[2 - side][2 - side]
-        cached = Subspace.span(2 * alg.dim, [proj.apply(z) + z for z in center(alg).basis])
-        ctx.central_splits[side] = cached
-    return cached
-
-
 def split_diagonal(ctx: PeirceContext, c: Element, side: int) -> tuple[Element, Element]:
     """Write a diagonal-corner value c as b + z, b in R_ii, z central.
 
@@ -347,7 +334,7 @@ def split_diagonal(ctx: PeirceContext, c: Element, side: int) -> tuple[Element, 
         raise ValueError("side must be 1 or 2")
     alg = ctx.algebra
     n = alg.dim
-    system = _central_split(ctx, side)
+    system = ctx.central_splits[side - 1]
     if any(not any(row[:n]) for row in system.basis):
         raise NonUniqueSplitError(
             "central elements are not separated by the opposite corner; "
@@ -386,15 +373,6 @@ class DecompositionResult(Record):
         return all(c.ok for c in self.checks)
 
 
-def _adapted_basis(ctx: PeirceContext) -> list[tuple[int, int, Vec]]:
-    out = []
-    for i in range(2):
-        for j in range(2):
-            for v in ctx.spaces[i][j].basis:
-                out.append((i, j, v))
-    return out
-
-
 def _delta_value(ctx: PeirceContext, shifted: MapLike, i: int, j: int, v: Vec) -> Vec:
     """Construction rule for delta' on one Peirce component (raises on failure)."""
     alg = ctx.algebra
@@ -416,6 +394,20 @@ def _delta_value(ctx: PeirceContext, shifted: MapLike, i: int, j: int, v: Vec) -
     return b.coeffs
 
 
+def _construction(ctx: PeirceContext, shifted: MapLike, vectors: list[Vec]) -> list[Vec]:
+    """delta'(v) for each v: the construction rule summed over the nonzero corner
+    components P_ij v.  The components are taken corner by corner, so the first
+    one that raises is the first in corner-major order."""
+    values = [zero_vec(ctx.algebra.dim)] * len(vectors)
+    for i in range(2):
+        for j in range(2):
+            for k, v in enumerate(vectors):
+                part = ctx.proj[i][j].apply(v)
+                if any(part):
+                    values[k] = vec_add(values[k], _delta_value(ctx, shifted, i, j, part))
+    return values
+
+
 def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> DecompositionResult:
     """Split a Lie multiplicative derivation as delta + tau.
 
@@ -425,7 +417,8 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
     verification raise InternalInvariantError: with honest inputs they cannot
     happen.  For a MapSpec that passes the `commutator_witness` gate the
     construction is linear on each corner up to central summands (R12 and R21
-    lie in the commutator span), so it is decided on the adapted basis alone.
+    lie in the commutator span), so delta' is read off the corner components of
+    the basis vectors alone.
     """
     alg = ctx.algebra
     checks: list[Check] = []
@@ -436,17 +429,13 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
     checks.append(Check("normalized-e1-central", True, "exact"))
     checks.append(Check("normalized-e2-central", True, "exact"))
 
-    adapted = _adapted_basis(ctx)
-    values = [_delta_value(ctx, shifted, i, j, v) for (i, j, v) in adapted]
+    n = alg.dim
+    cols = _construction(ctx, shifted, [alg.basis_vec(k) for k in range(n)])
     checks.append(Check("corner-images", True, "exact" if exact else "sampled",
                         detail="off-diagonal images stay in their corner; "
                                "diagonal images split as corner + center"))
 
-    basis_mat = Matrix(tuple(tuple(v[r] for (_, _, v) in adapted) for r in range(alg.dim)),
-                       alg.dim)
-    value_mat = Matrix(tuple(tuple(val[r] for val in values) for r in range(alg.dim)),
-                       alg.dim)
-    delta_prime = value_mat * invert(basis_mat)
+    delta_prime = Matrix(tuple(zip(*cols)), n)
     delta = delta_prime + f
 
     tau = _shifted(d, delta)
@@ -461,15 +450,9 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
     checks.append(Check("delta-leibniz", True, "exact"))
 
     rng = rng_for(budget.seed)
-    n = alg.dim
     for _ in range(0 if exact else budget.element_samples):
         v = random_vector(rng, n)
-        parts = [(i, j, ctx.proj[i][j].apply(v)) for i in range(2) for j in range(2)]
-        rule = zero_vec(n)
-        for i, j, part in parts:
-            if any(part):
-                rule = vec_add(rule, _delta_value(ctx, shifted, i, j, part))
-        if rule != delta_prime.apply(v):
+        if _construction(ctx, shifted, [v])[0] != delta_prime.apply(v):
             raise InternalInvariantError(
                 "matrix extension of delta disagrees with the corner construction "
                 f"at {Element(alg, v)!r}"

@@ -3,12 +3,14 @@
 For e1 nontrivial idempotent and e2 = 1 - e1, the four corner projections
 a -> e_i a e_j are explicit matrices, built from L_e1 and R_e1 alone, so
 "component lies in R_ij" is exact membership, and each corner condition an
-annihilator, one integer system read off the structure table.  Index convention:
-corners are addressed 0/1 in code and printed 1/2 in reports.
+annihilator, one integer system read off the structure table.  The facts read
+off a context once are its cached properties.  Index convention: corners are
+addressed 0/1 in code and printed 1/2 in reports.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 from .algebra import Algebra, Element, check_alternative
@@ -24,35 +26,15 @@ from .sampling import random_rational, rng_for
 from .structure import IdempotentKind, _annihilator, center, centralizer, verify_idempotent
 
 
-class PeirceContext:
-    """Idempotent pair with corner projections and corner subspaces.
+class PeirceContext(Record):
+    """Idempotent pair with corner projections and corner subspaces; what is
+    derived from them once is a cached property, kept outside equality."""
 
-    `central_splits` holds, per side, the central system that
-    `liederiv.split_diagonal` eliminates once and reuses on later calls.
-    Corner conditions (1)-(3) are decided once per context: `conditions_123`
-    holds their checks from the first call that needs them.
-    """
-
-    __slots__ = ("algebra", "e1", "e2", "proj", "spaces", "central_splits", "centralizers",
-                 "conditions_123")
-
-    def __init__(self, algebra: Algebra, e1: Element, e2: Element,
-                 proj: tuple[tuple[Matrix, Matrix], tuple[Matrix, Matrix]],
-                 spaces: tuple[tuple[Subspace, Subspace], tuple[Subspace, Subspace]]):
-        self.algebra = algebra
-        self.e1 = e1
-        self.e2 = e2
-        self.proj = proj
-        self.spaces = spaces
-        self.central_splits: dict = {}
-        self.centralizers: dict[tuple[int, int], Subspace] = {}
-        self.conditions_123: Optional[tuple[Check, Check, Check]] = None
-
-    def centralizer(self, i: int, j: int) -> Subspace:
-        """centralizer(R_ij), built on the first call and kept in `centralizers`."""
-        if (i, j) not in self.centralizers:
-            self.centralizers[i, j] = centralizer(self.algebra, self.spaces[i][j])
-        return self.centralizers[i, j]
+    algebra: Algebra
+    e1: Element
+    e2: Element
+    proj: tuple[tuple[Matrix, Matrix], tuple[Matrix, Matrix]]
+    spaces: tuple[tuple[Subspace, Subspace], tuple[Subspace, Subspace]]
 
     @property
     def dims(self) -> tuple[int, int, int, int]:
@@ -71,6 +53,36 @@ class PeirceContext:
 
     def __repr__(self):
         return f"PeirceContext(dims={self.dims})"
+
+    @cached_property
+    def conditions_123(self) -> tuple[Check, Check, Check]:
+        """Corner conditions (1)-(3), each two annihilator systems."""
+        s = self.spaces
+        checks = []
+        for name, tests, detail in (
+                ("condition-1", ((s[0][1], s[1][0], "right"), (s[1][0], s[0][1], "right")),
+                 "x_ij R_ji = 0 forces x_ij = 0"),
+                ("condition-2", ((s[0][0], s[0][1], "right"), (s[0][0], s[1][0], "left")),
+                 "x_11 R_12 = 0 or R_21 x_11 = 0 forces x_11 = 0"),
+                ("condition-3", ((s[1][1], s[0][1], "left"), (s[1][1], s[1][0], "right")),
+                 "R_12 x_22 = 0 or x_22 R_21 = 0 forces x_22 = 0")):
+            w = _annihilator_in(self.algebra, *tests[0]) or _annihilator_in(self.algebra, *tests[1])
+            checks.append(Check(name, w is None, "exact", witness=None if w is None else repr(w),
+                                detail=detail))
+        return tuple(checks)
+
+    @cached_property
+    def central_splits(self) -> tuple[Subspace, Subspace]:
+        """For side 1 and 2 (at index side - 1): the canonical basis of the pairs
+        (P z, z) for central z, P the projection on the opposite corner, in Q^(2 dim).
+
+        Rows with a first-half pivot hold the reduced basis of P(Z) there, the others
+        zero, so (v, 0) reduces to zero in the first half exactly when v is in P(Z).
+        P is injective on the center exactly when every pivot is in the first half;
+        then reducing (v, 0) leaves (v - P z, -z) for the one matching central z."""
+        basis = center(self.algebra).basis
+        return tuple(Subspace.span(2 * self.algebra.dim, [p.apply(z) + z for z in basis])
+                     for p in (self.proj[1][1], self.proj[0][0]))
 
 
 def make_context(algebra: Algebra, e1: Element) -> PeirceContext:
@@ -177,27 +189,6 @@ def _annihilator_in(alg: Algebra, domain: Subspace, multipliers: Subspace,
     return Element(alg, combine(ker[0], domain.basis, alg.dim)) if ker else None
 
 
-def _conditions_123(ctx: PeirceContext) -> tuple[Check, Check, Check]:
-    """Corner conditions (1)-(3), decided on the first call and kept on `ctx`."""
-    if ctx.conditions_123 is not None:
-        return ctx.conditions_123
-    alg = ctx.algebra
-    s = ctx.spaces
-    checks = []
-    for name, tests, detail in (
-            ("condition-1", ((s[0][1], s[1][0], "right"), (s[1][0], s[0][1], "right")),
-             "x_ij R_ji = 0 forces x_ij = 0"),
-            ("condition-2", ((s[0][0], s[0][1], "right"), (s[0][0], s[1][0], "left")),
-             "x_11 R_12 = 0 or R_21 x_11 = 0 forces x_11 = 0"),
-            ("condition-3", ((s[1][1], s[0][1], "left"), (s[1][1], s[1][0], "right")),
-             "R_12 x_22 = 0 or x_22 R_21 = 0 forces x_22 = 0")):
-        w = _annihilator_in(alg, *tests[0]) or _annihilator_in(alg, *tests[1])
-        checks.append(Check(name, w is None, "exact", witness=None if w is None else repr(w),
-                            detail=detail))
-    ctx.conditions_123 = tuple(checks)
-    return ctx.conditions_123
-
-
 def check_conditions(ctx: PeirceContext, seed: int = 0, samples: int = 20) -> ConditionsReport:
     """Corner conditions (1)-(4), each an annihilator read off the structure table.
 
@@ -207,7 +198,7 @@ def check_conditions(ctx: PeirceContext, seed: int = 0, samples: int = 20) -> Co
     otherwise; the verdict mode records which.
     """
     alg = ctx.algebra
-    checks = list(_conditions_123(ctx))
+    checks = list(ctx.conditions_123)
     cen = center(alg)
     cands = list(cen.basis)
     if cen.dim > 1:
@@ -227,7 +218,7 @@ def check_conditions(ctx: PeirceContext, seed: int = 0, samples: int = 20) -> Co
 
 
 def _require_conditions_123(ctx: PeirceContext):
-    for c in _conditions_123(ctx):
+    for c in ctx.conditions_123:
         if not c.ok:
             raise PreconditionFailedError(
                 f"{c.name} fails (witness {c.witness}); proposition needs (1)-(3)"
@@ -237,15 +228,18 @@ def _require_conditions_123(ctx: PeirceContext):
 def verify_prop_spade_club(ctx: PeirceContext) -> tuple[bool, bool]:
     """Diagonal elements commuting with an off-diagonal corner are central.
 
-    Spade: centralizer(R_12) meet (R_11 + R_22) inside the center; club is the
-    R_21 analogue.  Requires corner conditions (1)-(3).
+    Spade: the annihilator of R_12 in R_11 + R_22 under [ , ] lies in the
+    center; club is the R_21 analogue.  Requires corner conditions (1)-(3).
     """
     _require_conditions_123(ctx)
-    cen = center(ctx.algebra)
-    diag = ctx.spaces[0][0] + ctx.spaces[1][1]
-    spade = cen.contains(ctx.centralizer(0, 1) & diag)
-    club = cen.contains(ctx.centralizer(1, 0) & diag)
-    return spade, club
+    alg = ctx.algebra
+    cen, diag = center(alg), ctx.spaces[0][0] + ctx.spaces[1][1]
+    verdicts = []
+    for i, j in ((0, 1), (1, 0)):
+        ann = _annihilator(alg.commutator_table(), diag, ctx.spaces[i][j].basis)
+        verdicts.append(all(cen.contains_vector(combine(c, diag.basis, alg.dim))
+                            for c in ann.basis))
+    return verdicts[0], verdicts[1]
 
 
 def verify_offdiag_centralizer(ctx: PeirceContext) -> bool:
@@ -254,6 +248,6 @@ def verify_offdiag_centralizer(ctx: PeirceContext) -> bool:
     cen = center(ctx.algebra)
     for (i, j) in ((0, 1), (1, 0)):
         target = ctx.spaces[i][j] + cen
-        if not target.contains(ctx.centralizer(i, j)):
+        if not target.contains(centralizer(ctx.algebra, ctx.spaces[i][j])):
             return False
     return True

@@ -135,6 +135,20 @@ def test_unit_only_file_rejected_in_bounded_memory():
     assert peak < 1 << 20
 
 
+def test_unit_only_table_costs_what_the_file_costs():
+    """At dim 2000 a unit-only file fails the unit check without a row per left
+    factor (61 MB when every row was built, before the unit was checked)."""
+    data = {"dim": 2000, "unit": ["1"] + ["0"] * 1999}
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnitValidationError, match="claimed unit fails on basis element b0"):
+            algebra_from_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
+
+
 QXQ = [{"i": 0, "j": 0, "value": ["1", "0"]}, {"i": 1, "j": 1, "value": ["0", "1"]}]
 
 
@@ -264,8 +278,8 @@ def test_peirce_decides_each_corner_fact_once(zorn_file, capsys, monkeypatch):
     # context; the only matrix product is R_e1 L_e1, from which the four
     # corner projections are formed by sums, and L_e1 and R_e1 are the only
     # multiplication matrices: every annihilator is read off the structure
-    # table, with no dense operator restricted, stacked or ranked; the two
-    # propositions share one centralizer of R_12 and one of R_21
+    # table, with no dense operator restricted, stacked or ranked; the
+    # centralizers of R_12 and R_21 are built once each
     import altrings.linalg as linalg
     import altrings.liederiv as liederiv
     import altrings.peirce as peirce
@@ -293,9 +307,50 @@ def test_peirce_decides_each_corner_fact_once(zorn_file, capsys, monkeypatch):
         for name in ("restrict_map", "stack", "rank"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
+    # spade and club are annihilators in R_11 + R_22, not centralizers met with it
+    monkeypatch.setattr(linalg.Subspace, "__and__", forbidden)
     code, _, _ = run(capsys, "peirce", str(zorn_file), "--idempotent", "1,0,0,0,0,0,0,0")
     assert code == 0
     assert calls == {"annihilator": 6, "matmul": 1, "centralizer": 2, "mult_matrix": 2}
+
+
+def test_decompose_builds_no_operator_algebra(zorn_file, tmp_path, capsys, monkeypatch):
+    # delta' is read off the corner components of the basis vectors and the
+    # inner correction off products, so the only multiplication matrices are
+    # L_e1 and R_e1 and the only matrix product R_e1 L_e1, from make_context;
+    # no matrix is inverted
+    import altrings.liederiv as liederiv
+    import altrings.linalg as linalg
+    import altrings.peirce as peirce
+    import altrings.structure as structure
+    from altrings.algebra import Algebra
+    from altrings.catalog import random_lie_derivation
+    from altrings.liederiv import SampleBudget
+
+    algebra = load_algebra(zorn_file)
+    map_path = tmp_path / "map.json"
+    save_mapspec(random_lie_derivation(algebra, SampleBudget(seed=1)), map_path)
+    calls = {"matmul": 0, "mult_matrix": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a matrix was inverted")
+
+    monkeypatch.setattr(Matrix, "__mul__", counted("matmul", Matrix.__mul__))
+    for name in ("left_mult_matrix", "right_mult_matrix"):
+        monkeypatch.setattr(Algebra, name, counted("mult_matrix", getattr(Algebra, name)))
+    for module in (linalg, structure, peirce, liederiv):
+        if hasattr(module, "invert"):
+            monkeypatch.setattr(module, "invert", forbidden)
+    code, _, _ = run(capsys, "decompose", str(zorn_file), "--idempotent", "1,0,0,0,0,0,0,0",
+                     "--map", str(map_path), "-o", str(tmp_path / "zorn"))
+    assert code == 0
+    assert calls == {"matmul": 1, "mult_matrix": 2}
 
 
 def test_peirce_m2(m2_file, capsys):

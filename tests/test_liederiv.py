@@ -273,6 +273,71 @@ def test_inner_f_rejects_nonalternative(nonalternative):
                 nonalternative.basis_element(1))
 
 
+def _bracket_inner_f(algebra, y, z):
+    """The inner correction as operator brackets on multiplication matrices, the
+    construction `inner_f` once used: M_T M_S - M_S M_T for [S, T]."""
+    ly, ry = algebra.left_mult_matrix(y.coeffs), algebra.right_mult_matrix(y.coeffs)
+    lz, rz = algebra.left_mult_matrix(z.coeffs), algebra.right_mult_matrix(z.coeffs)
+    f = (lz * ly - ly * lz) + (rz * ly - ly * rz) + (rz * ry - ry * rz)
+    if not is_derivation(algebra, f):
+        raise NotDerivationError("reference correction fails the Leibniz rule")
+    return f
+
+
+@pytest.fixture(scope="module")
+def reference_contexts():
+    """zorn and matrix:3 at a coordinate idempotent, and the split octonions
+    cd:-1,1,1 at (e0 + e2)/2, whose corners are not spanned by basis vectors."""
+    from altrings import make_context
+    from altrings.catalog import build, canonical_idempotent, parse_recipe
+
+    out = {}
+    for recipe in ("zorn", "matrix:3", "cd:-1,1,1"):
+        parsed = parse_recipe(recipe)
+        algebra = build(parsed)
+        out[recipe] = make_context(algebra, canonical_idempotent(parsed, algebra))
+    return out
+
+
+@given(st.sampled_from(["zorn", "matrix:3", "cd:-1,1,1"]), st.integers(0, 10**6))
+def test_inner_f_matches_operator_brackets(reference_contexts, recipe, seed):
+    algebra = reference_contexts[recipe].algebra
+    rng = rng_for(seed)
+    y, z = (algebra.element(random_vector(rng, algebra.dim)) for _ in range(2))
+    assert inner_f(algebra, y, z) == _bracket_inner_f(algebra, y, z)
+
+
+def test_inner_f_and_operator_brackets_reject_nonalternative(nonalternative):
+    a = nonalternative.basis_element(1)
+    for correction in (inner_f, _bracket_inner_f):
+        with pytest.raises(NotDerivationError):
+            correction(nonalternative, a, a)
+
+
+@settings(max_examples=15)
+@given(st.sampled_from(["zorn", "matrix:3", "cd:-1,1,1"]), st.integers(0, 10**6))
+def test_decompose_matches_adapted_basis_inverse(reference_contexts, recipe, seed):
+    """delta' read off the corner components of the basis vectors equals the
+    adapted-basis construction V B^-1: B holds a basis of each corner in turn,
+    V the construction rule at those vectors."""
+    from altrings.linalg import invert
+    from altrings.liederiv import _delta_value
+
+    ctx = reference_contexts[recipe]
+    alg, n = ctx.algebra, ctx.algebra.dim
+    d = random_lie_derivation(alg, SampleBudget(seed=seed))
+    result = decompose(ctx, d, SampleBudget(seed=seed))
+    f = _bracket_inner_f(alg, result.correction_y, result.correction_z)
+    shifted = MapSpec(alg, d.linear - f, d.terms)
+    adapted = [(i, j, v) for i in range(2) for j in range(2) for v in ctx.spaces[i][j].basis]
+    values = [_delta_value(ctx, shifted, i, j, v) for i, j, v in adapted]
+    basis_mat = Matrix(tuple(zip(*(v for _, _, v in adapted))), n)
+    delta = Matrix(tuple(zip(*values)), n) * invert(basis_mat) + f
+    assert result.correction_f == f
+    assert result.delta == delta
+    assert result.tau == MapSpec(alg, d.linear - delta, d.terms)
+
+
 # -- hypotheses --
 
 

@@ -182,6 +182,49 @@ def test_relation_iv_reads_each_pair_product(m2_ctx):
     ]
 
 
+def _fake_corners(ctx, rng):
+    """Corner subspaces posing as the true ones: each corner is kept, or (more
+    often on the diagonal) replaced by the span of a few random signed 0/1
+    vectors and a part of the true corner's basis."""
+    n = ctx.algebra.dim
+    spaces = []
+    for i in range(2):
+        row = []
+        for j in range(2):
+            if rng.random() < (0.7 if i != j else 0.2):
+                row.append(ctx.spaces[i][j])
+                continue
+            vecs = [tuple(F(rng.choice([0, 0, 0, 1, -1])) for _ in range(n))
+                    for _ in range(rng.randrange(3))]
+            row.append(Subspace.span(n, vecs + list(ctx.spaces[i][j].basis[:rng.randrange(3)])))
+        spaces.append(tuple(row))
+    return tuple(spaces)
+
+
+def test_props_spade_club_match_centralizer_meet(m2_ctx, zorn_ctx):
+    """Spade and club as annihilators in R_11 + R_22 agree with centralizer(R_ij)
+    meet (R_11 + R_22) inside the center, the form they were once decided in,
+    on contexts whose corners pose as R_ij (built as in the (iv) test above)."""
+    import random
+
+    from altrings import center, centralizer
+
+    verdicts = set()
+    for ctx in (m2_ctx, zorn_ctx):
+        alg, rng = ctx.algebra, random.Random(5)
+        for _ in range(400):
+            fake = PeirceContext(alg, ctx.e1, ctx.e2, ctx.proj, _fake_corners(ctx, rng))
+            try:
+                got = verify_prop_spade_club(fake)
+            except PreconditionFailedError:
+                continue
+            diag = fake.spaces[0][0] + fake.spaces[1][1]
+            assert got == tuple(center(alg).contains(centralizer(alg, fake.spaces[i][j]) & diag)
+                                for i, j in ((0, 1), (1, 0)))
+            verdicts.update(got)
+    assert verdicts == {True, False}
+
+
 def test_props_spade_club(m2_ctx, zorn_ctx):
     assert verify_prop_spade_club(m2_ctx) == (True, True)
     assert verify_prop_spade_club(zorn_ctx) == (True, True)
