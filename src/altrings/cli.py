@@ -9,6 +9,7 @@ byte-identical output; human-readable reports add elapsed time at the end.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -365,7 +366,19 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    """Run one command and return its exit code.
+
+    With argv None, `main` is the program (`python -m altrings`, the `altrings`
+    script): it runs `sys.argv[1:]`, then freezes every tracked object on the
+    way out, whatever the exit, so the full collections of interpreter
+    finalization skip a heap that is about to be freed anyway. A caller that
+    passes argv keeps its garbage collector untouched."""
+    if argv is None:
+        try:
+            return main(sys.argv[1:])
+        finally:
+            gc.freeze()
+    argv = list(argv)
     parser = build_parser()
     args = parser.parse_args(_merge_dash_values(argv))
     try:

@@ -394,15 +394,15 @@ def _delta_value(ctx: PeirceContext, shifted: MapLike, i: int, j: int, v: Vec) -
     return b.coeffs
 
 
-def _construction(ctx: PeirceContext, shifted: MapLike, vectors: list[Vec]) -> list[Vec]:
-    """delta'(v) for each v: the construction rule summed over the nonzero corner
-    components P_ij v.  The components are taken corner by corner, so the first
-    one that raises is the first in corner-major order."""
-    values = [zero_vec(ctx.algebra.dim)] * len(vectors)
+def _construction(ctx: PeirceContext, shifted: MapLike, parts: list[list[list[Vec]]]) -> list[Vec]:
+    """delta'(v_k) for each k, given the corner components parts[i][j][k] = P_ij v_k:
+    the construction rule summed over the nonzero ones.  The components are taken
+    corner by corner, so the first one that raises is the first in corner-major
+    order."""
+    values = [zero_vec(ctx.algebra.dim)] * len(parts[0][0])
     for i in range(2):
         for j in range(2):
-            for k, v in enumerate(vectors):
-                part = ctx.proj[i][j].apply(v)
+            for k, part in enumerate(parts[i][j]):
                 if any(part):
                     values[k] = vec_add(values[k], _delta_value(ctx, shifted, i, j, part))
     return values
@@ -430,7 +430,9 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
     checks.append(Check("normalized-e2-central", True, "exact"))
 
     n = alg.dim
-    cols = _construction(ctx, shifted, [alg.basis_vec(k) for k in range(n)])
+    # P_ij b_k is column k of P_ij
+    cols = _construction(ctx, shifted, [[[p.col(k) for k in range(n)] for p in row]
+                                        for row in ctx.proj])
     checks.append(Check("corner-images", True, "exact" if exact else "sampled",
                         detail="off-diagonal images stay in their corner; "
                                "diagonal images split as corner + center"))
@@ -452,14 +454,15 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
     rng = rng_for(budget.seed)
     for _ in range(0 if exact else budget.element_samples):
         v = random_vector(rng, n)
-        if _construction(ctx, shifted, [v])[0] != delta_prime.apply(v):
+        parts = [[[p.apply(v)] for p in row] for row in ctx.proj]
+        if _construction(ctx, shifted, parts)[0] != delta_prime.apply(v):
             raise InternalInvariantError(
                 "matrix extension of delta disagrees with the corner construction "
                 f"at {Element(alg, v)!r}"
             )
     checks.append(Check("delta-matches-construction", True, "exact" if exact else "sampled",
-                        detail="adapted basis; linear on each corner" if exact else
-                        f"{budget.element_samples} random elements"))
+                        detail="corner components of the basis vectors; linear on each corner"
+                        if exact else f"{budget.element_samples} random elements"))
 
     cen = center(alg)
     if isinstance(tau, MapSpec):

@@ -41,11 +41,18 @@ def nucleus(a: Algebra) -> Subspace:
     nuc = kernel(SparseMatrix(tuple(rows.values()), a.dim))
     if nuc.dim == 1:
         return nuc
+    # The full system takes the span of the (x, y, r) rows, the orthogonal complement
+    # of their kernel, as at most dim rows read off the kernel's reduced basis v_q
+    # (pivot q, its first 1): e_f - sum_q v_q[f] e_q for each other column f.
+    piv = {v.index(1): v for v in nuc.basis}
+    slot0 = [{f: 1, **{q: -v[f] for q, v in piv.items() if v[f]}}
+             for f in range(a.dim) if f not in piv]
+    rows = {}
     for (i, j, m), v in ass.items():
         for k, x in v.items():
             rows.setdefault((1, i, m, k), {})[j] = x
             rows.setdefault((2, j, m, k), {})[i] = x
-    return kernel(SparseMatrix(tuple(rows.values()), a.dim))
+    return kernel(SparseMatrix((*slot0, *rows.values()), a.dim))
 
 
 def _annihilator(table, domain: Subspace, multipliers, side: str = "right") -> Subspace:

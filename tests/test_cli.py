@@ -696,3 +696,54 @@ def test_idempotent_option_exits_cleanly(zorn_inputs, spec):
         assert code in (0, 1, 2)
         if code == 2:
             assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+
+
+@pytest.mark.parametrize("case", ["analyze-zorn", "decompose-left-u1", "analyze-missing-file"])
+def test_program_run_matches_library_call(case, zorn_file, tmp_path, capsys):
+    """`python -m altrings`, which freezes the heap on its way out, writes the
+    bytes and returns the exit code of an in-process `main(argv)`, and the
+    library call leaves the garbage collector unfrozen."""
+    import gc
+    import subprocess
+    import sys
+
+    algebra = load_algebra(zorn_file)
+    map_path = tmp_path / "left-u1.json"
+    save_mapspec(MapSpec(algebra, algebra.left_mult_matrix(algebra.basis_vec(1))), map_path)
+    argv, expected = {
+        "analyze-zorn": (["analyze", "--json", str(zorn_file)], 0),
+        "decompose-left-u1": (["decompose", str(zorn_file), "--idempotent", "1,0,0,0,0,0,0,0",
+                               "--map", str(map_path)], 1),
+        "analyze-missing-file": (["analyze", str(tmp_path / "missing.json")], 2),
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert code == expected and gc.get_freeze_count() == 0
+    proc = subprocess.run([sys.executable, "-m", "altrings", *argv], capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
+    if case == "decompose-left-u1":
+        assert err == "error: LieLawViolated: witness x=e1, y=u2\n"
+
+
+@pytest.mark.parametrize("argv, expected", [(["analyze", "--json", "{zorn}"], 0),
+                                            (["analyze", "{missing}"], 2),
+                                            (["analyze", "--no-such-option"], 2)],
+                         ids=["analyze-zorn", "analyze-missing-file", "argparse-error"])
+def test_program_main_freezes_on_every_exit(argv, expected, zorn_file, tmp_path):
+    """A `main()` that reads `sys.argv` freezes the heap whether it returns a
+    code or argparse exits, checked in a fresh interpreter."""
+    import subprocess
+    import sys
+
+    argv = [a.format(zorn=zorn_file, missing=tmp_path / "missing.json") for a in argv]
+    script = ("import contextlib, gc, io, sys\n"
+              "from altrings.cli import main\n"
+              "sys.argv = ['altrings', *sys.argv[1:]]\n"
+              "with contextlib.redirect_stdout(io.StringIO()), "
+              "contextlib.redirect_stderr(io.StringIO()):\n"
+              "    try:\n"
+              "        code = main()\n"
+              "    except SystemExit as exc:\n"
+              "        code = exc.code\n"
+              "print(code, gc.get_freeze_count() > 0)\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+    assert proc.stdout == f"{expected} True\n", proc.stderr

@@ -286,8 +286,9 @@ def _bracket_inner_f(algebra, y, z):
 
 @pytest.fixture(scope="module")
 def reference_contexts():
-    """zorn and matrix:3 at a coordinate idempotent, and the split octonions
-    cd:-1,1,1 at (e0 + e2)/2, whose corners are not spanned by basis vectors."""
+    """zorn and matrix:3 at a coordinate idempotent, the split octonions
+    cd:-1,1,1 at (e0 + e2)/2, whose corners are not spanned by basis vectors,
+    and matrix:3 at E11 + E12, whose corner projections are not symmetric."""
     from altrings import make_context
     from altrings.catalog import build, canonical_idempotent, parse_recipe
 
@@ -296,6 +297,8 @@ def reference_contexts():
         parsed = parse_recipe(recipe)
         algebra = build(parsed)
         out[recipe] = make_context(algebra, canonical_idempotent(parsed, algebra))
+    m3 = out["matrix:3"].algebra
+    out["matrix:3@E11+E12"] = make_context(m3, m3.element([1, 1, 0, 0, 0, 0, 0, 0, 0]))
     return out
 
 
@@ -315,7 +318,8 @@ def test_inner_f_and_operator_brackets_reject_nonalternative(nonalternative):
 
 
 @settings(max_examples=15)
-@given(st.sampled_from(["zorn", "matrix:3", "cd:-1,1,1"]), st.integers(0, 10**6))
+@given(st.sampled_from(["zorn", "matrix:3", "cd:-1,1,1", "matrix:3@E11+E12"]),
+       st.integers(0, 10**6))
 def test_decompose_matches_adapted_basis_inverse(reference_contexts, recipe, seed):
     """delta' read off the corner components of the basis vectors equals the
     adapted-basis construction V B^-1: B holds a basis of each corner in turn,
@@ -549,7 +553,7 @@ def test_decompose_modes_follow_the_gate(m2_ctx):
 
 
 def test_decompose_samples_the_construction_outside_the_gate(m3_ctx):
-    # D(a) = p(a12 + a13) 1 with p(s) = s^2 - s vanishes on the adapted basis but
+    # D(a) = p(a12 + a13) 1 with p(s) = s^2 - s vanishes on the basis vectors but
     # leaves R12 at 2 E12; only the sampled elements can find that
     m3 = m3_ctx.algebra
     functional = tuple(F(int(k in (1, 2))) for k in range(9))

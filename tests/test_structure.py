@@ -462,6 +462,25 @@ def _reference_nucleus(a):
     return kernel(SparseMatrix(tuple(rows.values()), a.dim))
 
 
+def test_nucleus_solves_slot_zero_once(monkeypatch):
+    # sum(zorn|zorn) has 312 (x, y, r) rows and a nucleus of dim 2, so the full
+    # system runs; it takes the span of the (x, y, r) rows as at most dim rows
+    a = build(parse_recipe("sum(zorn|zorn)"))
+    systems = []
+
+    def recording_kernel(m):
+        systems.append(m)
+        return kernel(m)
+
+    monkeypatch.setattr("altrings.structure.kernel", recording_kernel)
+    nuc = nucleus.__wrapped__(a)
+    other_slots = {key for (i, j, m), v in a.associator_table().items() for k in v
+                   for key in ((1, i, m, k), (2, j, m, k))}
+    assert systems[0].nrows > a.dim and nuc.dim == 2
+    assert systems[-1].nrows - len(other_slots) <= a.dim
+    assert nuc == _reference_nucleus(a)
+
+
 def _assert_matches_reference_systems(a, perturbed):
     """On the product table and on the commutator table, the deduplicated
     Leibniz system has the full one's kernel, holds no zero entry and no two
