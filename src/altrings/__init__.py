@@ -22,17 +22,16 @@ _EXPORTS = {
     **dict.fromkeys((
         "Algebra", "Element", "associator", "check_alternative", "check_associative",
         "check_flexible", "commutator", "find_nonassociative_triple",
-        "mult_operators", "multiply",
     ), "algebra"),
     **dict.fromkeys((
-        "ConstructionRecipe", "build", "canonical_idempotent", "cayley_dickson",
-        "direct_sum", "find_idempotent", "matrix_algebra", "octonion_algebra",
-        "parse_recipe", "random_lie_derivation", "rationals", "zorn",
+        "ConstructionRecipe", "build", "canonical_idempotent", "direct_sum",
+        "find_idempotent", "matrix_algebra", "octonion_algebra", "parse_recipe",
+        "random_lie_derivation", "zorn",
     ), "catalog"),
     **dict.fromkeys((
-        "CentralTerm", "DecompositionResult", "MapSpec", "OpaqueMap", "SampleBudget",
-        "check_hypotheses", "check_lie_law", "compose", "decompose", "evaluate",
-        "inner_f", "normalize_at_idempotent", "split_diagonal",
+        "CentralTerm", "DecompositionResult", "MapSpec", "SampleBudget",
+        "check_hypotheses", "check_lie_law", "compose", "decompose", "inner_f",
+        "normalize_at_idempotent", "split_diagonal",
     ), "liederiv"),
     **dict.fromkeys((
         "Matrix", "Subspace", "column_space", "kernel", "rank", "rref", "solve",

@@ -241,10 +241,6 @@ class Element(Record):
         return " + ".join(terms) if terms else "0"
 
 
-def multiply(a: Element, b: Element) -> Element:
-    return a * b
-
-
 def commutator(x: Element, y: Element) -> Element:
     """[x, y] = x y - y x."""
     x._check(y)
@@ -261,12 +257,6 @@ def associator(x: Element, y: Element, z: Element) -> Element:
     xy_z = alg.mul_vec(alg.mul_vec(x.coeffs, y.coeffs), z.coeffs)
     x_yz = alg.mul_vec(x.coeffs, alg.mul_vec(y.coeffs, z.coeffs))
     return Element(alg, vec_sub(xy_z, x_yz))
-
-
-def mult_operators(y: Element) -> tuple[Matrix, Matrix]:
-    """Left and right multiplication operators (L_y, R_y) as matrices."""
-    alg = y.algebra
-    return alg.left_mult_matrix(y.coeffs), alg.right_mult_matrix(y.coeffs)
 
 
 def _cancel(u: Optional[dict], v: Optional[dict]) -> bool:

@@ -76,63 +76,30 @@ def zorn() -> Algebra:
     return Algebra(products, unit, labels)
 
 
-class InvolutiveAlgebra(Record):
-    """An algebra carrying a conjugation matrix, as Cayley-Dickson scaffolding."""
-
-    algebra: Algebra
-    conjugation: Matrix
-
-
-def rationals() -> InvolutiveAlgebra:
-    """The scalars with the trivial involution: the doubling seed."""
-    return InvolutiveAlgebra(Algebra({(0, 0): (_O,)}, (_O,), ["1"]), Matrix.identity(1))
-
-
-def cayley_dickson(base: InvolutiveAlgebra, mu) -> InvolutiveAlgebra:
-    """Double an involutive algebra: (a,b)(c,d) = (ac + mu conj(d) b, da + b conj(c))."""
-    mu = Fraction(mu)
-    if mu == 0:
-        raise ValueError("doubling parameter must be nonzero")
-    alg, conj = base.algebra, base.conjugation
-    n = alg.dim
-    dim = 2 * n
-
-    def pad(first, second):
-        return tuple(first) + tuple(second)
-
-    zero = zero_vec(n)
-    products = {}
-    for i in range(dim):
-        for j in range(dim):
-            a = alg.basis_vec(i) if i < n else zero
-            b = alg.basis_vec(i - n) if i >= n else zero
-            c = alg.basis_vec(j) if j < n else zero
-            d = alg.basis_vec(j - n) if j >= n else zero
-            first = tuple(
-                x + mu * y
-                for x, y in zip(alg.mul_vec(a, c), alg.mul_vec(conj.apply(d), b))
-            )
-            second = tuple(
-                x + y for x, y in zip(alg.mul_vec(d, a), alg.mul_vec(b, conj.apply(c)))
-            )
-            products[i, j] = pad(first, second)
-    unit = pad(alg.unit, zero)
-    doubled = Algebra(products, unit, [f"e{k}" for k in range(dim)])
-    conj_rows = []
-    for r in range(dim):
-        if r < n:
-            conj_rows.append(tuple(conj.rows[r]) + zero)
-        else:
-            conj_rows.append(zero + tuple(-x for x in Matrix.identity(n).rows[r - n]))
-    return InvolutiveAlgebra(doubled, Matrix(tuple(conj_rows), dim))
-
-
 def octonion_algebra(mus: Sequence) -> Algebra:
-    """Iterated doubling of the scalars; three parameters give a dim-8 algebra."""
-    cur = rationals()
+    """Iterated Cayley-Dickson doubling of the scalars; three parameters give a dim-8 algebra.
+
+    A step doubles A, whose involution is diag(1, -1, ..., -1), by
+    (a,b)(c,d) = (ac + mu conj(d) b, da + b conj(c)).  With s_0 = 1 and
+    s_k = -1 for k > 0, each basis product is one signed product of A:
+    (b_i,0)(b_j,0) = (b_i b_j, 0), (b_i,0)(0,b_j) = (0, b_j b_i),
+    (0,b_i)(b_j,0) = (0, s_j b_i b_j) and (0,b_i)(0,b_j) = (mu s_j b_j b_i, 0).
+    """
+    products, n = {(0, 0): (_O,)}, 1
     for mu in mus:
-        cur = cayley_dickson(cur, mu)
-    return cur.algebra
+        mu = Fraction(mu)
+        if mu == 0:
+            raise ValueError("doubling parameter must be nonzero")
+        zero, doubled = zero_vec(n), {}
+        for (p, q), v in products.items():  # v = b_p b_q
+            neg = tuple(-x for x in v)
+            doubled[p, q] = v + zero
+            doubled[q, n + p] = zero + v
+            doubled[n + p, q] = zero + (v if q == 0 else neg)
+            doubled[n + q, n + p] = tuple(mu * x for x in (v if p == 0 else neg)) + zero
+        products, n = doubled, 2 * n
+    labels = ["1"] if n == 1 else [f"e{k}" for k in range(n)]
+    return Algebra(products, (_O,) + zero_vec(n - 1), labels)
 
 
 def direct_sum(a: Algebra, b: Algebra) -> Algebra:

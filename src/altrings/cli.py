@@ -224,8 +224,7 @@ def cmd_decompose(args, argv) -> int:
         "checks": [lie.to_dict(), *(c.to_dict() for c in conditions.checks),
                    hyp.a.to_dict(), hyp.b.to_dict(),
                    *(c.to_dict() for c in result.checks)],
-        "tau_identically_zero": result.tau.is_identically_zero
-        if isinstance(result.tau, liederiv.MapSpec) else None,
+        "tau_identically_zero": result.tau.is_identically_zero,
         "ok": result.ok,
     }
     if outputs:

@@ -1,14 +1,14 @@
 """Lie multiplicative derivations and their splitting into derivation + center map.
 
 A map D (not assumed additive) satisfying D([x,y]) = [D(x),y] + [x,D(y)] is
-represented either in closed form (`MapSpec`: a linear part plus finitely many
-polynomial central terms) or as an opaque callback (`OpaqueMap`).  `decompose`
-splits such a map into an additive derivation `delta` (a matrix) and a
-center-valued residual `tau` vanishing on commutators, following the corner
-construction: normalize D at the idempotent with an inner correction taken
-from products, read off delta on the off-diagonal corners directly, and strip
-the unique central part on the diagonal corners; delta' at any element is
-that rule summed over its corner components.
+represented in closed form (`MapSpec`: a linear part plus finitely many
+polynomial central terms).  `decompose` splits such a map into an additive
+derivation `delta` (a matrix) and a center-valued residual `tau` vanishing on
+commutators, following the corner construction: normalize D at the idempotent
+with an inner correction taken from products, read off delta on the
+off-diagonal corners directly, and strip the unique central part on the
+diagonal corners; delta' at any element is that rule summed over its corner
+components.
 
 Verification policy: multilinear identities are decided exactly on basis
 tuples.  A MapSpec passes the gate when `commutator_witness` is None: the
@@ -18,14 +18,14 @@ linear part, a derivation of the commutator product exactly when it is one, and
 as R12 = [e1, R12] and R21 = [R21, e1] lie in that span, the corner
 construction is linear on each corner up to central summands: every step is
 decided on basis tuples or Leibniz rows, "exact".  The corner hypotheses are
-exact for every MapSpec (a term adds a multiple of P(z) to P(D(a))).  OpaqueMaps
-and MapSpecs that fail the gate also get seeded random samples, "sampled".
+exact for every MapSpec (a term adds a multiple of P(z) to P(D(a))).  MapSpecs
+that fail the gate also get seeded random samples, "sampled".
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from .algebra import Algebra, Element
 from .errors import (
@@ -50,7 +50,7 @@ from .linalg import (
 )
 from .peirce import PeirceContext
 from .report import Check
-from .sampling import random_rational, random_vector, rng_for
+from .sampling import random_vector, rng_for
 from .structure import _leibniz_failure, center, commutator_subspace, is_derivation
 
 _ZERO = Fraction(0)
@@ -152,35 +152,6 @@ class MapSpec(Record):
                              for t in self.terms))
 
 
-class OpaqueMap(Record):
-    """Opaque evaluation callback; all checks against it are sample-based."""
-
-    algebra: Algebra
-    fn: Callable[[Element], Element]
-
-    def eval_vec(self, v: Vec) -> Vec:
-        return self.fn(Element(self.algebra, v)).coeffs
-
-    def __call__(self, a: Element) -> Element:
-        if a.algebra is not self.algebra and a.algebra != self.algebra:
-            raise AlgebraMismatchError("element belongs to a different algebra")
-        return Element(self.algebra, self.eval_vec(a.coeffs))
-
-
-MapLike = Union[MapSpec, OpaqueMap]
-
-
-def evaluate(d: MapLike, a: Element) -> Element:
-    return d(a)
-
-
-def _shifted(d: MapLike, delta: Matrix) -> MapLike:
-    """The map a -> d(a) - delta a, in closed form when possible."""
-    if isinstance(d, MapSpec):
-        return MapSpec(d.algebra, d.linear - delta, d.terms)
-    return OpaqueMap(d.algebra, lambda a: d(a) - Element(a.algebra, delta.apply(a.coeffs)))
-
-
 def commutator_witness(algebra: Algebra, terms: tuple[CentralTerm, ...]) -> Optional[Vec]:
     """A commutator-span basis vector on which some effective term's functional
     is nonzero, or None when every effective functional vanishes on the span.
@@ -204,7 +175,7 @@ def _sample_pairs(alg: Algebra, rng, count: int) -> list[tuple[Vec, Vec]]:
     return pairs + [(random_vector(rng, n), random_vector(rng, n)) for _ in range(count)]
 
 
-def check_lie_law(d: MapLike, budget: SampleBudget) -> Check:
+def check_lie_law(d: MapSpec, budget: SampleBudget) -> Check:
     """D([x,y]) = [D(x),y] + [x,D(y)].
 
     Exact for a MapSpec that passes the `commutator_witness` gate: its terms are
@@ -215,7 +186,7 @@ def check_lie_law(d: MapLike, budget: SampleBudget) -> Check:
     labeled "sampled".
     """
     alg = d.algebra
-    if isinstance(d, MapSpec) and commutator_witness(alg, d.terms) is None:
+    if commutator_witness(alg, d.terms) is None:
         bad = _leibniz_failure(alg.commutator_table(), d.linear)
         return Check("lie-law", bad is None, "exact", witness=None if bad is None
                      else f"x={alg.label(bad[0])}, y={alg.label(bad[1])}")
@@ -262,45 +233,32 @@ class HypothesesReport(Record):
         return self.a.ok and self.b.ok
 
 
-def _corner_samples(ctx: PeirceContext, i: int, rng, count: int) -> list[Vec]:
-    basis = ctx.spaces[i][i].basis
-    out = list(basis)
-    for _ in range(count):
-        coeffs = [random_rational(rng) for _ in basis]
-        out.append(combine(coeffs, basis, ctx.algebra.dim))
-    return out
-
-
-def check_hypotheses(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> HypothesesReport:
+def check_hypotheses(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> HypothesesReport:
     """Corner hypotheses: e2 D(R_11) e2 inside Z e2, and e1 D(R_22) e1 inside Z e1.
 
-    Exact on the corner basis for every MapSpec: a term adds a multiple of
-    P(z_t), which lies in the target P(Z), so the containment is that of the
-    linear part.  An OpaqueMap is checked on the corner basis plus sampled
-    corner elements, labeled "sampled".  P(Z) is read off `ctx.central_splits`.
+    Exact on the corner basis: a term adds a multiple of P(z_t), which lies in
+    the target P(Z), so the containment is that of the linear part.  P(Z) is
+    read off `ctx.central_splits`.  `budget` is accepted for a uniform call
+    shape; nothing is drawn from it.
     """
     alg = ctx.algebra
     n = alg.dim
-    exact = isinstance(d, MapSpec)
-    rng = rng_for(budget.seed)
     checks = []
     for which, i in (("a", 0), ("b", 1)):
         other = 1 - i
         split = ctx.central_splits[i]
-        count = 0 if exact else budget.element_samples
         ok, witness = True, None
-        for v in _corner_samples(ctx, i, rng, count):
+        for v in ctx.spaces[i][i].basis:
             img = ctx.proj[other][other].apply(d.eval_vec(v))
             if any(split.reduce_vector(img + zero_vec(n))[:n]):
                 ok, witness = False, (f"a{i+1}{i+1}={Element(alg, v)!r} -> corner "
                                       f"{Element(alg, img)!r} outside Z*e{other+1}")
                 break
-        checks.append(Check(f"hypothesis-{which}", ok, "exact" if exact else "sampled",
-                            witness=witness))
+        checks.append(Check(f"hypothesis-{which}", ok, "exact", witness=witness))
     return HypothesesReport(checks[0], checks[1])
 
 
-def normalize_at_idempotent(ctx: PeirceContext, d: MapLike) -> tuple[MapLike, Element, Matrix]:
+def normalize_at_idempotent(ctx: PeirceContext, d: MapSpec) -> tuple[MapSpec, Element, Matrix]:
     """Subtract the inner correction built from the off-diagonal parts of D(e1).
 
     Returns (D', y, f) with D' = D - f, y the off-diagonal part of D(e1), and
@@ -311,7 +269,7 @@ def normalize_at_idempotent(ctx: PeirceContext, d: MapLike) -> tuple[MapLike, El
     de1 = d(ctx.e1)
     y = ctx.component(de1, 0, 1) + ctx.component(de1, 1, 0)
     f = inner_f(alg, y, -ctx.e1)
-    shifted = _shifted(d, f)
+    shifted = MapSpec(alg, d.linear - f, d.terms)
     cen = center(alg)
     for e, name in ((ctx.e1, "e1"), (ctx.e2, "e2")):
         img = shifted.eval_vec(e.coeffs)
@@ -360,11 +318,11 @@ class DecompositionResult(Record):
 
     algebra: Algebra
     delta: Matrix
-    tau: MapLike
+    tau: MapSpec
     correction_y: Element
     correction_z: Element
     correction_f: Matrix
-    normalized: MapLike
+    normalized: MapSpec
     checks: tuple[Check, ...]
     budget: SampleBudget
 
@@ -373,7 +331,7 @@ class DecompositionResult(Record):
         return all(c.ok for c in self.checks)
 
 
-def _delta_value(ctx: PeirceContext, shifted: MapLike, i: int, j: int, v: Vec) -> Vec:
+def _delta_value(ctx: PeirceContext, shifted: MapSpec, i: int, j: int, v: Vec) -> Vec:
     """Construction rule for delta' on one Peirce component (raises on failure)."""
     alg = ctx.algebra
     img = shifted.eval_vec(v)
@@ -394,7 +352,7 @@ def _delta_value(ctx: PeirceContext, shifted: MapLike, i: int, j: int, v: Vec) -
     return b.coeffs
 
 
-def _construction(ctx: PeirceContext, shifted: MapLike, parts: list[list[list[Vec]]]) -> list[Vec]:
+def _construction(ctx: PeirceContext, shifted: MapSpec, parts: list[list[list[Vec]]]) -> list[Vec]:
     """delta'(v_k) for each k, given the corner components parts[i][j][k] = P_ij v_k:
     the construction rule summed over the nonzero ones.  The components are taken
     corner by corner, so the first one that raises is the first in corner-major
@@ -408,7 +366,7 @@ def _construction(ctx: PeirceContext, shifted: MapLike, parts: list[list[list[Ve
     return values
 
 
-def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> DecompositionResult:
+def decompose(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> DecompositionResult:
     """Split a Lie multiplicative derivation as delta + tau.
 
     Callers are expected to have checked the Lie law, corner conditions
@@ -422,8 +380,8 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
     """
     alg = ctx.algebra
     checks: list[Check] = []
-    term_witness = commutator_witness(alg, d.terms) if isinstance(d, MapSpec) else None
-    exact = isinstance(d, MapSpec) and term_witness is None
+    term_witness = commutator_witness(alg, d.terms)
+    exact = term_witness is None
 
     shifted, y, f = normalize_at_idempotent(ctx, d)
     checks.append(Check("normalized-e1-central", True, "exact"))
@@ -440,7 +398,7 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
     delta_prime = Matrix(tuple(zip(*cols)), n)
     delta = delta_prime + f
 
-    tau = _shifted(d, delta)
+    tau = MapSpec(alg, d.linear - delta, d.terms)
 
     # -- verification --
 
@@ -465,58 +423,22 @@ def decompose(ctx: PeirceContext, d: MapLike, budget: SampleBudget) -> Decomposi
                         if exact else f"{budget.element_samples} random elements"))
 
     cen = center(alg)
-    if isinstance(tau, MapSpec):
-        bad = next((k for k in range(n) if not cen.contains_vector(tau.linear.col(k))), None)
-        checks.append(Check("tau-central", bad is None, "exact",
-                            witness=None if bad is None else
-                            f"tau({alg.label(bad)}) off the center"))
-        if bad is not None:
-            raise InternalInvariantError("tau has a non-central linear column")
-    else:
-        for _ in range(budget.element_samples):
-            v = random_vector(rng, n)
-            if not cen.contains_vector(tau.eval_vec(v)):
-                raise InternalInvariantError(
-                    f"tau({Element(alg, v)!r}) is not central"
-                )
-        checks.append(Check("tau-central", True, "sampled",
-                            detail=f"{budget.element_samples} random elements"))
+    bad = next((k for k in range(n) if not cen.contains_vector(tau.linear.col(k))), None)
+    checks.append(Check("tau-central", bad is None, "exact",
+                        witness=None if bad is None else f"tau({alg.label(bad)}) off the center"))
+    if bad is not None:
+        raise InternalInvariantError("tau has a non-central linear column")
 
-    if isinstance(tau, MapSpec):
-        # exact: the linear part and every effective term vanish on the commutator span
-        bad = next((c for c in commutator_subspace(alg).basis if any(tau.linear.apply(c))),
-                   None) or term_witness
-        witness = None if bad is None else f"commutator-span vector {Element(alg, bad)!r}"
-        mode = "exact"
-    else:
-        witness = None
-        for x, yv in _sample_pairs(alg, rng, budget.pair_samples):
-            c = vec_sub(alg.mul_vec(x, yv), alg.mul_vec(yv, x))
-            if not is_zero_vec(tau.eval_vec(c)):
-                witness = f"x={Element(alg, x)!r}, y={Element(alg, yv)!r}"
-                break
-        mode = "sampled"
-    checks.append(Check("tau-kills-commutators", witness is None, mode, witness=witness))
+    # the linear part and every effective term vanish on the commutator span
+    bad = next((c for c in commutator_subspace(alg).basis if any(tau.linear.apply(c))),
+               None) or term_witness
+    witness = None if bad is None else f"commutator-span vector {Element(alg, bad)!r}"
+    checks.append(Check("tau-kills-commutators", witness is None, "exact", witness=witness))
     if witness is not None:
         raise InternalInvariantError(f"tau does not vanish on a commutator ({witness})")
 
-    if isinstance(d, MapSpec):
-        checks.append(Check("almost-additive", True, "exact",
-                            detail="nonlinear defects land in the span of central targets"))
-    else:
-        ok = True
-        witness = None
-        for _ in range(budget.pair_samples):
-            x = random_vector(rng, n)
-            yv = random_vector(rng, n)
-            defect = vec_sub(d.eval_vec(vec_add(x, yv)),
-                             vec_add(d.eval_vec(x), d.eval_vec(yv)))
-            if not cen.contains_vector(defect):
-                ok, witness = False, f"x={Element(alg, x)!r}, y={Element(alg, yv)!r}"
-                break
-        checks.append(Check("almost-additive", ok, "sampled", witness=witness))
-        if not ok:
-            raise InternalInvariantError("additivity defect left the center")
+    checks.append(Check("almost-additive", True, "exact",
+                        detail="nonlinear defects land in the span of central targets"))
 
     return DecompositionResult(alg, delta, tau, y, -ctx.e1, f, shifted, tuple(checks), budget)
 

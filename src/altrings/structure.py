@@ -33,13 +33,14 @@ def nucleus(a: Algebra) -> Subspace:
     coefficient of r_m in row (i, j, k) of (b_i, b_j, r), row (i, m, k) of
     (b_i, r, b_m) and row (j, m, k) of (r, b_j, b_m). The rows are integer,
     read off the scaled `Algebra.associator_table`. When the (x, y, r) rows
-    alone leave a line, it is the nucleus: the validated unit is nuclear."""
+    alone leave a line, it is the nucleus: the validated unit is nuclear. An
+    associative algebra has no rows at all and is its own nucleus."""
     ass, rows = a.associator_table(), {}
     for (i, j, m), v in ass.items():
         for k, x in v.items():
             rows.setdefault((0, i, j, k), {})[m] = x
     nuc = kernel(SparseMatrix(tuple(rows.values()), a.dim))
-    if nuc.dim == 1:
+    if nuc.dim == 1 or not ass:
         return nuc
     # The full system takes the span of the (x, y, r) rows, the orthogonal complement
     # of their kernel, as at most dim rows read off the kernel's reduced basis v_q

@@ -127,3 +127,19 @@ def test_make_matches_golden_digest_with_rational_constants(tmp_path, monkeypatc
     monkeypatch.chdir(tmp_path)
     _stdout(["make", "cd", "--mus", "-1,1/2,-3", "-o", "cd-rational.json"])
     assert _sha256("cd-rational.json") == _make_digest("cd-rational")
+
+
+# doubled algebras pinned by their `make -o` digests alone: the split octonions
+# from either sign pattern, and a fifth doubling of dimension 32
+DOUBLINGS = {
+    "split-octonions": "-1,1,1",
+    "cd-positive": "1,1,1",
+    "cd-dim32": "-1,-1,-1,-1,-1",
+}
+
+
+@pytest.mark.parametrize("stem", sorted(DOUBLINGS))
+def test_make_doubling_matches_golden_digest(stem, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _stdout(["make", "cd", "--mus", DOUBLINGS[stem], "-o", f"{stem}.json"])
+    assert _sha256(f"{stem}.json") == _make_digest(stem)

@@ -20,14 +20,13 @@ LIBRARY = ("algebra", "catalog", "errors", "jsonio", "liederiv",
 PUBLIC = {
     "algebra": ("Algebra", "Element", "associator", "check_alternative",
                 "check_associative", "check_flexible", "commutator",
-                "find_nonassociative_triple", "mult_operators", "multiply"),
-    "catalog": ("ConstructionRecipe", "build", "canonical_idempotent", "cayley_dickson",
-                "direct_sum", "find_idempotent", "matrix_algebra", "octonion_algebra",
-                "parse_recipe", "random_lie_derivation", "rationals", "zorn"),
-    "liederiv": ("CentralTerm", "DecompositionResult", "MapSpec", "OpaqueMap",
-                 "SampleBudget", "check_hypotheses", "check_lie_law", "compose",
-                 "decompose", "evaluate", "inner_f", "normalize_at_idempotent",
-                 "split_diagonal"),
+                "find_nonassociative_triple"),
+    "catalog": ("ConstructionRecipe", "build", "canonical_idempotent", "direct_sum",
+                "find_idempotent", "matrix_algebra", "octonion_algebra", "parse_recipe",
+                "random_lie_derivation", "zorn"),
+    "liederiv": ("CentralTerm", "DecompositionResult", "MapSpec", "SampleBudget",
+                 "check_hypotheses", "check_lie_law", "compose", "decompose", "inner_f",
+                 "normalize_at_idempotent", "split_diagonal"),
     "linalg": ("Matrix", "Subspace", "column_space", "kernel", "rank", "rref", "solve"),
     "peirce": ("PeirceContext", "check_conditions", "make_context",
                "verify_offdiag_centralizer", "verify_prop_spade_club", "verify_relations"),

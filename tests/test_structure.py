@@ -52,6 +52,21 @@ def test_nucleus_direct_sum_full(m2m2):
     assert nucleus(m2m2).dim == 8
 
 
+def test_nucleus_of_associative_algebra_solves_one_system(monkeypatch):
+    # no associator rows: the first (empty) system already gives the whole space
+    import altrings.structure as structure
+
+    sizes = []
+
+    def counting_kernel(m):
+        sizes.append(m.nrows)
+        return kernel(m)
+
+    monkeypatch.setattr(structure, "kernel", counting_kernel)
+    assert nucleus.__wrapped__(matrix_algebra(4)) == Subspace.full(16)
+    assert sizes == [0]
+
+
 def test_center_matrix_algebra(m2):
     # scalar matrices: canonical basis is the identity's coefficient vector
     assert center(m2).basis == ((F(1), F(0), F(0), F(1)),)
