@@ -122,12 +122,11 @@ def test_trace_square_map_keeps_the_sampled_lie_law(m2_ctx):
 
 def test_lie_law_outside_the_gate_tries_both_orders(m2):
     # D(a) = p(a11) 1 with p(s) = s^2 - s: [E12, E21] = E11 - E22 gives p(1) = 0,
-    # and only the reversed basis pair (E21, E12) gives p(-1) = 2, at every seed
+    # and only the reversed basis pair (E21, E12) gives p(-1) = 2
     d = MapSpec(m2, Matrix.zeros(4, 4),
                 (CentralTerm((F(1), F(0), F(0), F(0)), (F(0), F(-1), F(1)), m2.unit),))
-    for seed in range(5):
-        verdict = check_lie_law(d, SampleBudget(seed=seed))
-        assert (verdict.ok, verdict.mode, verdict.witness) == (False, "sampled", "x=E21, y=E12")
+    verdict = check_lie_law(d, budget())
+    assert (verdict.ok, verdict.mode, verdict.witness) == (False, "sampled", "x=E21, y=E12")
 
 
 def _reference_lie_law(d, bud):
@@ -511,6 +510,23 @@ def test_decompose_scale_equivariant(zorn_ctx):
     once = decompose(zorn_ctx, d, bud)
     twice = decompose(zorn_ctx, d.scale(2), bud)
     assert twice.delta == once.delta.scale(2)
+
+
+def test_tau_check_tries_reversed_basis_pairs(m2_ctx):
+    # D(a) = p(a11) 1 with p(s) = s^2 - s is 2 at E22 - E11 = [E21, E12] and 0 at
+    # E11 - E22 = [E12, E21]: the Lie law finds it only at the reversed pair, at
+    # every seed, and tau's term functional is nonzero on the commutator span
+    m2 = m2_ctx.algebra
+    d = MapSpec(m2, Matrix.zeros(4, 4),
+                (CentralTerm((F(1), F(0), F(0), F(0)), (F(0), F(-1), F(1)), m2.unit),))
+    for seed in range(5):
+        bud = SampleBudget(seed=seed)
+        lie = check_lie_law(d, bud)
+        assert (lie.ok, lie.witness) == (False, "x=E21, y=E12")
+        with pytest.raises(InternalInvariantError,
+                           match=r"tau does not vanish on a commutator "
+                                 r"\(commutator-span vector E11 \+ \(-1\)\*E22\)"):
+            decompose(m2_ctx, d, bud)
 
 
 def test_decompose_modes_follow_the_gate(m2_ctx):
