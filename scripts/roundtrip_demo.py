@@ -22,7 +22,7 @@ def main():
     seed = int(sys.argv[1]) if len(sys.argv) > 1 else 7
     algebra = zorn()
     ctx = make_context(algebra, algebra.basis_element(0))
-    budget = SampleBudget(seed=seed, pair_samples=30, element_samples=30)
+    budget = SampleBudget(seed=seed)
 
     spec = random_lie_derivation(algebra, budget)
     print(f"seed {seed}: generated map with {len(spec.terms)} central term(s)")

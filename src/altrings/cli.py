@@ -191,8 +191,7 @@ def cmd_decompose(args, argv) -> int:
     e1 = _parse_idempotent(args.idempotent, algebra)
     ctx = peirce.make_context(algebra, e1)
     spec = jsonio.load_mapspec(args.map, algebra)
-    budget = liederiv.SampleBudget(seed=args.seed, pair_samples=args.samples,
-                                   element_samples=args.samples)
+    budget = liederiv.SampleBudget(seed=args.seed)
 
     lie = liederiv.check_lie_law(spec, budget)
     if not lie.ok:
@@ -233,10 +232,9 @@ def cmd_decompose(args, argv) -> int:
     return EXIT_OK
 
 
-def _fuzz_trial(ctx, algebra, trial: int, master_seed: int, samples: int) -> dict:
+def _fuzz_trial(ctx, algebra, trial: int, master_seed: int) -> dict:
     trial_seed = master_seed * 1_000_003 + trial
-    budget = liederiv.SampleBudget(seed=trial_seed, pair_samples=samples,
-                                   element_samples=samples)
+    budget = liederiv.SampleBudget(seed=trial_seed)
     spec = catalog.random_lie_derivation(algebra, budget)
     try:
         result = liederiv.decompose(ctx, spec, budget)
@@ -273,9 +271,7 @@ def cmd_fuzz(args, argv) -> int:
             f"ConditionsFailed: {bad.name} for the canonical idempotent "
             f"(witness {bad.witness})"
         )
-    results = [
-        _fuzz_trial(ctx, algebra, t, args.seed, args.samples) for t in range(args.trials)
-    ]
+    results = [_fuzz_trial(ctx, algebra, t, args.seed) for t in range(args.trials)]
     ok = all(r["ok"] for r in results)
     report = {
         "command": _echo(argv),

@@ -10,16 +10,11 @@ off-diagonal corners directly, and strip the unique central part on the
 diagonal corners; delta' at any element is that rule summed over its corner
 components.
 
-Verification policy: multilinear identities are decided exactly on basis
-tuples.  A MapSpec passes the gate when `commutator_witness` is None: the
-functional of every effective central term vanishes on the commutator span.
-The terms are then central and kill commutators, so the Lie law is that of the
-linear part, a derivation of the commutator product exactly when it is one, and
-as R12 = [e1, R12] and R21 = [R21, e1] lie in that span, the corner
-construction is linear on each corner up to central summands: every step is
-decided on basis tuples or Leibniz rows, "exact".  The corner hypotheses are
-exact for every MapSpec (a term adds a multiple of P(z) to P(D(a))).  MapSpecs
-that fail the gate also get seeded random samples, "sampled".
+Verification policy: every check on a MapSpec is "exact".  `lie_defect`
+decides the degree >= 2 part of the Lie law on the apolar norm of the central
+terms, and the degree-1 part is a linear map decided on Leibniz rows or on the
+commutator span.  The corner hypotheses are exact for every MapSpec (a term
+adds a multiple of P(z) to P(D(a))).  Nothing is drawn from a `SampleBudget`.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import Algebra, Element
+from .algebra import Algebra, Element, commutator
 from .errors import (
     AlgebraMismatchError,
     InternalInvariantError,
@@ -45,19 +40,19 @@ from .linalg import (
     combine,
     is_zero_vec,
     vec_add,
-    vec_sub,
+    vec_scale,
     zero_vec,
 )
 from .peirce import PeirceContext
 from .report import Check
-from .sampling import random_vector, rng_for
 from .structure import _leibniz_failure, center, commutator_subspace, is_derivation
 
 _ZERO = Fraction(0)
 
 
 class SampleBudget(Record):
-    """Seed and sample counts for the probabilistic side of the checks."""
+    """Seed and sample counts, taken for a uniform call shape: `liederiv` draws
+    nothing from them, and `catalog.random_lie_derivation` reads the seed."""
 
     seed: int
     pair_samples: int = 20
@@ -152,53 +147,77 @@ class MapSpec(Record):
                              for t in self.terms))
 
 
-def commutator_witness(algebra: Algebra, terms: tuple[CentralTerm, ...]) -> Optional[Vec]:
-    """A commutator-span basis vector on which some effective term's functional
-    is nonzero, or None when every effective functional vanishes on the span.
+def _dot(u: Vec, v: Vec) -> Fraction:
+    return sum((x * y for x, y in zip(u, v) if x and y), _ZERO)
 
-    None is sufficient for the terms to vanish on every commutator, not
-    necessary: effective terms whose sum vanishes there still give a witness.
+
+def lie_defect(d: MapSpec) -> tuple[Matrix, Optional[str]]:
+    """(L', witness): decide the degree >= 2 part of the Lie law of d exactly.
+
+    Write D(a) = L a + sum_t p_t(f_t . a) z_t, p_t = sum_k a_tk s^k, z_t central.
+    The terms drop out of [D x, y] + [x, D y], and [sx, ty] = st [x, y], so the
+    Lie defect at (sx, ty) is st B'(x, y) + sum_{k >= 2} (st)^k P_k([x, y]), and
+    over Q each coefficient must vanish on its own.  B' is the Leibniz defect over
+    [ , ] of the returned L' = L + sum_t a_t1 z_t f_t^T, which callers decide.
+    With M_t[i][j] = f_t . [b_i, b_j], P_k([x, y]) = sum_t a_tk (x^T M_t y)^k z_t.
+    The apolar inner product <p, q> = p(d/dx, d/dy) q is positive definite, and
+    <(x^T A y)^k, (x^T B y)^k> = (k!)^2 h_k(A^T B), h_k the complete homogeneous
+    symmetric polynomial of the eigenvalues: the derivatives pair the x- and the
+    y-factors by two permutations, whose sum is k! sum over pi in S_k of the
+    product of tr((A^T B)^|c|) over the cycles c of pi.  So P_k = 0 iff
+    N_k = sum_{s,t} a_sk a_tk (z_s . z_t) h_k(M_s^T M_t) = 0, with h_k from
+    Newton's identities r h_r = sum_{i<=r} tr(P^i) h_{r-i}; the integer table's
+    common scale multiplies N_k by a positive constant.  A term whose functional
+    vanishes on `commutator_subspace` has M_t = 0 and is skipped first.  The
+    witness of a nonzero N_k is the first basis pair, row-major, with a nonzero
+    Lie defect, else the failing degree: the nonzero norm proves the failure.
     """
-    effective = [t.functional for t in terms if t.is_effective]
-    for c in commutator_subspace(algebra).basis:
-        for f in effective:
-            if sum((x * y for x, y in zip(f, c) if x and y), _ZERO):
-                return c
-    return None
-
-
-def _sample_pairs(alg: Algebra, rng, count: int) -> list[tuple[Vec, Vec]]:
-    """Basis pairs i != j (to a nonlinear map, [b_j, b_i] is another input than
-    [b_i, b_j]), then `count` pairs drawn from `rng`."""
-    n = alg.dim
-    pairs = [(alg.basis_vec(i), alg.basis_vec(j)) for i in range(n) for j in range(n) if i != j]
-    return pairs + [(random_vector(rng, n), random_vector(rng, n)) for _ in range(count)]
+    alg, n, linear = d.algebra, d.algebra.dim, d.linear
+    span = commutator_subspace(alg).basis
+    live = [t for t in d.terms if t.is_effective and any(_dot(t.functional, c) for c in span)]
+    mats = [Matrix(tuple(tuple(sum((t.functional[k] * x for k, x in cell), _ZERO) for cell in row)
+                         for row in alg.commutator_table()), n) for t in live]
+    norms = [_ZERO] * max((len(t.poly) for t in live), default=0)
+    for s, ms in zip(live, mats):
+        if len(s.poly) > 1:
+            linear += Matrix(tuple(vec_scale(s.poly[1] * z, s.functional) for z in s.central), n)
+        for t, mt in zip(live, mats):
+            top, w = min(len(s.poly), len(t.poly)), _dot(s.central, t.central)
+            if top < 3 or not w:
+                continue
+            power = prod = Matrix(tuple(zip(*ms.rows)), n) * mt
+            traces, h = [], [Fraction(1)]
+            for r in range(1, top):
+                power = power * prod if r > 1 else power
+                traces.append(sum(power.rows[i][i] for i in range(n)))
+                h.append(sum(traces[i] * h[r - 1 - i] for i in range(r)) / r)
+                norms[r] += s.poly[r] * t.poly[r] * w * h[r]
+    degree = next((k for k in range(2, len(norms)) if norms[k]), None)
+    if degree is None:
+        return linear, None
+    for i in range(n):
+        for j in range(n):
+            x, y = alg.basis_element(i), alg.basis_element(j)
+            if d(commutator(x, y)) != commutator(d(x), y) + commutator(x, d(y)):
+                return linear, f"x={alg.label(i)}, y={alg.label(j)}"
+    return linear, f"degree-{degree} part of the central terms is nonzero on commutators"
 
 
 def check_lie_law(d: MapSpec, budget: SampleBudget) -> Check:
-    """D([x,y]) = [D(x),y] + [x,D(y)].
+    """D([x,y]) = [D(x),y] + [x,D(y)], exact for every MapSpec.
 
-    Exact for a MapSpec that passes the `commutator_witness` gate: its terms are
-    central and vanish on commutators, so they drop out of both sides, and the
-    linear part must be a derivation of the commutator product, decided on the
-    Leibniz rows over `Algebra.commutator_table`; an antisymmetric defect fails
-    first at a pair i < j. Otherwise basis pairs i != j plus sampled pairs,
-    labeled "sampled".
+    `lie_defect` decides the degree >= 2 part; the degree-1 part L' must then be
+    a derivation of the commutator product, decided on the Leibniz rows over
+    `Algebra.commutator_table`.  The Lie defect is then bilinear and
+    antisymmetric, so the first failing pair i < j is its first basis pair
+    row-major.  `budget` is taken for a uniform call shape; nothing is drawn
+    from it.
     """
     alg = d.algebra
-    if commutator_witness(alg, d.terms) is None:
-        bad = _leibniz_failure(alg.commutator_table(), d.linear)
-        return Check("lie-law", bad is None, "exact", witness=None if bad is None
-                     else f"x={alg.label(bad[0])}, y={alg.label(bad[1])}")
-    for x, y in _sample_pairs(alg, rng_for(budget.seed), budget.pair_samples):
-        lhs = d.eval_vec(vec_sub(alg.mul_vec(x, y), alg.mul_vec(y, x)))
-        dx, dy = d.eval_vec(x), d.eval_vec(y)
-        rhs = vec_add(vec_sub(alg.mul_vec(dx, y), alg.mul_vec(y, dx)),
-                      vec_sub(alg.mul_vec(x, dy), alg.mul_vec(dy, x)))
-        if lhs != rhs:
-            return Check("lie-law", False, "sampled",
-                         witness=f"x={Element(alg, x)!r}, y={Element(alg, y)!r}")
-    return Check("lie-law", True, "sampled")
+    linear, witness = lie_defect(d)
+    if witness is None and (bad := _leibniz_failure(alg.commutator_table(), linear)) is not None:
+        witness = f"x={alg.label(bad[0])}, y={alg.label(bad[1])}"
+    return Check("lie-law", witness is None, "exact", witness=witness)
 
 
 def inner_f(algebra: Algebra, y: Element, z: Element) -> Matrix:
@@ -324,7 +343,6 @@ class DecompositionResult(Record):
     correction_f: Matrix
     normalized: MapSpec
     checks: tuple[Check, ...]
-    budget: SampleBudget
 
     @property
     def ok(self) -> bool:
@@ -370,18 +388,22 @@ def decompose(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> Decomposi
     """Split a Lie multiplicative derivation as delta + tau.
 
     Callers are expected to have checked the Lie law, corner conditions
-    (1)-(4), and the corner hypotheses first; violations surface here as
-    precondition errors from the construction steps.  Failures of the final
-    verification raise InternalInvariantError: with honest inputs they cannot
-    happen.  For a MapSpec that passes the `commutator_witness` gate the
-    construction is linear on each corner up to central summands (R12 and R21
-    lie in the commutator span), so delta' is read off the corner components of
-    the basis vectors alone.
+    (1)-(4), and the corner hypotheses first; a map whose degree >= 2 part
+    breaks the Lie law (`lie_defect`) raises LieLawViolatedError up front, and
+    other violations surface as precondition errors from the construction
+    steps.  Failures of the final verification raise InternalInvariantError:
+    with honest inputs they cannot happen.  Every element of R12 = [e1, R12]
+    and R21 = [R21, e1] is a commutator, on which the degree >= 2 part of the
+    terms vanishes, and on the diagonal corners the terms add central summands
+    only, so the construction is linear on each corner up to central summands
+    and delta' is read off the corner components of the basis vectors alone.
+    `budget` is taken for a uniform call shape; nothing is drawn from it.
     """
     alg = ctx.algebra
     checks: list[Check] = []
-    term_witness = commutator_witness(alg, d.terms)
-    exact = term_witness is None
+    linear, witness = lie_defect(d)
+    if witness is not None:
+        raise LieLawViolatedError(f"the central terms break the Lie law (witness {witness})")
 
     shifted, y, f = normalize_at_idempotent(ctx, d)
     checks.append(Check("normalized-e1-central", True, "exact"))
@@ -391,12 +413,11 @@ def decompose(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> Decomposi
     # P_ij b_k is column k of P_ij
     cols = _construction(ctx, shifted, [[[p.col(k) for k in range(n)] for p in row]
                                         for row in ctx.proj])
-    checks.append(Check("corner-images", True, "exact" if exact else "sampled",
+    checks.append(Check("corner-images", True, "exact",
                         detail="off-diagonal images stay in their corner; "
                                "diagonal images split as corner + center"))
 
-    delta_prime = Matrix(tuple(zip(*cols)), n)
-    delta = delta_prime + f
+    delta = Matrix(tuple(zip(*cols)), n) + f
 
     tau = MapSpec(alg, d.linear - delta, d.terms)
 
@@ -408,19 +429,8 @@ def decompose(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> Decomposi
             "was not a genuine Lie derivation (run the Lie-law check)"
         )
     checks.append(Check("delta-leibniz", True, "exact"))
-
-    rng = rng_for(budget.seed)
-    for _ in range(0 if exact else budget.element_samples):
-        v = random_vector(rng, n)
-        parts = [[[p.apply(v)] for p in row] for row in ctx.proj]
-        if _construction(ctx, shifted, parts)[0] != delta_prime.apply(v):
-            raise InternalInvariantError(
-                "matrix extension of delta disagrees with the corner construction "
-                f"at {Element(alg, v)!r}"
-            )
-    checks.append(Check("delta-matches-construction", True, "exact" if exact else "sampled",
-                        detail="corner components of the basis vectors; linear on each corner"
-                        if exact else f"{budget.element_samples} random elements"))
+    checks.append(Check("delta-matches-construction", True, "exact",
+                        detail="corner components of the basis vectors; linear on each corner"))
 
     cen = center(alg)
     bad = next((k for k in range(n) if not cen.contains_vector(tau.linear.col(k))), None)
@@ -429,9 +439,9 @@ def decompose(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> Decomposi
     if bad is not None:
         raise InternalInvariantError("tau has a non-central linear column")
 
-    # the linear part and every effective term vanish on the commutator span
-    bad = next((c for c in commutator_subspace(alg).basis if any(tau.linear.apply(c))),
-               None) or term_witness
+    # tau's degree >= 2 part vanishes on commutators, and its degree-1 part is linear
+    tau1 = linear - delta
+    bad = next((c for c in commutator_subspace(alg).basis if any(tau1.apply(c))), None)
     witness = None if bad is None else f"commutator-span vector {Element(alg, bad)!r}"
     checks.append(Check("tau-kills-commutators", witness is None, "exact", witness=witness))
     if witness is not None:
@@ -440,21 +450,25 @@ def decompose(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> Decomposi
     checks.append(Check("almost-additive", True, "exact",
                         detail="nonlinear defects land in the span of central targets"))
 
-    return DecompositionResult(alg, delta, tau, y, -ctx.e1, f, shifted, tuple(checks), budget)
+    return DecompositionResult(alg, delta, tau, y, -ctx.e1, f, shifted, tuple(checks))
 
 
 def compose(algebra: Algebra, delta: Matrix, terms: tuple[CentralTerm, ...] = ()) -> MapSpec:
     """Assemble delta + tau as a MapSpec, validating both halves.
 
     delta must satisfy the Leibniz rule; every nonlinear term must be central
-    (checked by MapSpec) and must vanish on commutators, which
-    `commutator_witness` decides from the term functionals.
+    (checked by MapSpec), and the terms must vanish on commutators: `lie_defect`
+    decides their degree >= 2 part, and their degree-1 part must vanish on the
+    commutator span.
     """
     if not is_derivation(algebra, delta):
         raise NotDerivationError("linear part fails the Leibniz rule on a basis pair")
-    if commutator_witness(algebra, tuple(terms)) is not None:
+    d = MapSpec(algebra, delta, tuple(terms))
+    linear, witness = lie_defect(d)
+    terms1 = linear - delta
+    if witness is not None or any(any(terms1.apply(c)) for c in commutator_subspace(algebra).basis):
         raise LieLawViolatedError(
-            "central-term functional does not vanish on the commutator "
-            "span; the composed map would break the Lie product rule"
+            "central terms do not vanish on commutators; the composed map would "
+            "break the Lie product rule"
         )
-    return MapSpec(algebra, delta, tuple(terms))
+    return d

@@ -14,6 +14,7 @@ import contextlib
 import hashlib
 import io
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,8 @@ import pytest
 from altrings.catalog import canonical_idempotent, parse_recipe, random_lie_derivation
 from altrings.cli import main
 from altrings.jsonio import load_algebra, save_mapspec, vector_to_json
-from altrings.liederiv import SampleBudget
+from altrings.liederiv import CentralTerm, MapSpec, SampleBudget
+from altrings.linalg import Matrix
 from altrings.structure import derivation_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -100,6 +102,27 @@ def test_lie_split_matches_golden_bytes(stem, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for rel, text in lie_split_outputs(stem).items():
         assert text == (GOLDEN / rel).read_text(encoding="utf-8"), rel
+
+
+def test_trace_square_decompose_matches_golden_bytes(tmp_path, monkeypatch):
+    """D(a) = (a11^2 - a22^2) 1 on matrix:2 at E11 splits as delta = 0, tau = D.
+    Its term functionals E11 and E22 do not vanish on the commutator span, but
+    the degree-2 parts cancel on it."""
+    monkeypatch.chdir(tmp_path)
+    _stdout(["make", "matrix", "--n", "2", "-o", "matrix-2.json"])
+    m2 = load_algebra("matrix-2.json")
+    square = (Fraction(0), Fraction(0), Fraction(1))
+    save_mapspec(MapSpec(m2, Matrix.zeros(4, 4),
+                         (CentralTerm(m2.basis_vec(0), square, m2.unit),
+                          CentralTerm(m2.basis_vec(3), square, tuple(-x for x in m2.unit)))),
+                 "trace-square.map.json")
+    out = _stdout(["decompose", "--json", "matrix-2.json", "--idempotent", "1,0,0,0",
+                   "--map", "trace-square.map.json", "-o", "trace-square"])
+    assert out == (GOLDEN / "decompose" / "trace-square.json").read_text(encoding="utf-8")
+    for suffix in ("map", "delta", "tau"):
+        rel = f"decompose/trace-square.{suffix}.json"
+        assert Path(f"trace-square.{suffix}.json").read_text(encoding="utf-8") == \
+            (GOLDEN / rel).read_text(encoding="utf-8"), rel
 
 
 # peirce reports whose corner conditions fail, so the annihilator witnesses are

@@ -29,10 +29,11 @@ from altrings.errors import (
     NotCentralError,
     NotDerivationError,
 )
-from altrings.linalg import Matrix, combine
-from altrings.liederiv import commutator_witness
+from altrings.linalg import Matrix, combine, kernel, vec_add, vec_sub
+from altrings.liederiv import lie_defect
 from altrings.sampling import random_rational, random_vector, rng_for
-from altrings.structure import derivation_span, is_derivation
+from altrings.report import Check
+from altrings.structure import commutator_subspace, derivation_span, is_derivation
 
 F = Fraction
 
@@ -105,17 +106,21 @@ def test_lie_law_fails_for_left_multiplication(m2):
     assert verdict.witness is not None
 
 
-def test_trace_square_map_keeps_the_sampled_lie_law(m2_ctx):
-    # D(a) = (a11^2 - a22^2) 1 kills commutators, but its term functionals E11 and
-    # E22 do not vanish on the commutator span, so it fails the gate
-    m2 = m2_ctx.algebra
+def trace_square_map(m2):
+    """D(a) = (a11^2 - a22^2) 1 kills commutators, but its term functionals E11
+    and E22 do not vanish on the commutator span."""
     square = (F(0), F(0), F(1))
-    d = MapSpec(m2, Matrix.zeros(4, 4),
-                (CentralTerm((F(1), F(0), F(0), F(0)), square, m2.unit),
-                 CentralTerm((F(0), F(0), F(0), F(1)), square, tuple(-x for x in m2.unit))))
-    assert commutator_witness(m2, d.terms) is not None
+    return MapSpec(m2, Matrix.zeros(4, 4),
+                   (CentralTerm((F(1), F(0), F(0), F(0)), square, m2.unit),
+                    CentralTerm((F(0), F(0), F(0), F(1)), square, tuple(-x for x in m2.unit))))
+
+
+def test_trace_square_map_keeps_the_exact_lie_law(m2_ctx):
+    m2 = m2_ctx.algebra
+    d = trace_square_map(m2)
+    assert lie_defect(d) == (d.linear, None)
     verdict = check_lie_law(d, budget())
-    assert verdict.ok and verdict.mode == "sampled"
+    assert verdict.ok and verdict.mode == "exact"
     rep = check_hypotheses(m2_ctx, d, budget())
     assert rep.both_hold and rep.a.mode == rep.b.mode == "exact"
 
@@ -126,7 +131,7 @@ def test_lie_law_outside_the_gate_tries_both_orders(m2):
     d = MapSpec(m2, Matrix.zeros(4, 4),
                 (CentralTerm((F(1), F(0), F(0), F(0)), (F(0), F(-1), F(1)), m2.unit),))
     verdict = check_lie_law(d, budget())
-    assert (verdict.ok, verdict.mode, verdict.witness) == (False, "sampled", "x=E21, y=E12")
+    assert (verdict.ok, verdict.mode, verdict.witness) == (False, "exact", "x=E21, y=E12")
 
 
 def _reference_lie_law(d, bud):
@@ -189,7 +194,8 @@ def test_gated_lie_law_is_decided_on_rows(monkeypatch):
 @given(st.data())
 def test_gated_checks_match_sampled_reference(m2_ctx, m3_ctx, zorn_ctx, data):
     """Random Lie derivations, perturbed, give the verdict and witness of the
-    sampled loops; the gate decides the mode of the Lie law."""
+    sampled loops wherever a basis pair decides the Lie law; a failure the
+    sampled loop finds is a failing verdict, and every mode is exact."""
     ctx = data.draw(st.sampled_from([m2_ctx, m3_ctx, zorn_ctx]))
     alg, n = ctx.algebra, ctx.algebra.dim
     bud = SampleBudget(seed=data.draw(st.integers(0, 10**6)), pair_samples=5,
@@ -209,8 +215,11 @@ def test_gated_checks_match_sampled_reference(m2_ctx, m3_ctx, zorn_ctx, data):
                 (CentralTerm(functional, term.poly, tuple(scale * z for z in term.central)),))
 
     lie = check_lie_law(d, bud)
-    assert (lie.ok, lie.witness) == _reference_lie_law(d, bud)
-    assert lie.mode == ("exact" if commutator_witness(alg, d.terms) is None else "sampled")
+    if (lie.witness or "").startswith("degree-"):  # no basis pair breaks the law
+        assert not lie.ok
+    else:
+        assert (lie.ok, lie.witness) == _reference_lie_law(d, bud)
+    assert lie.mode == "exact"
     hyp = check_hypotheses(ctx, d, bud)
     assert [(c.ok, c.witness) for c in (hyp.a, hyp.b)] == _reference_hypotheses(ctx, d, bud)
     assert hyp.a.mode == hyp.b.mode == "exact"
@@ -515,7 +524,7 @@ def test_decompose_scale_equivariant(zorn_ctx):
 def test_tau_check_tries_reversed_basis_pairs(m2_ctx):
     # D(a) = p(a11) 1 with p(s) = s^2 - s is 2 at E22 - E11 = [E21, E12] and 0 at
     # E11 - E22 = [E12, E21]: the Lie law finds it only at the reversed pair, at
-    # every seed, and tau's term functional is nonzero on the commutator span
+    # every seed, and decompose refuses the map up front with that witness
     m2 = m2_ctx.algebra
     d = MapSpec(m2, Matrix.zeros(4, 4),
                 (CentralTerm((F(1), F(0), F(0), F(0)), (F(0), F(-1), F(1)), m2.unit),))
@@ -523,9 +532,7 @@ def test_tau_check_tries_reversed_basis_pairs(m2_ctx):
         bud = SampleBudget(seed=seed)
         lie = check_lie_law(d, bud)
         assert (lie.ok, lie.witness) == (False, "x=E21, y=E12")
-        with pytest.raises(InternalInvariantError,
-                           match=r"tau does not vanish on a commutator "
-                                 r"\(commutator-span vector E11 \+ \(-1\)\*E22\)"):
+        with pytest.raises(LieLawViolatedError, match=r"witness x=E21, y=E12\)"):
             decompose(m2_ctx, d, bud)
 
 
@@ -537,13 +544,14 @@ def test_decompose_modes_follow_the_gate(m2_ctx):
     assert modes["corner-images"] == modes["delta-matches-construction"] == "exact"
 
 
-def test_decompose_samples_the_construction_outside_the_gate(m3_ctx):
+def test_decompose_refuses_the_construction_breaker_up_front(m3_ctx):
     # D(a) = p(a12 + a13) 1 with p(s) = s^2 - s vanishes on the basis vectors but
-    # leaves R12 at 2 E12; only the sampled elements can find that
+    # leaves R12 at 2 E12; its degree-2 part is nonzero on commutators, first at
+    # [E12, E11] = -E12
     m3 = m3_ctx.algebra
     functional = tuple(F(int(k in (1, 2))) for k in range(9))
     d = MapSpec(m3, Matrix.zeros(9, 9), (CentralTerm(functional, (F(0), F(-1), F(1)), m3.unit),))
-    with pytest.raises(LieLawViolatedError, match="leaves corner R12"):
+    with pytest.raises(LieLawViolatedError, match=r"witness x=E12, y=E11\)"):
         decompose(m3_ctx, d, budget())
 
 
@@ -573,23 +581,171 @@ def test_tau_commutator_failure_names_the_span_vector(m2_ctx, monkeypatch):
     import altrings.liederiv as liederiv
 
     m2 = m2_ctx.algebra
-    monkeypatch.setattr(liederiv, "commutator_witness", lambda alg, terms: m2.basis_vec(1))
+    ad_e11 = ad(m2, 0)  # nonzero at E12, the first commutator-span basis vector
+    monkeypatch.setattr(liederiv, "lie_defect", lambda d: (d.linear + ad_e11, None))
     with pytest.raises(InternalInvariantError,
                        match=r"tau does not vanish on a commutator \(commutator-span vector E12\)"):
         decompose(m2_ctx, MapSpec(m2, Matrix.zeros(4, 4)), budget())
 
 
-def test_commutator_witness_skips_inert_terms(m2):
-    from altrings.liederiv import commutator_witness
-
+def test_lie_defect_skips_inert_terms(m2):
     e11 = (F(1), F(0), F(0), F(0))
-    assert commutator_witness(m2, (CentralTerm(e11, (F(0), F(1)), m2.unit),)) == \
-        (F(1), F(0), F(0), F(-1))
+    zero = Matrix.zeros(4, 4)
+    live = MapSpec(m2, zero, (CentralTerm(e11, (F(0), F(1), F(1)), m2.unit),))
+    assert lie_defect(live) == (Matrix.from_rows([[1, 0, 0, 0], [0] * 4, [0] * 4, [1, 0, 0, 0]]),
+                                "x=E12, y=E21")
     inert = (CentralTerm(e11, (F(0), F(1)), (F(0),) * 4),
              CentralTerm(e11, (F(0), F(0)), m2.unit),
              CentralTerm((F(0),) * 4, (F(0), F(1)), m2.unit))
-    assert commutator_witness(m2, inert) is None
-    assert commutator_witness(m2, (trace_term(m2, [0, 0, 1]),)) is None
+    assert lie_defect(MapSpec(m2, zero, inert)) == (zero, None)
+    trace = MapSpec(m2, zero, (trace_term(m2, [0, 1, 1]),))
+    assert lie_defect(trace) == (zero, None)
+
+
+# -- the Lie law of cancelling central terms --
+
+
+def test_trace_square_map_decomposes_as_a_central_map(m2_ctx):
+    m2 = m2_ctx.algebra
+    d = trace_square_map(m2)
+    result = decompose(m2_ctx, d, budget())
+    assert result.delta.is_zero() and result.tau == d
+    assert result.ok and {c.mode for c in result.checks} == {"exact"}
+
+
+def test_cancelling_squares_fail_at_degree_two_at_every_seed(m2):
+    # 4 a12 a21 1 = (a12 + a21)^2 1 - (a12 - a21)^2 1 is zero on every basis pair,
+    # but at x = E11, y = E12 + E21 the left side is -4 and the right side 0
+    square = (F(0), F(0), F(1))
+    d = MapSpec(m2, Matrix.zeros(4, 4),
+                (CentralTerm((F(0), F(1), F(1), F(0)), square, m2.unit),
+                 CentralTerm((F(0), F(1), F(-1), F(0)), square, tuple(-x for x in m2.unit))))
+    x, y = m2.basis_element(0), m2.element([0, 1, 1, 0])
+    assert d(commutator(x, y)) != commutator(d(x), y) + commutator(x, d(y))
+    verdicts = {check_lie_law(d, SampleBudget(seed=seed)) for seed in range(5)}
+    assert verdicts == {Check("lie-law", False, "exact", witness="degree-2 part of the "
+                              "central terms is nonzero on commutators")}
+
+
+def _poly_mul(p, q):
+    """Product of polynomials in x and y, keyed by the sorted x and y indices."""
+    out = {}
+    for (px, py), a in p.items():
+        for (qx, qy), b in q.items():
+            key = (tuple(sorted(px + qx)), tuple(sorted(py + qy)))
+            out[key] = out.get(key, 0) + a * b
+    return {k: c for k, c in out.items() if c}
+
+
+def _symbolic_lie_law(d):
+    """(ok, witness) of the Lie law from the Lie defect expanded as a polynomial
+    in the coordinates of x and y.  The targets are central, so the terms add
+    sum_t p_t(f_t . [x, y]) z_t; the linear part adds its bilinear defect.  The
+    witness is the first basis pair, row-major, with a nonzero defect, else the
+    least degree k >= 2 whose (x^k, y^k) part is nonzero."""
+    alg, n = d.algebra, d.algebra.dim
+    basis = [alg.basis_element(i) for i in range(n)]
+    lin = MapSpec(alg, d.linear)
+    defect = [{} for _ in range(n)]
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            v = lin(commutator(x, y)) - commutator(lin(x), y) - commutator(x, lin(y))
+            for k, c in enumerate(v.coeffs):
+                if c:
+                    defect[k][((i,), (j,))] = c
+    for t in d.terms:
+        g = {}
+        for i, x in enumerate(basis):
+            for j, y in enumerate(basis):
+                if c := sum(f * b for f, b in zip(t.functional, commutator(x, y).coeffs)):
+                    g[((i,), (j,))] = c
+        power = {((), ()): F(1)}
+        for k, a in enumerate(t.poly):
+            power = _poly_mul(power, g) if k else power
+            for comp, z in zip(defect, t.central):
+                for key, c in power.items():
+                    comp[key] = comp.get(key, 0) + a * z * c
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            if d(commutator(x, y)) != commutator(d(x), y) + commutator(x, d(y)):
+                return False, f"x={alg.label(i)}, y={alg.label(j)}"
+    degrees = sorted({len(key[0]) for comp in defect for key, c in comp.items() if c})
+    if not degrees:
+        return True, None
+    return False, f"degree-{degrees[0]} part of the central terms is nonzero on commutators"
+
+
+@st.composite
+def cancelling_maps(draw, contexts, genuine):
+    """A random Lie derivation of the catalog, plus terms (f, p, z) with f on one
+    or two basis vectors, each with its partner (s f + h, -p(s .), z), s = +-1 and
+    h killing the commutator span, which cancels it on commutators.  Unless
+    `genuine`, half the maps get one fault: a term without its partner, a
+    perturbed partner polynomial or h, a matrix unit added to the linear part, or
+    the pair (u + v, s^2, z), (u - v, -s^2, z), which adds 4 (u . a)(v . a) z."""
+    ctx = draw(st.sampled_from(contexts))
+    alg, n = ctx.algebra, ctx.algebra.dim
+    rng = rng_for(draw(st.integers(0, 10**6)))
+    d = random_lie_derivation(alg, SampleBudget(seed=rng.randint(0, 10**6)))
+    linear, terms = d.linear, list(d.terms)
+    annihilator = kernel(Matrix(tuple(commutator_subspace(alg).basis), n)).basis
+    cen = center(alg).basis
+    fault = None if genuine or draw(st.booleans()) else draw(
+        st.sampled_from(["unpaired", "poly", "h", "linear", "cross"]))
+
+    def unit():
+        return alg.basis_vec(draw(st.integers(0, n - 1)))
+
+    for first in (True, False)[:draw(st.integers(1, 2))]:
+        fault_here = fault if first else None
+        f = combine([draw(st.sampled_from([1, -1, 2])) for _ in range(2)], [unit(), unit()], n)
+        poly = (F(0),) + tuple(random_rational(rng) for _ in range(draw(st.integers(1, 3))))
+        z = combine([random_rational(rng) for _ in cen], cen, n)
+        terms.append(CentralTerm(f, poly, z))
+        sign = draw(st.sampled_from([1, -1]))
+        h = combine([random_rational(rng) for _ in annihilator], annihilator, n)
+        partner = [-c * sign ** k for k, c in enumerate(poly)]
+        if fault_here == "unpaired":
+            continue
+        if fault_here == "poly":
+            partner[draw(st.integers(1, len(poly) - 1))] += 1
+        if fault_here == "h":
+            h = random_vector(rng, n)
+        terms.append(CentralTerm(combine([sign, 1], [f, h], n), tuple(partner), z))
+    if fault == "linear":
+        p, q = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        linear = linear + Matrix(tuple(tuple(F(int((r, c) == (p, q))) for c in range(n))
+                                       for r in range(n)), n)
+    if fault == "cross":
+        u, v, z = unit(), unit(), combine([random_rational(rng) for _ in cen], cen, n)
+        terms += [CentralTerm(vec_add(u, v), (F(0), F(0), F(1)), z),
+                  CentralTerm(vec_sub(u, v), (F(0), F(0), F(-1)), z)]
+    return ctx, MapSpec(alg, linear, tuple(terms))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_lie_law_matches_symbolic_expansion(m2_ctx, m3_ctx, zorn_ctx, m2m2_ctx, data):
+    _ctx, d = data.draw(cancelling_maps([m2_ctx, m3_ctx, zorn_ctx, m2m2_ctx], genuine=False))
+    verdict = check_lie_law(d, budget())
+    assert (verdict.ok, verdict.witness) == _symbolic_lie_law(d)
+    assert verdict.mode == "exact"
+
+
+@settings(max_examples=15)
+@given(st.data())
+def test_cancelling_lie_derivations_decompose_exactly(m2_ctx, m3_ctx, zorn_ctx, data):
+    ctx, d = data.draw(cancelling_maps([m2_ctx, m3_ctx, zorn_ctx], genuine=True))
+    alg = ctx.algebra
+    assert check_lie_law(d, budget()).ok
+    result = decompose(ctx, d, budget())
+    assert result.ok and {c.mode for c in result.checks} == {"exact"}
+    rng = rng_for(data.draw(st.integers(0, 10**6)))
+    for _ in range(3):
+        x, y = (alg.element(random_vector(rng, alg.dim)) for _ in range(2))
+        assert d(x) == alg.element(result.delta.apply(x.coeffs)) + result.tau(x)
+        assert center(alg).contains_vector(result.tau(x).coeffs)
+        assert result.tau(commutator(x, y)).is_zero()
 
 
 # -- compose --
