@@ -69,7 +69,7 @@ def zorn() -> Algebra:
         b = b1 * b2 + _dot(w1, v2)
         return (a,) + v + w + (b,)
 
-    basis = [tuple(_O if k == i else _Z for k in range(8)) for i in range(8)]
+    basis = [tuple(int(k == i) for k in range(8)) for i in range(8)]
     products = {(i, j): mul(basis[i], basis[j]) for i in range(8) for j in range(8)}
     unit = (_O, _Z, _Z, _Z, _Z, _Z, _Z, _O)
     labels = ["e1", "u1", "u2", "u3", "v1", "v2", "v3", "e2"]

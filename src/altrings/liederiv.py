@@ -4,17 +4,18 @@ A map D (not assumed additive) satisfying D([x,y]) = [D(x),y] + [x,D(y)] is
 represented in closed form (`MapSpec`: a linear part plus finitely many
 polynomial central terms).  `decompose` splits such a map into an additive
 derivation `delta` (a matrix) and a center-valued residual `tau` vanishing on
-commutators, following the corner construction: normalize D at the idempotent
-with an inner correction taken from products, read off delta on the
-off-diagonal corners directly, and strip the unique central part on the
-diagonal corners; delta' at any element is that rule summed over its corner
-components.
+commutators.  `decompose` decides the Lie law itself and reads delta off the
+map in closed form, delta = L' - sum_i Z_i(P_jj L' P_ii): L' is the linear part
+with the terms' degree-1 parts folded in, and Z_i takes the central element
+matched on the corner opposite R_ii (the proof is in `decompose`).  Corner
+conditions (1)-(4) remain the caller's; a failing corner hypothesis surfaces
+as NoSplitError.
 
 Verification policy: every check on a MapSpec is "exact".  `lie_defect`
-decides the degree >= 2 part of the Lie law on the apolar norm of the central
-terms, and the degree-1 part is a linear map decided on Leibniz rows or on the
-commutator span.  The corner hypotheses are exact for every MapSpec (a term
-adds a multiple of P(z) to P(D(a))).  Nothing is drawn from a `SampleBudget`.
+decides the Lie law: its degree >= 2 part on the apolar norm of the central
+terms, and its degree-1 part, a linear map, on Leibniz rows.  The corner
+hypotheses are exact for every MapSpec (a term adds a multiple of P(z) to
+P(D(a))).  Nothing is drawn from a `SampleBudget`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import (
     AlgebraMismatchError,
     InternalInvariantError,
     LieLawViolatedError,
-    NonUniqueSplitError,
     NormalizationFailedError,
     NoSplitError,
     NotCentralError,
@@ -38,7 +38,6 @@ from .linalg import (
     Record,
     Vec,
     combine,
-    is_zero_vec,
     vec_add,
     vec_scale,
     zero_vec,
@@ -152,13 +151,15 @@ def _dot(u: Vec, v: Vec) -> Fraction:
 
 
 def lie_defect(d: MapSpec) -> tuple[Matrix, Optional[str]]:
-    """(L', witness): decide the degree >= 2 part of the Lie law of d exactly.
+    """(L', witness): decide the Lie law of d exactly; the witness is None when it holds.
 
     Write D(a) = L a + sum_t p_t(f_t . a) z_t, p_t = sum_k a_tk s^k, z_t central.
     The terms drop out of [D x, y] + [x, D y], and [sx, ty] = st [x, y], so the
     Lie defect at (sx, ty) is st B'(x, y) + sum_{k >= 2} (st)^k P_k([x, y]), and
     over Q each coefficient must vanish on its own.  B' is the Leibniz defect over
-    [ , ] of the returned L' = L + sum_t a_t1 z_t f_t^T, which callers decide.
+    [ , ] of the returned L' = L + sum_t a_t1 z_t f_t^T, decided on the Leibniz
+    rows of `Algebra.commutator_table`; B' is bilinear and antisymmetric, so its
+    first failing pair i < j is the first failing basis pair, row-major.
     With M_t[i][j] = f_t . [b_i, b_j], P_k([x, y]) = sum_t a_tk (x^T M_t y)^k z_t.
     The apolar inner product <p, q> = p(d/dx, d/dy) q is positive definite, and
     <(x^T A y)^k, (x^T B y)^k> = (k!)^2 h_k(A^T B), h_k the complete homogeneous
@@ -171,6 +172,7 @@ def lie_defect(d: MapSpec) -> tuple[Matrix, Optional[str]]:
     vanishes on `commutator_subspace` has M_t = 0 and is skipped first.  The
     witness of a nonzero N_k is the first basis pair, row-major, with a nonzero
     Lie defect, else the failing degree: the nonzero norm proves the failure.
+    The degree >= 2 part is decided first.
     """
     alg, n, linear = d.algebra, d.algebra.dim, d.linear
     span = commutator_subspace(alg).basis
@@ -194,7 +196,8 @@ def lie_defect(d: MapSpec) -> tuple[Matrix, Optional[str]]:
                 norms[r] += s.poly[r] * t.poly[r] * w * h[r]
     degree = next((k for k in range(2, len(norms)) if norms[k]), None)
     if degree is None:
-        return linear, None
+        bad = _leibniz_failure(alg.commutator_table(), linear)
+        return linear, None if bad is None else f"x={alg.label(bad[0])}, y={alg.label(bad[1])}"
     for i in range(n):
         for j in range(n):
             x, y = alg.basis_element(i), alg.basis_element(j)
@@ -204,19 +207,11 @@ def lie_defect(d: MapSpec) -> tuple[Matrix, Optional[str]]:
 
 
 def check_lie_law(d: MapSpec, budget: SampleBudget) -> Check:
-    """D([x,y]) = [D(x),y] + [x,D(y)], exact for every MapSpec.
-
-    `lie_defect` decides the degree >= 2 part; the degree-1 part L' must then be
-    a derivation of the commutator product, decided on the Leibniz rows over
-    `Algebra.commutator_table`.  The Lie defect is then bilinear and
-    antisymmetric, so the first failing pair i < j is its first basis pair
-    row-major.  `budget` is taken for a uniform call shape; nothing is drawn
-    from it.
+    """D([x,y]) = [D(x),y] + [x,D(y)], exact for every MapSpec: the verdict and
+    witness of `lie_defect`.  `budget` is taken for a uniform call shape;
+    nothing is drawn from it.
     """
-    alg = d.algebra
-    linear, witness = lie_defect(d)
-    if witness is None and (bad := _leibniz_failure(alg.commutator_table(), linear)) is not None:
-        witness = f"x={alg.label(bad[0])}, y={alg.label(bad[1])}"
+    witness = lie_defect(d)[1]
     return Check("lie-law", witness is None, "exact", witness=witness)
 
 
@@ -303,27 +298,14 @@ def normalize_at_idempotent(ctx: PeirceContext, d: MapSpec) -> tuple[MapSpec, El
 def split_diagonal(ctx: PeirceContext, c: Element, side: int) -> tuple[Element, Element]:
     """Write a diagonal-corner value c as b + z, b in R_ii, z central.
 
-    For side 1 the central part is pinned by matching the (2,2) corner; the
-    solution must exist (else NoSplit: the corner hypothesis fails) and be
-    unique (else NonUnique: corner conditions (2)/(3) fail).
+    For side 1 the central part is pinned by matching the (2,2) corner
+    (`PeirceContext.central_part`); the solution must exist (else NoSplit: the
+    corner hypothesis fails) and be unique (else NonUnique: corner conditions
+    (2)/(3) fail).
     """
     if side not in (1, 2):
         raise ValueError("side must be 1 or 2")
-    alg = ctx.algebra
-    n = alg.dim
-    system = ctx.central_splits[side - 1]
-    if any(not any(row[:n]) for row in system.basis):
-        raise NonUniqueSplitError(
-            "central elements are not separated by the opposite corner; "
-            "corner conditions (2)/(3) are violated"
-        )
-    residue = system.reduce_vector(ctx.proj[2 - side][2 - side].apply(c.coeffs) + zero_vec(n))
-    if any(residue[:n]):
-        raise NoSplitError(
-            f"no central element matches the corner of {c!r}; "
-            f"hypothesis {'a' if side == 1 else 'b'} is violated"
-        )
-    zel = Element(alg, tuple(-x for x in residue[n:]))
+    zel = Element(ctx.algebra, ctx.central_part(side - 1, c.coeffs))
     b = c - zel
     if not ctx.spaces[side - 1][side - 1].contains_vector(b.coeffs):
         raise NoSplitError(f"residue {b!r} does not lie in the diagonal corner")
@@ -331,17 +313,11 @@ def split_diagonal(ctx: PeirceContext, c: Element, side: int) -> tuple[Element, 
 
 
 class DecompositionResult(Record):
-    """Derivation part, center-valued residual, the normalization data
-    (y, z, f with f the inner correction at (y, z)), and the per-step
-    verification checks."""
+    """Derivation part, center-valued residual, and the verification checks."""
 
     algebra: Algebra
     delta: Matrix
     tau: MapSpec
-    correction_y: Element
-    correction_z: Element
-    correction_f: Matrix
-    normalized: MapSpec
     checks: tuple[Check, ...]
 
     @property
@@ -349,88 +325,59 @@ class DecompositionResult(Record):
         return all(c.ok for c in self.checks)
 
 
-def _delta_value(ctx: PeirceContext, shifted: MapSpec, i: int, j: int, v: Vec) -> Vec:
-    """Construction rule for delta' on one Peirce component (raises on failure)."""
-    alg = ctx.algebra
-    img = shifted.eval_vec(v)
-    if i != j:
-        if not ctx.spaces[i][j].contains_vector(img):
-            raise LieLawViolatedError(
-                f"D'({Element(alg, v)!r}) = {Element(alg, img)!r} leaves corner "
-                f"R{i+1}{j+1}; the map is not a Lie derivation"
-            )
-        return img
-    off = vec_add(ctx.proj[0][1].apply(img), ctx.proj[1][0].apply(img))
-    if not is_zero_vec(off):
-        raise LieLawViolatedError(
-            f"D'({Element(alg, v)!r}) has off-diagonal part {Element(alg, off)!r}; "
-            "the map is not a Lie derivation"
-        )
-    b, _z = split_diagonal(ctx, Element(alg, img), i + 1)
-    return b.coeffs
-
-
-def _construction(ctx: PeirceContext, shifted: MapSpec, parts: list[list[list[Vec]]]) -> list[Vec]:
-    """delta'(v_k) for each k, given the corner components parts[i][j][k] = P_ij v_k:
-    the construction rule summed over the nonzero ones.  The components are taken
-    corner by corner, so the first one that raises is the first in corner-major
-    order."""
-    values = [zero_vec(ctx.algebra.dim)] * len(parts[0][0])
-    for i in range(2):
-        for j in range(2):
-            for k, part in enumerate(parts[i][j]):
-                if any(part):
-                    values[k] = vec_add(values[k], _delta_value(ctx, shifted, i, j, part))
-    return values
-
-
 def decompose(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> DecompositionResult:
-    """Split a Lie multiplicative derivation as delta + tau.
+    """Split a Lie multiplicative derivation as delta + tau, delta in closed form.
 
-    Callers are expected to have checked the Lie law, corner conditions
-    (1)-(4), and the corner hypotheses first; a map whose degree >= 2 part
-    breaks the Lie law (`lie_defect`) raises LieLawViolatedError up front, and
-    other violations surface as precondition errors from the construction
-    steps.  Failures of the final verification raise InternalInvariantError:
-    with honest inputs they cannot happen.  Every element of R12 = [e1, R12]
-    and R21 = [R21, e1] is a commutator, on which the degree >= 2 part of the
-    terms vanishes, and on the diagonal corners the terms add central summands
-    only, so the construction is linear on each corner up to central summands
-    and delta' is read off the corner components of the basis vectors alone.
-    `budget` is taken for a uniform call shape; nothing is drawn from it.
+    `decompose` decides the Lie law itself (`lie_defect`) and raises
+    LieLawViolatedError on a map that breaks it.  Corner conditions (1)-(4)
+    remain the caller's.  A failing corner hypothesis surfaces as NoSplitError,
+    and a center that the opposite corner does not separate as
+    NonUniqueSplitError.  Failures of the final verification raise
+    InternalInvariantError: with honest inputs they cannot happen.  `budget` is
+    taken for a uniform call shape; nothing is drawn from it.
+
+    delta = L' - sum_i Z_i(P_jj L' P_ii), j = 1 - i, where L' is the linear part
+    with the terms' degree-1 parts folded in (`lie_defect`), and Z_i(u) is the
+    central z with P_jj z = P_jj u (`PeirceContext.central_part`).  This is the
+    paper's delta:
+    - Let D = delta0 + tau0 be a split.  tau0(s a) is central for every s, and
+      zero when a is a commutator; its coefficient of s is tau0'(a), so
+      tau0' = L' - delta0 is linear, central-valued and zero on the commutator
+      span C.
+    - Take w in R_ii.  delta0(w) = delta0(e_i) w + e_i delta0(w), and by the
+      Peirce relations neither term has an R_jj component.  So
+      P_jj L' w = P_jj tau0'(w), and Z_i returns tau0'(w).  It is unique when
+      P_jj is injective on Z; otherwise NonUniqueSplitError is raised.
+    - Take w in R_ij with i != j.  Then w = [e_i, w] is a commutator, so
+      tau0'(w) = 0.
+    - Hence tau0' = sum_i Z_i(P_jj L' P_ii), and the formula returns delta0
+      whenever a split exists.  The inner correction that normalizes D at e1
+      in the paper's construction (`normalize_at_idempotent`) cancels out.
     """
-    alg = ctx.algebra
+    alg, n = ctx.algebra, ctx.algebra.dim
     checks: list[Check] = []
     linear, witness = lie_defect(d)
     if witness is not None:
-        raise LieLawViolatedError(f"the central terms break the Lie law (witness {witness})")
+        raise LieLawViolatedError(f"the map breaks the Lie law (witness {witness})")
 
-    shifted, y, f = normalize_at_idempotent(ctx, d)
-    checks.append(Check("normalized-e1-central", True, "exact"))
-    checks.append(Check("normalized-e2-central", True, "exact"))
-
-    n = alg.dim
-    # P_ij b_k is column k of P_ij
-    cols = _construction(ctx, shifted, [[[p.col(k) for k in range(n)] for p in row]
-                                        for row in ctx.proj])
-    checks.append(Check("corner-images", True, "exact",
-                        detail="off-diagonal images stay in their corner; "
-                               "diagonal images split as corner + center"))
-
-    delta = Matrix(tuple(zip(*cols)), n) + f
-
+    # column k of tau' is sum_i Z_i(P_jj L' P_ii b_k); P_ii b_k is column k of P_ii
+    cols = [zero_vec(n)] * n
+    for i in range(2):
+        for k in range(n):
+            if any(w := ctx.proj[i][i].col(k)):
+                cols[k] = vec_add(cols[k], ctx.central_part(i, linear.apply(w)))
+    tau1 = Matrix(tuple(zip(*cols)), n)
+    delta = linear - tau1
     tau = MapSpec(alg, d.linear - delta, d.terms)
 
     # -- verification --
 
     if not is_derivation(alg, delta):
         raise InternalInvariantError(
-            "delta fails the Leibniz rule; either an internal bug or the input "
-            "was not a genuine Lie derivation (run the Lie-law check)"
+            "delta fails the Leibniz rule; either an internal bug or corner "
+            "conditions (1)-(4) fail (run the condition checks)"
         )
     checks.append(Check("delta-leibniz", True, "exact"))
-    checks.append(Check("delta-matches-construction", True, "exact",
-                        detail="corner components of the basis vectors; linear on each corner"))
 
     cen = center(alg)
     bad = next((k for k in range(n) if not cen.contains_vector(tau.linear.col(k))), None)
@@ -439,8 +386,7 @@ def decompose(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> Decomposi
     if bad is not None:
         raise InternalInvariantError("tau has a non-central linear column")
 
-    # tau's degree >= 2 part vanishes on commutators, and its degree-1 part is linear
-    tau1 = linear - delta
+    # tau's degree >= 2 part vanishes on commutators, and its degree-1 part is tau'
     bad = next((c for c in commutator_subspace(alg).basis if any(tau1.apply(c))), None)
     witness = None if bad is None else f"commutator-span vector {Element(alg, bad)!r}"
     checks.append(Check("tau-kills-commutators", witness is None, "exact", witness=witness))
@@ -450,25 +396,24 @@ def decompose(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> Decomposi
     checks.append(Check("almost-additive", True, "exact",
                         detail="nonlinear defects land in the span of central targets"))
 
-    return DecompositionResult(alg, delta, tau, y, -ctx.e1, f, shifted, tuple(checks))
+    return DecompositionResult(alg, delta, tau, tuple(checks))
 
 
 def compose(algebra: Algebra, delta: Matrix, terms: tuple[CentralTerm, ...] = ()) -> MapSpec:
     """Assemble delta + tau as a MapSpec, validating both halves.
 
-    delta must satisfy the Leibniz rule; every nonlinear term must be central
-    (checked by MapSpec), and the terms must vanish on commutators: `lie_defect`
-    decides their degree >= 2 part, and their degree-1 part must vanish on the
-    commutator span.
+    delta must satisfy the Leibniz rule, and every nonlinear term must be
+    central (checked by MapSpec).  The Lie defect of delta + terms at (x, y) is
+    then terms([x, y]), so `lie_defect` decides that the terms vanish on
+    commutators.
     """
     if not is_derivation(algebra, delta):
         raise NotDerivationError("linear part fails the Leibniz rule on a basis pair")
     d = MapSpec(algebra, delta, tuple(terms))
-    linear, witness = lie_defect(d)
-    terms1 = linear - delta
-    if witness is not None or any(any(terms1.apply(c)) for c in commutator_subspace(algebra).basis):
+    witness = lie_defect(d)[1]
+    if witness is not None:
         raise LieLawViolatedError(
-            "central terms do not vanish on commutators; the composed map would "
-            "break the Lie product rule"
+            f"central terms do not vanish on commutators (witness {witness}); the composed "
+            "map would break the Lie product rule"
         )
     return d

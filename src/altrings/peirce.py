@@ -15,12 +15,14 @@ from typing import Optional
 
 from .algebra import Algebra, Element, check_alternative
 from .errors import (
+    NonUniqueSplitError,
+    NoSplitError,
     NotAlternativeError,
     NotIdempotentError,
     PreconditionFailedError,
     TrivialIdempotentError,
 )
-from .linalg import Matrix, Record, Subspace, column_space, combine, vec_add
+from .linalg import Matrix, Record, Subspace, Vec, column_space, combine, vec_add, zero_vec
 from .report import Check
 from .sampling import random_rational, rng_for
 from .structure import IdempotentKind, _annihilator, center, centralizer, verify_idempotent
@@ -83,6 +85,26 @@ class PeirceContext(Record):
         basis = center(self.algebra).basis
         return tuple(Subspace.span(2 * self.algebra.dim, [p.apply(z) + z for z in basis])
                      for p in (self.proj[1][1], self.proj[0][0]))
+
+    def central_part(self, i: int, v: Vec) -> Vec:
+        """The central z whose component in the corner opposite R_ii equals that of v.
+
+        It must exist (else NoSplit: hypothesis a for i = 0, b for i = 1, fails)
+        and be unique (else NonUnique: corner conditions (2)/(3) fail).
+        """
+        n, j, system = self.algebra.dim, 1 - i, self.central_splits[i]
+        if any(not any(row[:n]) for row in system.basis):
+            raise NonUniqueSplitError(
+                "central elements are not separated by the opposite corner; "
+                "corner conditions (2)/(3) are violated"
+            )
+        residue = system.reduce_vector(self.proj[j][j].apply(v) + zero_vec(n))
+        if any(residue[:n]):
+            raise NoSplitError(
+                f"no central element matches the corner of {Element(self.algebra, v)!r}; "
+                f"hypothesis {'ab'[i]} is violated"
+            )
+        return tuple(-x for x in residue[n:])
 
 
 def make_context(algebra: Algebra, e1: Element) -> PeirceContext:

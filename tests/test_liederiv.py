@@ -323,27 +323,41 @@ def test_inner_f_and_operator_brackets_reject_nonalternative(nonalternative):
             correction(nonalternative, a, a)
 
 
+def _corner_rule(ctx, shifted, i, j, v):
+    """The paper's construction of delta' on one Peirce component v of the map
+    normalized at e1: an off-diagonal image stays in its corner, and a diagonal
+    image has no off-diagonal part and loses its central part."""
+    img = shifted.eval_vec(v)
+    if i != j:
+        assert ctx.spaces[i][j].contains_vector(img)
+        return img
+    assert not any(vec_add(ctx.proj[0][1].apply(img), ctx.proj[1][0].apply(img)))
+    return split_diagonal(ctx, Element(ctx.algebra, img), i + 1)[0].coeffs
+
+
 @settings(max_examples=15)
 @given(st.sampled_from(["zorn", "matrix:3", "cd:-1,1,1", "matrix:3@E11+E12"]),
-       st.integers(0, 10**6))
-def test_decompose_matches_adapted_basis_inverse(reference_contexts, recipe, seed):
-    """delta' read off the corner components of the basis vectors equals the
-    adapted-basis construction V B^-1: B holds a basis of each corner in turn,
-    V the construction rule at those vectors."""
+       st.integers(0, 10**6), st.data())
+def test_decompose_matches_adapted_basis_inverse(reference_contexts, recipe, seed, data):
+    """delta in closed form equals the paper's construction V B^-1 + f: f is the
+    inner correction that normalizes D at e1, B holds a basis of each corner in
+    turn, and V the corner rule at those vectors.  Half the maps carry live
+    cancelling pairs of central terms."""
     from altrings.linalg import invert
-    from altrings.liederiv import _delta_value
 
     ctx = reference_contexts[recipe]
     alg, n = ctx.algebra, ctx.algebra.dim
-    d = random_lie_derivation(alg, SampleBudget(seed=seed))
-    result = decompose(ctx, d, SampleBudget(seed=seed))
-    f = _bracket_inner_f(alg, result.correction_y, result.correction_z)
-    shifted = MapSpec(alg, d.linear - f, d.terms)
+    if data.draw(st.booleans()):
+        _ctx, d = data.draw(cancelling_maps([ctx], genuine=True))
+    else:
+        d = random_lie_derivation(alg, SampleBudget(seed=seed))
+    shifted, y, f = normalize_at_idempotent(ctx, d)
+    assert f == _bracket_inner_f(alg, y, -ctx.e1)
     adapted = [(i, j, v) for i in range(2) for j in range(2) for v in ctx.spaces[i][j].basis]
-    values = [_delta_value(ctx, shifted, i, j, v) for i, j, v in adapted]
+    values = [_corner_rule(ctx, shifted, i, j, v) for i, j, v in adapted]
     basis_mat = Matrix(tuple(zip(*(v for _, _, v in adapted))), n)
     delta = Matrix(tuple(zip(*values)), n) * invert(basis_mat) + f
-    assert result.correction_f == f
+    result = decompose(ctx, d, SampleBudget(seed=seed))
     assert result.delta == delta
     assert result.tau == MapSpec(alg, d.linear - delta, d.terms)
 
@@ -541,7 +555,8 @@ def test_decompose_modes_follow_the_gate(m2_ctx):
     m2 = m2_ctx.algebra
     spec = MapSpec(m2, ad(m2, 1), (trace_term(m2, [0, 0, 1]),))
     modes = {c.name: c.mode for c in decompose(m2_ctx, spec, budget(seed=9)).checks}
-    assert modes["corner-images"] == modes["delta-matches-construction"] == "exact"
+    assert modes == dict.fromkeys(("delta-leibniz", "tau-central", "tau-kills-commutators",
+                                   "almost-additive"), "exact")
 
 
 def test_decompose_refuses_the_construction_breaker_up_front(m3_ctx):
@@ -576,16 +591,42 @@ def test_decompose_rejects_corrupted_map_with_named_error(m3_ctx):
         decompose(m3_ctx, MapSpec(m3, Matrix.from_rows(rows)), budget())
 
 
+def a11_map(m2):
+    """D(a) = a11 1: central-valued, but not zero on E11 - E22 = [E12, E21]."""
+    return MapSpec(m2, Matrix.from_rows([[1, 0, 0, 0], [0] * 4, [0] * 4, [1, 0, 0, 0]]))
+
+
 def test_tau_commutator_failure_names_the_span_vector(m2_ctx, monkeypatch):
-    # the exact verdict for a MapSpec is final and carries its witness
+    # with the Lie-law decision patched out, D(a) = a11 1 gives delta = 0 and a
+    # central tau, and the exact tau verdict names the span vector where tau is 1
     import altrings.liederiv as liederiv
 
-    m2 = m2_ctx.algebra
-    ad_e11 = ad(m2, 0)  # nonzero at E12, the first commutator-span basis vector
-    monkeypatch.setattr(liederiv, "lie_defect", lambda d: (d.linear + ad_e11, None))
-    with pytest.raises(InternalInvariantError,
-                       match=r"tau does not vanish on a commutator \(commutator-span vector E12\)"):
-        decompose(m2_ctx, MapSpec(m2, Matrix.zeros(4, 4)), budget())
+    monkeypatch.setattr(liederiv, "lie_defect", lambda d: (d.linear, None))
+    with pytest.raises(InternalInvariantError, match=r"tau does not vanish on a commutator "
+                       r"\(commutator-span vector E11 \+ \(-1\)\*E22\)"):
+        decompose(m2_ctx, a11_map(m2_ctx.algebra), budget())
+
+
+def test_decompose_decides_the_degree_one_lie_law(m2_ctx):
+    # called without check_lie_law, as the fuzz trials call it, decompose refuses
+    # D(a) = a11 1 with the Lie-law witness, not with an exit-3 tau failure
+    d = a11_map(m2_ctx.algebra)
+    assert check_lie_law(d, budget()).witness == "x=E12, y=E21"
+    with pytest.raises(LieLawViolatedError, match=r"witness x=E12, y=E21\)"):
+        decompose(m2_ctx, d, budget())
+
+
+def test_decompose_reports_a_hypothesis_failure_as_no_split(m3_ctx, monkeypatch):
+    # E11 -> E23 breaks the Lie law and hypothesis a; with the Lie law patched
+    # out, no central element matches the (2,2) corner of D(E11)
+    import altrings.liederiv as liederiv
+
+    m3 = m3_ctx.algebra
+    rows = [[F(0)] * 9 for _ in range(9)]
+    rows[5][0] = F(1)
+    monkeypatch.setattr(liederiv, "lie_defect", lambda d: (d.linear, None))
+    with pytest.raises(NoSplitError, match="hypothesis a is violated"):
+        decompose(m3_ctx, MapSpec(m3, Matrix.from_rows(rows)), budget())
 
 
 def test_lie_defect_skips_inert_terms(m2):
