@@ -8,12 +8,13 @@ byte-identical output; human-readable reports add elapsed time at the end.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
+import os
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import catalog, jsonio, liederiv, peirce
 from .algebra import Algebra, Element, check_alternative, check_associative, check_flexible
@@ -68,10 +69,12 @@ def _print_human(report: dict, indent: str = ""):
             print(f"{indent}{key}: {value}")
 
 
-def _require_positive(**named_counts):
-    for name, value in named_counts.items():
-        if value < 1:
-            raise InputError(f"--{name} must be at least 1 (got {value})")
+def _count(text: str) -> int:
+    """The value of --samples or --trials: an integer, at least 1."""
+    count = int(text)
+    if count < 1:
+        raise ValueError(text)
+    return count
 
 
 def _parse_idempotent(spec: str, algebra: Algebra) -> Element:
@@ -152,7 +155,6 @@ def cmd_analyze(args, argv) -> int:
 
 def cmd_peirce(args, argv) -> int:
     started = time.perf_counter()
-    _require_positive(samples=args.samples)
     algebra = jsonio.load_algebra(args.algebra)
     e1 = _parse_idempotent(args.idempotent, algebra)
     ctx = peirce.make_context(algebra, e1)
@@ -186,7 +188,6 @@ def cmd_peirce(args, argv) -> int:
 
 def cmd_decompose(args, argv) -> int:
     started = time.perf_counter()
-    _require_positive(samples=args.samples)
     algebra = jsonio.load_algebra(args.algebra)
     e1 = _parse_idempotent(args.idempotent, algebra)
     ctx = peirce.make_context(algebra, e1)
@@ -260,7 +261,6 @@ def _fuzz_trial(ctx, algebra, trial: int, master_seed: int) -> dict:
 
 def cmd_fuzz(args, argv) -> int:
     started = time.perf_counter()
-    _require_positive(trials=args.trials, samples=args.samples)
     recipe, algebra = _build_recipe(args.recipe)
     e1 = catalog.canonical_idempotent(recipe, algebra)
     ctx = peirce.make_context(algebra, e1)
@@ -292,92 +292,91 @@ def cmd_fuzz(args, argv) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="altrings",
-        description="Exact structure theory and Lie-derivation splitting for "
-                    "finite-dimensional alternative algebras.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+USAGE = """\
+usage: altrings make KIND -o FILE [--n N] [--mus M1,M2,...]
+       altrings analyze ALGEBRA
+       altrings peirce ALGEBRA --idempotent E [--seed N] [--samples N]
+       altrings decompose ALGEBRA --idempotent E --map MAP [-o PREFIX] [--seed N] [--samples N]
+       altrings fuzz RECIPE [--trials N] [--seed N] [--samples N]
+Every command takes --json. KIND is zorn, matrix (with --n), cayley-dickson (with
+--mus) or a recipe such as sum(zorn|matrix:1); E is comma-separated rationals or
+@file.json. An option's value follows it (--opt value) or is joined to it (--opt=value)."""
 
-    p = sub.add_parser("make", help="construct a stock algebra and write its JSON file")
-    p.add_argument("kind", help="zorn | matrix | cayley-dickson | recipe string "
-                                "(matrix:2, m2m2, sum(zorn|matrix:1), ...)")
-    p.add_argument("--n", type=int, help="size for matrix algebras")
-    p.add_argument("--mus", help="comma-separated doubling parameters, e.g. -1,-1,-1")
-    p.add_argument("-o", "--output", required=True, help="output algebra JSON path")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_make)
-
-    p = sub.add_parser("analyze", help="nucleus, center, derivations, identity flags")
-    p.add_argument("algebra", help="algebra JSON file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_analyze)
-
-    p = sub.add_parser("peirce", help="corner decomposition report for an idempotent")
-    p.add_argument("algebra", help="algebra JSON file")
-    p.add_argument("--idempotent", required=True,
-                   help="comma-separated rationals or @file.json")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_peirce)
-
-    p = sub.add_parser("decompose", help="split a Lie multiplicative derivation")
-    p.add_argument("algebra", help="algebra JSON file")
-    p.add_argument("--idempotent", required=True,
-                   help="comma-separated rationals or @file.json")
-    p.add_argument("--map", required=True, help="map JSON file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("-o", "--output", help="prefix for .delta.json / .tau.json outputs")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_decompose)
-
-    p = sub.add_parser("fuzz", help="random round-trips of the decomposition")
-    p.add_argument("recipe", help="algebra recipe (zorn, matrix:2, m2m2, ...)")
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_fuzz)
-
-    return parser
+REQUIRED = object()
+SEED_SAMPLES = {"--seed": (int, 0), "--samples": (_count, 20)}
+# command -> (handler, positional, {option: (type, default)}); every command also
+# takes the flag --json, and -o stands for --output
+COMMANDS = {
+    "make": (cmd_make, "kind",
+             {"--output": (str, REQUIRED), "--n": (int, None), "--mus": (str, None)}),
+    "analyze": (cmd_analyze, "algebra", {}),
+    "peirce": (cmd_peirce, "algebra", {"--idempotent": (str, REQUIRED), **SEED_SAMPLES}),
+    "decompose": (cmd_decompose, "algebra", {"--idempotent": (str, REQUIRED),
+                                             "--map": (str, REQUIRED), "--output": (str, None),
+                                             **SEED_SAMPLES}),
+    "fuzz": (cmd_fuzz, "recipe", {"--trials": (_count, 10), **SEED_SAMPLES}),
+}
 
 
-def _merge_dash_values(argv: list[str]) -> list[str]:
-    """Allow `--mus -1,-1,-1` by folding the value into `--mus=...`."""
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--mus" and i + 1 < len(argv):
-            out.append(f"--mus={argv[i + 1]}")
-            i += 2
+def parse_args(argv: list[str]):
+    """(handler, args) for argv read against COMMANDS, or None once -h/--help has
+    printed USAGE. An option's value is the next argument, whatever it starts
+    with; names are exact, never abbreviated. Bad arguments raise InputError."""
+    if "-h" in argv or "--help" in argv:
+        print(USAGE)
+        return None
+    if not argv or argv[0] not in COMMANDS:
+        what = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise InputError(f"{what}; choose one of {', '.join(COMMANDS)}")
+    name, tokens = argv[0], iter(argv[1:])
+    fn, positional, options = COMMANDS[name]
+    values = {"command": name, positional: REQUIRED, "json": False,
+              **{opt[2:]: default for opt, (_, default) in options.items()}}
+    for token in tokens:
+        if not token.startswith("-") or token == "-":
+            if values[positional] is not REQUIRED:
+                raise InputError(f"{name}: unexpected argument {token!r}")
+            values[positional] = token
             continue
-        out.append(tok)
-        i += 1
-    return out
+        opt, eq, value = token.partition("=")
+        opt = "--output" if opt == "-o" else opt
+        if opt == "--json" and not eq:
+            values["json"] = True
+            continue
+        if opt not in options:
+            raise InputError(f"{name}: unknown option {token}")
+        if not eq and (value := next(tokens, None)) is None:
+            raise InputError(f"{name}: {opt} needs a value")
+        try:
+            values[opt[2:]] = options[opt][0](value)
+        except ValueError:
+            kind = "an integer of at least 1" if options[opt][0] is _count else "an integer"
+            raise InputError(f"{name}: {opt} must be {kind} (got {value!r})") from None
+    for key, value in values.items():
+        if value is REQUIRED:
+            raise InputError(f"{name}: missing {key.upper() if key == positional else '--' + key}")
+    return fn, SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
     With argv None, `main` is the program (`python -m altrings`, the `altrings`
-    script): it runs `sys.argv[1:]`, then freezes every tracked object on the
-    way out, whatever the exit, so the full collections of interpreter
-    finalization skip a heap that is about to be freed anyway. A caller that
-    passes argv keeps its garbage collector untouched."""
+    script): it runs `sys.argv[1:]` with the garbage collector off (a command
+    leaves a small, fixed amount of cyclic garbage), flushes stdout and stderr
+    and ends the process with `os._exit`, skipping interpreter teardown; an
+    exception that escapes exits the normal way. A library call leaves the
+    collector alone and returns the code."""
     if argv is None:
-        try:
-            return main(sys.argv[1:])
-        finally:
-            gc.freeze()
+        gc.disable()
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(code)
     argv = list(argv)
-    parser = build_parser()
-    args = parser.parse_args(_merge_dash_values(argv))
     try:
-        return args.fn(args, argv)
+        parsed = parse_args(argv)
+        return EXIT_OK if parsed is None else parsed[0](parsed[1], argv)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -13,6 +13,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional
 
+from . import sampling  # lazy: runs on first use, which only check_prime makes
 from .algebra import (
     Algebra,
     Element,
@@ -22,7 +23,6 @@ from .algebra import (
 )
 from .errors import NotAlternativeError
 from .linalg import Matrix, Record, SparseMatrix, Subspace, combine, int_vec, is_zero_vec, kernel
-from .sampling import random_nonzero_vector, rng_for
 
 
 @lru_cache(maxsize=None)
@@ -220,9 +220,9 @@ def check_prime(a: Algebra, trials: int, seed: int) -> PrimalityResult:
     if not check_alternative(a):
         raise NotAlternativeError("primality criterion applies to alternative rings")
     n = a.dim
-    rng = rng_for(seed)
+    rng = sampling.rng_for(seed)
     candidates = [a.basis_vec(i) for i in range(n)]
-    candidates += [random_nonzero_vector(rng, n) for _ in range(trials)]
+    candidates += [sampling.random_nonzero_vector(rng, n) for _ in range(trials)]
     for cand in candidates:
         prods = [a.mul_vec(cand, a.basis_vec(k)) for k in range(n)]
         ker = _annihilator(a._int_table, Subspace.full(n), prods, side="left")

@@ -698,11 +698,13 @@ def test_idempotent_option_exits_cleanly(zorn_inputs, spec):
             assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
 
 
-@pytest.mark.parametrize("case", ["analyze-zorn", "decompose-left-u1", "analyze-missing-file"])
+@pytest.mark.parametrize("case", ["analyze-zorn", "decompose-left-u1", "analyze-missing-file",
+                                  "analyze-bad-argument", "fuzz-trials-not-integer",
+                                  "no-command", "help"])
 def test_program_run_matches_library_call(case, zorn_file, tmp_path, capsys):
-    """`python -m altrings`, which freezes the heap on its way out, writes the
-    bytes and returns the exit code of an in-process `main(argv)`, and the
-    library call leaves the garbage collector unfrozen."""
+    """`python -m altrings`, which runs with the collector off and leaves by
+    `os._exit`, writes the bytes and returns the exit code of an in-process
+    `main(argv)`, and the library call leaves the collector on and unfrozen."""
     import gc
     import subprocess
     import sys
@@ -715,35 +717,186 @@ def test_program_run_matches_library_call(case, zorn_file, tmp_path, capsys):
         "decompose-left-u1": (["decompose", str(zorn_file), "--idempotent", "1,0,0,0,0,0,0,0",
                                "--map", str(map_path)], 1),
         "analyze-missing-file": (["analyze", str(tmp_path / "missing.json")], 2),
+        "analyze-bad-argument": (["analyze", "--bogus", str(zorn_file)], 2),
+        "fuzz-trials-not-integer": (["fuzz", "zorn", "--trials", "x"], 2),
+        "no-command": ([], 2),
+        "help": (["--help"], 0),
     }[case]
     code, out, err = run(capsys, *argv)
-    assert code == expected and gc.get_freeze_count() == 0
+    assert code == expected and gc.isenabled() and gc.get_freeze_count() == 0
     proc = subprocess.run([sys.executable, "-m", "altrings", *argv], capture_output=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode())
     if case == "decompose-left-u1":
         assert err == "error: LieLawViolated: witness x=e1, y=u2\n"
+    if case == "analyze-bad-argument":
+        assert err == "error: analyze: unknown option --bogus\n"
 
 
 @pytest.mark.parametrize("argv, expected", [(["analyze", "--json", "{zorn}"], 0),
+                                            (["peirce", "{zorn}", "--idempotent", "{unit}"], 1),
                                             (["analyze", "{missing}"], 2),
-                                            (["analyze", "--no-such-option"], 2)],
-                         ids=["analyze-zorn", "analyze-missing-file", "argparse-error"])
-def test_program_main_freezes_on_every_exit(argv, expected, zorn_file, tmp_path):
-    """A `main()` that reads `sys.argv` freezes the heap whether it returns a
-    code or argparse exits, checked in a fresh interpreter."""
+                                            (["analyze", "--no-such-option"], 2),
+                                            (["peirce", "--help"], 0)],
+                         ids=["analyze-zorn", "peirce-trivial-idempotent", "analyze-missing-file",
+                              "bad-argument", "help"])
+def test_program_main_exits_with_its_code(argv, expected, zorn_file, tmp_path):
+    """A `main()` that reads `sys.argv` ends the process with main's exit code,
+    after flushing what it wrote, before any later statement runs; checked in a
+    fresh interpreter whose stdout is a pipe, so unflushed output would be lost."""
     import subprocess
     import sys
 
-    argv = [a.format(zorn=zorn_file, missing=tmp_path / "missing.json") for a in argv]
-    script = ("import contextlib, gc, io, sys\n"
+    argv = [a.format(zorn=zorn_file, missing=tmp_path / "missing.json",
+                     unit="1,0,0,0,0,0,0,1") for a in argv]
+    script = ("import sys\n"
               "from altrings.cli import main\n"
               "sys.argv = ['altrings', *sys.argv[1:]]\n"
-              "with contextlib.redirect_stdout(io.StringIO()), "
-              "contextlib.redirect_stderr(io.StringIO()):\n"
-              "    try:\n"
-              "        code = main()\n"
-              "    except SystemExit as exc:\n"
-              "        code = exc.code\n"
-              "print(code, gc.get_freeze_count() > 0)\n")
+              "main()\n"
+              "print('after main')\n")
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
-    assert proc.stdout == f"{expected} True\n", proc.stderr
+    assert proc.returncode == expected, proc.stderr
+    assert "after main" not in proc.stdout and "Traceback" not in proc.stderr
+    if expected == 0:
+        assert proc.stdout.startswith("usage: altrings") or json.loads(proc.stdout)["dim"] == 8
+    else:
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
+E1 = "1,0,0,0,0,0,0,0"
+BAD_ARGUMENTS = {  # case -> (argv, the one stderr line); {zorn} and {map} name input files
+    "no-command": ([], "no command given; choose one of make, analyze, peirce, decompose, fuzz"),
+    "unknown-command": (["analyse", "{zorn}"], "unknown command 'analyse'; choose one of make, "
+                        "analyze, peirce, decompose, fuzz"),
+    "make-missing-output": (["make", "zorn"], "make: missing --output"),
+    "make-missing-kind": (["make", "-o", "x.json"], "make: missing KIND"),
+    "make-unknown-option": (["make", "zorn", "-o", "x.json", "--size", "2"],
+                            "make: unknown option --size"),
+    "make-n-not-integer": (["make", "matrix", "--n", "two", "-o", "x.json"],
+                           "make: --n must be an integer (got 'two')"),
+    "make-stray-positional": (["make", "zorn", "matrix", "-o", "x.json"],
+                              "make: unexpected argument 'matrix'"),
+    "make-output-without-value": (["make", "zorn", "-o"], "make: --output needs a value"),
+    "analyze-missing-algebra": (["analyze", "--json"], "analyze: missing ALGEBRA"),
+    "analyze-unknown-option": (["analyze", "{zorn}", "--bogus"], "analyze: unknown option --bogus"),
+    "analyze-output-option": (["analyze", "{zorn}", "-o", "x"], "analyze: unknown option -o"),
+    "analyze-stray-positional": (["analyze", "{zorn}", "{zorn}"],
+                                 "analyze: unexpected argument '{zorn}'"),
+    "analyze-json-with-value": (["analyze", "{zorn}", "--json=yes"],
+                                "analyze: unknown option --json=yes"),
+    "peirce-missing-idempotent": (["peirce", "{zorn}", "--seed", "1"],
+                                  "peirce: missing --idempotent"),
+    "peirce-unknown-option": (["peirce", "{zorn}", "--idempotent", E1, "--map", "{map}"],
+                              "peirce: unknown option --map"),
+    "peirce-seed-not-integer": (["peirce", "{zorn}", "--idempotent", E1, "--seed", "1.5"],
+                                "peirce: --seed must be an integer (got '1.5')"),
+    "peirce-samples-not-integer": (["peirce", "{zorn}", "--idempotent", E1, "--samples=x"],
+                                   "peirce: --samples must be an integer of at least 1 (got 'x')"),
+    "peirce-samples-zero": (["peirce", "{zorn}", "--idempotent", E1, "--samples", "0"],
+                            "peirce: --samples must be an integer of at least 1 (got '0')"),
+    "peirce-abbreviated-option": (["peirce", "{zorn}", "--idempotent", E1, "--sam", "3"],
+                                  "peirce: unknown option --sam"),
+    "peirce-stray-positional": (["peirce", "{zorn}", E1], f"peirce: unexpected argument '{E1}'"),
+    "decompose-missing-map": (["decompose", "{zorn}", "--idempotent", E1],
+                              "decompose: missing --map"),
+    "decompose-missing-idempotent": (["decompose", "{zorn}", "--map", "{map}"],
+                                     "decompose: missing --idempotent"),
+    "decompose-unknown-option": (["decompose", "{zorn}", "--idempotent", E1, "--map", "{map}",
+                                  "--trials", "2"], "decompose: unknown option --trials"),
+    "decompose-seed-not-integer": (["decompose", "{zorn}", "--idempotent", E1, "--map", "{map}",
+                                    "--seed=-"], "decompose: --seed must be an integer (got '-')"),
+    "decompose-stray-positional": (["decompose", "{zorn}", "--idempotent", E1, "--map", "{map}",
+                                    "extra"], "decompose: unexpected argument 'extra'"),
+    "decompose-map-without-value": (["decompose", "{zorn}", "--idempotent", E1, "--map"],
+                                    "decompose: --map needs a value"),
+    "fuzz-missing-recipe": (["fuzz", "--trials", "1"], "fuzz: missing RECIPE"),
+    "fuzz-unknown-option": (["fuzz", "zorn", "--idempotent", E1],
+                            "fuzz: unknown option --idempotent"),
+    "fuzz-trials-not-integer": (["fuzz", "zorn", "--trials", "1e3"],
+                                "fuzz: --trials must be an integer of at least 1 (got '1e3')"),
+    "fuzz-seed-not-integer": (["fuzz", "zorn", "--seed", ""],
+                              "fuzz: --seed must be an integer (got '')"),
+    "fuzz-stray-positional": (["fuzz", "zorn", "matrix:2"], "fuzz: unexpected argument 'matrix:2'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_bad_argument_exits_2_with_one_line(case, zorn_inputs, tmp_path, capsys, monkeypatch):
+    """Every bad argument is bad input: exit 2, one `error:` line naming it,
+    nothing on stdout, and no file written."""
+    monkeypatch.chdir(tmp_path)
+    names = {"zorn": zorn_inputs / "zorn.json", "map": zorn_inputs / "map.json"}
+    argv, message = BAD_ARGUMENTS[case]
+    code, out, err = run(capsys, *(a.format(**names) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message.format(**names)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["make", "-h"], ["analyze", "--help"],
+                                  ["peirce", "{zorn}", "--idempotent", E1, "-h"],
+                                  ["decompose", "--help", "--seed", "x"], ["fuzz", "zorn", "-h"]])
+def test_help_prints_usage_and_exits_0(argv, zorn_inputs, capsys):
+    code, out, err = run(capsys, *(a.format(zorn=zorn_inputs / "zorn.json") for a in argv))
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: altrings make KIND -o FILE")
+    assert all(f"altrings {name} " in out for name in ("analyze", "peirce", "decompose", "fuzz"))
+
+
+def test_options_in_any_order_and_either_form(zorn_inputs, tmp_path, capsys):
+    """`--opt value` and `--opt=value` read the same, before or after the
+    positional, and a value may begin with `-`: each pair of argument lists
+    gives the same report apart from the echoed command, and the same files."""
+    zorn, map_path = str(zorn_inputs / "zorn.json"), str(zorn_inputs / "map.json")
+    pairs = [
+        (["make", "cd", "--mus", "-1,-1,-1", "-o", str(tmp_path / "a.json"), "--json"],
+         ["make", "--json", "--mus=-1,-1,-1", "--output", str(tmp_path / "b.json"), "cd"]),
+        (["analyze", zorn, "--json"], ["analyze", "--json", zorn]),
+        (["peirce", zorn, "--idempotent", E1, "--seed", "-3", "--samples", "5", "--json"],
+         ["peirce", "--samples=5", "--json", "--seed=-3", f"--idempotent={E1}", zorn]),
+        (["decompose", zorn, "--idempotent", E1, "--map", map_path, "-o", str(tmp_path / "a"),
+          "--json"],
+         ["decompose", "--json", f"--output={tmp_path / 'b'}", f"--map={map_path}",
+          "--idempotent", E1, zorn]),
+        (["fuzz", "zorn", "--trials", "2", "--seed", "-1", "--json"],
+         ["fuzz", "--json", "--seed", "-1", "--trials=2", "zorn"]),
+    ]
+    for first, second in pairs:
+        reports = []
+        for argv in (first, second):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            report = json.loads(out)
+            reports.append({**report, "command": None, "output": None, "outputs": None})
+        assert reports[0] == reports[1], first
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    assert json.loads((tmp_path / "a.json").read_text())["provenance"] == "cayley-dickson:-1,-1,-1"
+    for suffix in (".delta.json", ".tau.json"):
+        assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+
+def test_command_garbage_does_not_grow_with_the_input(zorn_inputs, tmp_path, capsys):
+    """The program runs its command with the garbage collector off, which is
+    safe only while the cyclic garbage a command leaves does not grow with its
+    input: run cold (structure caches cleared) with the collector off, a fuzz
+    of 8 trials leaves as much as one of 1, and an analyze of the sedenions
+    (dim 16) as much as one of zorn (dim 8)."""
+    import gc
+
+    import altrings.structure as structure
+
+    sedenions = tmp_path / "sedenions.json"
+    assert run(capsys, "make", "cd:-1,-1,-1,-1", "-o", str(sedenions))[0] == 0
+    commands = [["fuzz", "zorn", "--trials", "1"], ["fuzz", "zorn", "--trials", "8"],
+                ["analyze", str(zorn_inputs / "zorn.json")], ["analyze", str(sedenions)]]
+    found = []
+    gc.disable()
+    try:
+        for argv in commands * 2:  # the first round runs every module a command needs
+            for cached in vars(structure).values():
+                getattr(cached, "cache_clear", lambda: None)()
+            gc.collect()
+            assert run(capsys, *argv)[0] == 0
+            found.append(gc.collect())
+    finally:
+        gc.enable()
+    fuzz_1, fuzz_8, zorn, sedenions = found[len(commands):]
+    assert fuzz_1 == fuzz_8 < 50 and zorn == sedenions < 50, found

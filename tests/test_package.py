@@ -58,7 +58,8 @@ print(json.dumps({"code": code, "report": json.loads(out.getvalue()),
 
 # Runs the commands given as a JSON list of argv lists in one fresh
 # interpreter; after each, records the exit code, the executed altrings
-# modules and which of the code-generation modules are loaded.
+# modules and which of the code-generation and argument-parsing modules are
+# loaded.
 COMMANDS_PROBE = """
 import contextlib, io, json, sys, types
 import altrings.cli as cli
@@ -71,7 +72,8 @@ for argv in json.loads(sys.argv[1]):
                  "executed": sorted(name for name, module in sys.modules.items()
                                     if name.startswith("altrings.")
                                     and type(module) is types.ModuleType),
-                 "loaded": [name for name in ("dataclasses", "inspect") if name in sys.modules]})
+                 "loaded": [name for name in ("dataclasses", "inspect", "argparse", "gettext",
+                                         "locale") if name in sys.modules]})
 print(json.dumps(seen))
 """
 
@@ -94,7 +96,8 @@ def test_cli_runs_only_the_modules_a_command_uses(tmp_path):
     assert set(probe["registered"]) >= {f"altrings.{m}" for m in LIBRARY + ("cli",)}
     executed = set(probe["after_analyze"])
     assert {"altrings.cli", "altrings.jsonio", "altrings.structure"} <= executed
-    assert not executed & {"altrings.liederiv", "altrings.peirce", "altrings.catalog"}
+    assert not executed & {"altrings.liederiv", "altrings.peirce", "altrings.catalog",
+                           "altrings.sampling"}
     # reading an attribute runs the module
     assert "altrings.peirce" in probe["after_read"]
     assert "altrings.liederiv" not in probe["after_read"]
@@ -133,8 +136,9 @@ def test_make_runs_no_lie_split_module(tmp_path):
 
 
 def test_no_command_imports_dataclasses(tmp_path):
-    """The records are built without `dataclasses`, and so without `inspect`:
-    no command pays for importing them."""
+    """The records are built without `dataclasses`, and so without `inspect`,
+    and the arguments are read without `argparse`, and so without `gettext` or
+    `locale`: no command pays for importing them."""
     algebra = altrings.zorn()
     altrings.jsonio.save_mapspec(
         altrings.random_lie_derivation(algebra, altrings.SampleBudget(seed=1)),
