@@ -1,7 +1,8 @@
 """Command-line surface: make / analyze / peirce / decompose / fuzz.
 
 Exit codes: 0 success, 1 violated precondition or hypothesis, 2 bad input,
-3 broken internal invariant (a bug).  With --json the report is emitted as
+3 broken internal invariant (a bug); 141 (128 + SIGPIPE) when the program's
+stdout is a pipe whose reader has gone.  With --json the report is emitted as
 sorted-key JSON with no timing, so identical inputs and seed give
 byte-identical output; human-readable reports add elapsed time at the end.
 """
@@ -26,13 +27,14 @@ from .errors import (
     LieLawViolatedError,
     PreconditionError,
 )
-from .report import Check
+from . import report as verdicts  # lazy: runs on first use, which only peirce makes
 from .structure import analyze, center
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _echo(argv: list[str]) -> str:
@@ -161,7 +163,7 @@ def cmd_peirce(args, argv) -> int:
     relations = peirce.verify_relations(ctx)
     conditions = peirce.check_conditions(ctx, seed=args.seed, samples=args.samples)
     checks = list(conditions.checks)
-    rel_check = Check(
+    rel_check = verdicts.Check(
         "relations-i-iv", relations.ok, "exact",
         witness=None if relations.ok else
         f"{relations.violations[0].relation}: {relations.violations[0].x!r}"
@@ -177,9 +179,9 @@ def cmd_peirce(args, argv) -> int:
         spade, club = peirce.verify_prop_spade_club(ctx)
         offdiag = peirce.verify_offdiag_centralizer(ctx)
         report["checks"] += [
-            Check("prop-spade", spade, "exact").to_dict(),
-            Check("prop-club", club, "exact").to_dict(),
-            Check("offdiag-centralizer", offdiag, "exact").to_dict(),
+            verdicts.Check("prop-spade", spade, "exact").to_dict(),
+            verdicts.Check("prop-club", club, "exact").to_dict(),
+            verdicts.Check("offdiag-centralizer", offdiag, "exact").to_dict(),
         ]
     report["ok"] = all(c["ok"] for c in report["checks"])
     _emit(report, args.json, started)
@@ -364,13 +366,18 @@ def main(argv=None) -> int:
     With argv None, `main` is the program (`python -m altrings`, the `altrings`
     script): it runs `sys.argv[1:]` with the garbage collector off (a command
     leaves a small, fixed amount of cyclic garbage), flushes stdout and stderr
-    and ends the process with `os._exit`, skipping interpreter teardown; an
-    exception that escapes exits the normal way. A library call leaves the
-    collector alone and returns the code."""
+    and ends the process with `os._exit`, skipping interpreter teardown; a
+    closed stdout pipe ends it with EXIT_BROKEN_PIPE and no traceback, and any
+    other exception that escapes exits the normal way. A library call leaves
+    the collector alone and returns the code."""
     if argv is None:
         gc.disable()
-        code = main(sys.argv[1:])
-        sys.stdout.flush()
+        try:
+            code = main(sys.argv[1:])
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader has gone; no later flush may write to it
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            code = EXIT_BROKEN_PIPE
         sys.stderr.flush()
         os._exit(code)
     argv = list(argv)

@@ -16,7 +16,7 @@ their content, so tall sparse systems cost what their nonzeros cost and a
 per `Subspace`. The reduced row-echelon form of a row space is unique, so
 results (and every report built on them) do not depend on how rows were
 stored, ordered or scaled; subspaces keep that canonical basis, and equality
-is syntactic.
+is syntactic, field by field, in the one `__eq__` that every `Record` shares.
 """
 
 from __future__ import annotations
@@ -34,34 +34,34 @@ _ONE = Fraction(1)
 _denominator = attrgetter("denominator")
 
 
-# Fields are stored with object.__setattr__: reading `self.__dict__` would
-# materialize the instance dict and slow every later attribute read.
-_RECORD_METHODS = """\
-def __init__(self{args}):{stores}{post}
-def __eq__(self, other):
-    return ({mine}) == ({theirs}) if other.__class__ is self.__class__ else NotImplemented
-def __hash__(self):
-    return hash(({mine}))
-"""
-
-
 class Record:
-    """Frozen record: a subclass's annotated names are its fields, in order, and
-    class-level values their defaults.  Each subclass compiles `_RECORD_METHODS`
-    for its fields; assignment raises.  There are no `__slots__`, so a
-    `cached_property` keeps its value in `__dict__`, outside equality."""
+    """Frozen record: a subclass's annotated names are its fields, in order, and its class-level
+    values their defaults; a `cached_property` keeps its value in `__dict__`, outside equality."""
 
     def __init_subclass__(cls):
         cls._fields = names = tuple(cls.__annotations__)
-        env = {f"_{n}": cls.__dict__[n] for n in names if n in cls.__dict__}
-        env["_object_setattr"] = object.__setattr__
-        exec(_RECORD_METHODS.format(
-            args="".join(f", {n}=_{n}" if f"_{n}" in env else f", {n}" for n in names),
-            stores="".join(f"\n    _object_setattr(self, {n!r}, {n})" for n in names),
-            post="\n    self.__post_init__()" if hasattr(cls, "__post_init__") else "",
-            mine="".join(f"self.{n}, " for n in names),
-            theirs="".join(f"other.{n}, " for n in names)), env)
-        cls.__init__, cls.__eq__, cls.__hash__ = env["__init__"], env["__eq__"], env["__hash__"]
+        cls._defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+        cls._key = staticmethod(attrgetter(*names) if len(names) > 1  # a tuple also for one name
+                                else lambda rec: tuple(getattr(rec, n) for n in names))
+        cls._post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        if kwargs or len(args) != len(cls._fields):
+            rest, values = cls._fields[len(args):], {**cls._defaults, **kwargs}
+            if args[len(cls._fields):] or not kwargs.keys() <= set(rest) <= values.keys():
+                raise TypeError(f"bad arguments for {cls.__qualname__}{cls._fields}")
+            args += tuple(values[n] for n in rest)
+        for i, name in enumerate(cls._fields):
+            object.__setattr__(self, name, args[i])  # reading `self.__dict__` would slow reads
+        if cls._post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")

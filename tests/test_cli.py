@@ -762,6 +762,25 @@ def test_program_main_exits_with_its_code(argv, expected, zorn_file, tmp_path):
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "human"])
+def test_closed_stdout_pipe_exits_141_without_a_traceback(flags, zorn_file):
+    """The program's stdout is a pipe whose reader has already gone: it exits
+    141 (128 + SIGPIPE), as a shell reports a process that SIGPIPE ended, and
+    writes nothing on stderr."""
+    import os
+    import subprocess
+    import sys
+
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "altrings", "analyze", *flags, str(zorn_file)],
+                              stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
 E1 = "1,0,0,0,0,0,0,0"
 BAD_ARGUMENTS = {  # case -> (argv, the one stderr line); {zorn} and {map} name input files
     "no-command": ([], "no command given; choose one of make, analyze, peirce, decompose, fuzz"),

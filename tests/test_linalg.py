@@ -1,3 +1,4 @@
+import builtins
 from fractions import Fraction
 from math import gcd
 
@@ -21,6 +22,7 @@ from altrings.linalg import (
     rref,
     solve,
 )
+from altrings.peirce import ConditionsReport
 from altrings.report import Check
 
 F = Fraction
@@ -347,11 +349,14 @@ def test_matmul_matches_fraction_reference(r, k, c, data):
     (Subspace, (2, ((F(1), F(1, 2)),)), (2, ((F(1), F(0)),)), None, "_int_basis"),
     (SampleBudget, (7,), (8,), (7, 0), None),
     (MapSpec, (M2, Matrix.identity(4)), (M2, Matrix.zeros(4, 4)), (M2, Matrix.identity(3)), None),
-], ids=["Check", "Element", "Matrix", "Subspace", "SampleBudget", "MapSpec"])
+    (ConditionsReport, ((Check("c", True, "exact"),),), ((Check("c", False, "exact"),),), None,
+     None),
+], ids=["Check", "Element", "Matrix", "Subspace", "SampleBudget", "MapSpec", "ConditionsReport"])
 def test_record_contract(cls, args, other, invalid, cached):
     """What every `Record` promises: construction by position, keyword and
-    default; `__post_init__` validation; equality and hash by field values
-    within one class; no assignment; cached integer forms outside equality."""
+    default; `__post_init__` validation; equality and hash by the tuple of
+    field values, within one class; no assignment; cached integer forms outside
+    equality."""
     names = list(cls.__annotations__)
     rec = cls(*args)
     assert cls(**dict(zip(names, args))) == rec
@@ -362,12 +367,16 @@ def test_record_contract(cls, args, other, invalid, cached):
         cls(*args[:-1]) if len(args) == len(names) else cls()
     with pytest.raises(TypeError):
         cls(*args, no_such_field=1)
+    with pytest.raises(TypeError):
+        cls(*args, **{names[0]: args[0]})
+    with pytest.raises(TypeError):
+        cls(*(getattr(rec, n) for n in names), args[0])
     if invalid is not None:
         with pytest.raises(ValueError):
             cls(*invalid)
 
     twin = cls(*args)
-    assert twin == rec and hash(twin) == hash(rec)
+    assert twin == rec and hash(twin) == hash(rec) == hash(tuple(getattr(rec, n) for n in names))
     assert twin is not rec and cls(*other) != rec
     mirror = type("Mirror", (Record,), {"__annotations__": dict(cls.__annotations__)})
     assert mirror(*(getattr(rec, n) for n in names)) != rec
@@ -382,3 +391,35 @@ def test_record_contract(cls, args, other, invalid, cached):
         assert vars(rec)[cached] is first and getattr(rec, cached) is first
         assert cached not in vars(twin)
         assert rec == twin and hash(rec) == hash(twin)
+
+
+def test_record_definition_compiles_no_code(monkeypatch):
+    """Every record class shares one `__init__`, `__eq__` and `__hash__`:
+    defining, building, comparing and hashing a record compiles nothing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a record compiled code")
+
+    # a context, so that builtins are restored before a failure is reported
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "exec", refuse)
+        patch.setattr(builtins, "compile", refuse)
+
+        class Pair(Record):
+            left: int
+            right: str = "r"
+
+            def __post_init__(self):
+                if self.left < 0:
+                    raise ValueError("negative left")
+
+        pair = Pair(1)
+        assert (pair.left, pair.right) == (1, "r")
+        assert pair == Pair(left=1, right="r") and hash(pair) == hash(Pair(1, "r"))
+        assert pair != Pair(1, "s") and pair != Pair(2)
+        with pytest.raises(ValueError):
+            Pair(-1)
+
+        class Empty(Record):
+            pass
+
+        assert Empty() == Empty() and hash(Empty()) == hash(())

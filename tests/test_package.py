@@ -97,7 +97,7 @@ def test_cli_runs_only_the_modules_a_command_uses(tmp_path):
     executed = set(probe["after_analyze"])
     assert {"altrings.cli", "altrings.jsonio", "altrings.structure"} <= executed
     assert not executed & {"altrings.liederiv", "altrings.peirce", "altrings.catalog",
-                           "altrings.sampling"}
+                           "altrings.sampling", "altrings.report"}
     # reading an attribute runs the module
     assert "altrings.peirce" in probe["after_read"]
     assert "altrings.liederiv" not in probe["after_read"]
@@ -127,12 +127,13 @@ def test_unknown_attribute_raises_attribute_error():
 
 
 def test_make_runs_no_lie_split_module(tmp_path):
-    """`make` builds and saves an algebra; the Lie-split modules stay unexecuted."""
+    """`make` builds and saves an algebra; the Lie-split modules and `report`
+    stay unexecuted."""
     [make] = _probe(COMMANDS_PROBE, json.dumps([["make", "zorn", "-o", "zorn.json"]]),
                     cwd=tmp_path)
     assert make["code"] == 0
     assert "altrings.catalog" in make["executed"]
-    assert not {"altrings.liederiv", "altrings.peirce"} & set(make["executed"])
+    assert not {"altrings.liederiv", "altrings.peirce", "altrings.report"} & set(make["executed"])
 
 
 def test_no_command_imports_dataclasses(tmp_path):
