@@ -1,10 +1,11 @@
 """Command-line surface: make / analyze / peirce / decompose / fuzz.
 
 Exit codes: 0 success, 1 violated precondition or hypothesis, 2 bad input,
-3 broken internal invariant (a bug); 141 (128 + SIGPIPE) when the program's
-stdout is a pipe whose reader has gone.  With --json the report is emitted as
-sorted-key JSON with no timing, so identical inputs and seed give
-byte-identical output; human-readable reports add elapsed time at the end.
+3 a failed self-check (a `decompose` verdict or a `fuzz` trial); 141 (128 +
+SIGPIPE) when the program's stdout is a pipe whose reader has gone.  With
+--json the report is emitted as sorted-key JSON with no timing, so identical
+inputs and seed give byte-identical output; human-readable reports add
+elapsed time at the end.
 """
 
 from __future__ import annotations
@@ -23,17 +24,16 @@ from .errors import (
     AltRingsError,
     HypothesisFailedError,
     InputError,
-    InternalInvariantError,
     LieLawViolatedError,
     PreconditionError,
 )
 from . import report as verdicts  # lazy: runs on first use, which only peirce makes
-from .structure import analyze, center
+from .structure import analyze
 
 EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_INPUT = 2
-EXIT_INTERNAL = 3
+EXIT_SELF_CHECK = 3
 EXIT_BROKEN_PIPE = 141
 
 
@@ -232,6 +232,10 @@ def cmd_decompose(args, argv) -> int:
     if outputs:
         report["outputs"] = outputs
     _emit(report, args.json, started)
+    if not result.ok:
+        bad = next(c for c in result.checks if not c.ok)
+        print(f"decompose check {bad.name} failed (witness {bad.witness})", file=sys.stderr)
+        return EXIT_SELF_CHECK
     return EXIT_OK
 
 
@@ -245,18 +249,13 @@ def _fuzz_trial(ctx, algebra, trial: int, master_seed: int) -> dict:
         return {"trial": trial, "seed": trial_seed, "ok": False,
                 "error": f"{type(exc).__name__}: {exc}",
                 "replay_map": jsonio.mapspec_to_dict(spec)}
-    cen = center(algebra)
-    diff = result.delta - spec.linear
-    drift_central = all(cen.contains_vector(diff.col(k)) for k in range(algebra.dim))
-    ok = result.ok and drift_central
     entry = {
         "trial": trial,
         "seed": trial_seed,
-        "ok": ok,
-        "delta_drift_central": drift_central,
+        "ok": result.ok,
         "failed_checks": [c.to_dict() for c in result.checks if not c.ok],
     }
-    if not ok:
+    if not result.ok:
         entry["replay_map"] = jsonio.mapspec_to_dict(spec)
     return entry
 
@@ -290,7 +289,7 @@ def cmd_fuzz(args, argv) -> int:
         first_bad = next(r for r in results if not r["ok"])
         print(f"fuzz trial {first_bad['trial']} (seed {first_bad['seed']}) failed; "
               "replay map embedded in report", file=sys.stderr)
-        return EXIT_INTERNAL
+        return EXIT_SELF_CHECK
     return EXIT_OK
 
 
@@ -367,11 +366,15 @@ def main(argv=None) -> int:
     script): it runs `sys.argv[1:]` with the garbage collector off (a command
     leaves a small, fixed amount of cyclic garbage), flushes stdout and stderr
     and ends the process with `os._exit`, skipping interpreter teardown; a
-    closed stdout pipe ends it with EXIT_BROKEN_PIPE and no traceback, and any
-    other exception that escapes exits the normal way. A library call leaves
-    the collector alone and returns the code."""
+    stream closed at start-up writes to os.devnull, a closed stdout pipe ends
+    it with EXIT_BROKEN_PIPE and no traceback, and any other exception that
+    escapes exits the normal way. A library call leaves the collector alone
+    and returns the code."""
     if argv is None:
         gc.disable()
+        # Python sets a stream closed at start-up to None, and print(file=None) writes to stdout
+        sys.stdout, sys.stderr = (open(os.devnull, "w") if stream is None else stream
+                                  for stream in (sys.stdout, sys.stderr))
         try:
             code = main(sys.argv[1:])
             sys.stdout.flush()
@@ -384,15 +387,9 @@ def main(argv=None) -> int:
     try:
         parsed = parse_args(argv)
         return EXIT_OK if parsed is None else parsed[0](parsed[1], argv)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InternalInvariantError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except AltRingsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        return EXIT_INPUT if isinstance(exc, InputError) else EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """Exception hierarchy.
 
-Three tiers matter to callers (and map to CLI exit codes):
-input problems, violated mathematical preconditions, and broken internal
-invariants (the last always indicates a bug).
+Two tiers matter to callers (and map to CLI exit codes): input problems and
+violated mathematical preconditions.  A failed self-check is a verdict on a
+result, not an exception.
 """
 
 
@@ -16,10 +16,6 @@ class InputError(AltRingsError):
 
 class PreconditionError(AltRingsError):
     """A documented mathematical precondition does not hold."""
-
-
-class InternalInvariantError(AltRingsError):
-    """A theorem-backed invariant failed; indicates a bug, not bad input."""
 
 
 class AlgebraMismatchError(PreconditionError):

@@ -9,7 +9,7 @@ map in closed form, delta = L' - sum_i Z_i(P_jj L' P_ii): L' is the linear part
 with the terms' degree-1 parts folded in, and Z_i takes the central element
 matched on the corner opposite R_ii (the proof is in `decompose`).  Corner
 conditions (1)-(4) remain the caller's; a failing corner hypothesis surfaces
-as NoSplitError.
+as NoSplitError, and the split's self-checks are verdicts, never raises.
 
 Verification policy: every check on a MapSpec is "exact".  `lie_defect`
 decides the Lie law: its degree >= 2 part on the apolar norm of the central
@@ -26,7 +26,6 @@ from typing import Optional
 from .algebra import Algebra, Element, commutator
 from .errors import (
     AlgebraMismatchError,
-    InternalInvariantError,
     LieLawViolatedError,
     NormalizationFailedError,
     NoSplitError,
@@ -150,6 +149,10 @@ def _dot(u: Vec, v: Vec) -> Fraction:
     return sum((x * y for x, y in zip(u, v) if x and y), _ZERO)
 
 
+def _pair_label(alg: Algebra, i: int, j: int) -> str:
+    return f"x={alg.label(i)}, y={alg.label(j)}"
+
+
 def lie_defect(d: MapSpec) -> tuple[Matrix, Optional[str]]:
     """(L', witness): decide the Lie law of d exactly; the witness is None when it holds.
 
@@ -197,12 +200,12 @@ def lie_defect(d: MapSpec) -> tuple[Matrix, Optional[str]]:
     degree = next((k for k in range(2, len(norms)) if norms[k]), None)
     if degree is None:
         bad = _leibniz_failure(alg.commutator_table(), linear)
-        return linear, None if bad is None else f"x={alg.label(bad[0])}, y={alg.label(bad[1])}"
+        return linear, bad and _pair_label(alg, *bad)
     for i in range(n):
         for j in range(n):
             x, y = alg.basis_element(i), alg.basis_element(j)
             if d(commutator(x, y)) != commutator(d(x), y) + commutator(x, d(y)):
-                return linear, f"x={alg.label(i)}, y={alg.label(j)}"
+                return linear, _pair_label(alg, i, j)
     return linear, f"degree-{degree} part of the central terms is nonzero on commutators"
 
 
@@ -332,9 +335,9 @@ def decompose(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> Decomposi
     LieLawViolatedError on a map that breaks it.  Corner conditions (1)-(4)
     remain the caller's.  A failing corner hypothesis surfaces as NoSplitError,
     and a center that the opposite corner does not separate as
-    NonUniqueSplitError.  Failures of the final verification raise
-    InternalInvariantError: with honest inputs they cannot happen.  `budget` is
-    taken for a uniform call shape; nothing is drawn from it.
+    NonUniqueSplitError.  The self-checks are returned as exact verdicts, each
+    naming its first witness when it fails.  `budget` is taken for a uniform
+    call shape; nothing is drawn from it.
 
     delta = L' - sum_i Z_i(P_jj L' P_ii), j = 1 - i, where L' is the linear part
     with the terms' degree-1 parts folded in (`lie_defect`), and Z_i(u) is the
@@ -355,7 +358,6 @@ def decompose(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> Decomposi
       in the paper's construction (`normalize_at_idempotent`) cancels out.
     """
     alg, n = ctx.algebra, ctx.algebra.dim
-    checks: list[Check] = []
     linear, witness = lie_defect(d)
     if witness is not None:
         raise LieLawViolatedError(f"the map breaks the Lie law (witness {witness})")
@@ -370,33 +372,18 @@ def decompose(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> Decomposi
     delta = linear - tau1
     tau = MapSpec(alg, d.linear - delta, d.terms)
 
-    # -- verification --
-
-    if not is_derivation(alg, delta):
-        raise InternalInvariantError(
-            "delta fails the Leibniz rule; either an internal bug or corner "
-            "conditions (1)-(4) fail (run the condition checks)"
-        )
-    checks.append(Check("delta-leibniz", True, "exact"))
-
+    # -- verification: the first witness of each failing verdict --
+    pair = _leibniz_failure(alg._int_table, delta)
     cen = center(alg)
-    bad = next((k for k in range(n) if not cen.contains_vector(tau.linear.col(k))), None)
-    checks.append(Check("tau-central", bad is None, "exact",
-                        witness=None if bad is None else f"tau({alg.label(bad)}) off the center"))
-    if bad is not None:
-        raise InternalInvariantError("tau has a non-central linear column")
-
-    # tau's degree >= 2 part vanishes on commutators, and its degree-1 part is tau'
-    bad = next((c for c in commutator_subspace(alg).basis if any(tau1.apply(c))), None)
-    witness = None if bad is None else f"commutator-span vector {Element(alg, bad)!r}"
-    checks.append(Check("tau-kills-commutators", witness is None, "exact", witness=witness))
-    if witness is not None:
-        raise InternalInvariantError(f"tau does not vanish on a commutator ({witness})")
-
-    checks.append(Check("almost-additive", True, "exact",
-                        detail="nonlinear defects land in the span of central targets"))
-
-    return DecompositionResult(alg, delta, tau, tuple(checks))
+    col = next((k for k in range(n) if not cen.contains_vector(tau.linear.col(k))), None)
+    # tau's degree >= 2 part vanishes on commutators (`lie_defect`), and its degree-1 part is tau'
+    vec = next((c for c in commutator_subspace(alg).basis if any(tau1.apply(c))), None)
+    return DecompositionResult(alg, delta, tau, (
+        Check("delta-leibniz", pair is None, "exact", witness=pair and _pair_label(alg, *pair)),
+        Check("tau-central", col is None, "exact",
+              witness=None if col is None else f"tau({alg.label(col)}) off the center"),
+        Check("tau-kills-commutators", vec is None, "exact",
+              witness=vec and f"commutator-span vector {Element(alg, vec)!r}")))
 
 
 def compose(algebra: Algebra, delta: Matrix, terms: tuple[CentralTerm, ...] = ()) -> MapSpec:

@@ -509,28 +509,62 @@ def test_decompose_accepts_zero_target_term(tmp_path, capsys, monkeypatch):
     assert compose(spec.algebra, spec.linear, spec.terms) == spec
 
 
-def test_fuzz_failing_trial_prints_replay_map(capsys, monkeypatch):
+def test_decompose_failed_self_check_exits_3(m2_file, tmp_path, capsys, monkeypatch):
+    # with the Lie-law decision patched out, D(a) = a11 1 passes every precondition,
+    # and tau fails to kill E11 - E22: the report says so, then one stderr line
     import altrings.liederiv as liederiv
-    from altrings.errors import InternalInvariantError
 
-    real = liederiv.decompose
-
-    def fail_trial_1(ctx, spec, budget):
-        if budget.seed == 1:
-            raise InternalInvariantError("planted failure")
-        return real(ctx, spec, budget)
-
-    monkeypatch.setattr(liederiv, "decompose", fail_trial_1)
-    code, out, err = run(capsys, "fuzz", "zorn", "--trials", "2", "--json")
+    algebra = load_algebra(m2_file)
+    map_path = tmp_path / "a11.json"
+    save_mapspec(MapSpec(algebra, Matrix.from_rows([[1, 0, 0, 0], [0] * 4, [0] * 4,
+                                                    [1, 0, 0, 0]])), map_path)
+    monkeypatch.setattr(liederiv, "lie_defect", lambda d: (d.linear, None))
+    code, out, err = run(capsys, "decompose", str(m2_file), "--idempotent", "1,0,0,0",
+                         "--map", str(map_path), "--json")
     assert code == 3
     report = json.loads(out)
     assert report["ok"] is False
-    good, bad = report["results"]
-    assert good["ok"] is True
-    assert bad["ok"] is False
-    assert bad["error"] == "InternalInvariantError: planted failure"
-    assert set(bad["replay_map"]) == {"linear", "central_terms"}
-    assert err == "fuzz trial 1 (seed 1) failed; replay map embedded in report\n"
+    assert [c["name"] for c in report["checks"] if not c["ok"]] == ["tau-kills-commutators"]
+    assert err == ("decompose check tau-kills-commutators failed "
+                   "(witness commutator-span vector E11 + (-1)*E22)\n")
+
+
+def test_fuzz_failing_trial_prints_replay_map(capsys, monkeypatch):
+    # trial 1 fails a self-check in one run and raises a precondition error in
+    # the other; either way it carries its replay map, and fuzz exits 3
+    import altrings.liederiv as liederiv
+    from altrings.errors import PreconditionError
+    from altrings.peirce import PeirceContext
+
+    real = liederiv.decompose
+
+    def non_central_in_trial_1(ctx, spec, budget):
+        with monkeypatch.context() as m:
+            if budget.seed == 1:  # u1 is not central in zorn
+                m.setattr(PeirceContext, "central_part", lambda self, i, v: ctx.algebra.basis_vec(1))
+            return real(ctx, spec, budget)
+
+    def raise_in_trial_1(ctx, spec, budget):
+        if budget.seed == 1:
+            raise PreconditionError("planted failure")
+        return real(ctx, spec, budget)
+
+    for planted in (non_central_in_trial_1, raise_in_trial_1):
+        monkeypatch.setattr(liederiv, "decompose", planted)
+        code, out, err = run(capsys, "fuzz", "zorn", "--trials", "2", "--json")
+        assert code == 3
+        report = json.loads(out)
+        assert report["ok"] is False
+        good, bad = report["results"]
+        assert (good["ok"], good["failed_checks"], "replay_map" in good) == (True, [], False)
+        assert bad["ok"] is False
+        assert set(bad["replay_map"]) == {"linear", "central_terms"}
+        assert err == "fuzz trial 1 (seed 1) failed; replay map embedded in report\n"
+        if planted is raise_in_trial_1:
+            assert bad["error"] == "PreconditionError: planted failure"
+        else:
+            assert {"name": "tau-central", "ok": False, "mode": "exact",
+                    "witness": "tau(e1) off the center"} in bad["failed_checks"]
 
 
 def test_fuzz_zorn(capsys):
@@ -779,6 +813,24 @@ def test_closed_stdout_pipe_exits_141_without_a_traceback(flags, zorn_file):
     finally:
         os.close(write)
     assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+@pytest.mark.parametrize("redirect, argv, expected", [
+    (">&-", ["analyze", "--json", "{zorn}"], 0),
+    ("2>&-", ["analyze", "{missing}"], 2),
+], ids=["stdout-closed", "stderr-closed"])
+def test_closed_stream_takes_nothing(redirect, argv, expected, zorn_file, tmp_path):
+    """The program starts with stdout or stderr closed (`>&-`, `2>&-`), so Python
+    sets that stream to None: it exits with the command's code, writes nothing
+    on the open stream, and never sends the `error:` line to stdout."""
+    import shlex
+    import subprocess
+    import sys
+
+    args = [a.format(zorn=zorn_file, missing=tmp_path / "missing.json") for a in argv]
+    command = shlex.join([sys.executable, "-m", "altrings", *args])
+    proc = subprocess.run(f"{command} {redirect}", shell=True, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (expected, b"", b"")
 
 
 E1 = "1,0,0,0,0,0,0,0"

@@ -22,7 +22,6 @@ from altrings import (
 from altrings.algebra import Element, commutator
 from altrings.catalog import random_lie_derivation, zorn
 from altrings.errors import (
-    InternalInvariantError,
     LieLawViolatedError,
     NonUniqueSplitError,
     NoSplitError,
@@ -555,8 +554,8 @@ def test_decompose_modes_follow_the_gate(m2_ctx):
     m2 = m2_ctx.algebra
     spec = MapSpec(m2, ad(m2, 1), (trace_term(m2, [0, 0, 1]),))
     modes = {c.name: c.mode for c in decompose(m2_ctx, spec, budget(seed=9)).checks}
-    assert modes == dict.fromkeys(("delta-leibniz", "tau-central", "tau-kills-commutators",
-                                   "almost-additive"), "exact")
+    assert modes == dict.fromkeys(("delta-leibniz", "tau-central", "tau-kills-commutators"),
+                                  "exact")
 
 
 def test_decompose_refuses_the_construction_breaker_up_front(m3_ctx):
@@ -596,15 +595,47 @@ def a11_map(m2):
     return MapSpec(m2, Matrix.from_rows([[1, 0, 0, 0], [0] * 4, [0] * 4, [1, 0, 0, 0]]))
 
 
+def failed_checks(result):
+    return {c.name: c.witness for c in result.checks if not c.ok}
+
+
 def test_tau_commutator_failure_names_the_span_vector(m2_ctx, monkeypatch):
     # with the Lie-law decision patched out, D(a) = a11 1 gives delta = 0 and a
     # central tau, and the exact tau verdict names the span vector where tau is 1
     import altrings.liederiv as liederiv
 
     monkeypatch.setattr(liederiv, "lie_defect", lambda d: (d.linear, None))
-    with pytest.raises(InternalInvariantError, match=r"tau does not vanish on a commutator "
-                       r"\(commutator-span vector E11 \+ \(-1\)\*E22\)"):
-        decompose(m2_ctx, a11_map(m2_ctx.algebra), budget())
+    result = decompose(m2_ctx, a11_map(m2_ctx.algebra), budget())
+    assert not result.ok
+    assert failed_checks(result) == {
+        "tau-kills-commutators": "commutator-span vector E11 + (-1)*E22"}
+
+
+def test_delta_leibniz_failure_names_a_basis_pair(m2_ctx, monkeypatch):
+    # D(a) = tr(a) 1 is a central Lie derivation, so delta = 0; with the central
+    # parts patched to zero, delta = D, which breaks the Leibniz rule at (E11, E11):
+    # D(E11 E11) = 1, but D(E11) E11 + E11 D(E11) = 2 E11
+    from altrings.peirce import PeirceContext
+
+    m2 = m2_ctx.algebra
+    monkeypatch.setattr(PeirceContext, "central_part", lambda self, i, v: (F(0),) * 4)
+    d = MapSpec(m2, Matrix.from_rows([[1, 0, 0, 1], [0] * 4, [0] * 4, [1, 0, 0, 1]]))
+    result = decompose(m2_ctx, d, budget())
+    assert result.delta == d.linear and not result.ok
+    assert failed_checks(result) == {"delta-leibniz": "x=E11, y=E11"}
+
+
+def test_tau_central_failure_names_a_basis_vector(m2_ctx, monkeypatch):
+    # central parts patched to the non-central E12 put E12 in tau(E11) and
+    # tau(E22); E11 - E22 is sent to 0, so tau still kills commutators
+    from altrings.peirce import PeirceContext
+
+    m2 = m2_ctx.algebra
+    monkeypatch.setattr(PeirceContext, "central_part", lambda self, i, v: m2.basis_vec(1))
+    result = decompose(m2_ctx, MapSpec(m2, Matrix.zeros(4, 4)), budget())
+    assert result.tau(m2.basis_element(0)) == m2.basis_element(1) and not result.ok
+    assert failed_checks(result)["tau-central"] == "tau(E11) off the center"
+    assert "tau-kills-commutators" not in failed_checks(result)
 
 
 def test_decompose_decides_the_degree_one_lie_law(m2_ctx):
