@@ -27,7 +27,6 @@ from .errors import (
     LieLawViolatedError,
     PreconditionError,
 )
-from . import report as verdicts  # lazy: runs on first use, which only peirce makes
 from .structure import analyze
 
 EXIT_OK = 0
@@ -94,19 +93,6 @@ def _parse_idempotent(spec: str, algebra: Algebra) -> Element:
     return Element(algebra, coeffs)
 
 
-def _recipe_from_args(args) -> str:
-    kind = args.kind
-    if kind == "matrix":
-        if args.n is None:
-            raise InputError("make matrix requires --n")
-        return f"matrix:{args.n}"
-    if kind in ("cayley-dickson", "cd"):
-        if not args.mus:
-            raise InputError("make cayley-dickson requires --mus")
-        return f"cayley-dickson:{args.mus}"
-    return kind
-
-
 def _build_recipe(text: str) -> tuple[catalog.ConstructionRecipe, Algebra]:
     """Parse and build a recipe; one nested past the recursion limit is bad input."""
     try:
@@ -118,7 +104,7 @@ def _build_recipe(text: str) -> tuple[catalog.ConstructionRecipe, Algebra]:
 
 def cmd_make(args, argv) -> int:
     started = time.perf_counter()
-    recipe, algebra = _build_recipe(_recipe_from_args(args))
+    recipe, algebra = _build_recipe(args.recipe)
     jsonio.save_algebra(algebra, args.output, provenance=recipe.describe())
     report = {
         "command": _echo(argv),
@@ -160,30 +146,17 @@ def cmd_peirce(args, argv) -> int:
     algebra = jsonio.load_algebra(args.algebra)
     e1 = _parse_idempotent(args.idempotent, algebra)
     ctx = peirce.make_context(algebra, e1)
-    relations = peirce.verify_relations(ctx)
-    conditions = peirce.check_conditions(ctx, seed=args.seed, samples=args.samples)
-    checks = list(conditions.checks)
-    rel_check = verdicts.Check(
-        "relations-i-iv", relations.ok, "exact",
-        witness=None if relations.ok else
-        f"{relations.violations[0].relation}: {relations.violations[0].x!r}"
-        f" * {relations.violations[0].y!r} = {relations.violations[0].product!r}",
-    )
+    checks = [peirce.verify_relations(ctx),
+              *peirce.check_conditions(ctx, seed=args.seed, samples=args.samples).checks]
+    if all(c.ok for c in ctx.conditions_123):
+        checks += [*peirce.verify_prop_spade_club(ctx), peirce.verify_offdiag_centralizer(ctx)]
     report = {
         "command": _echo(argv),
         "seed": args.seed,
         "dims": list(ctx.dims),
-        "checks": [rel_check.to_dict()] + [c.to_dict() for c in checks],
+        "checks": [c.to_dict() for c in checks],
+        "ok": all(c.ok for c in checks),
     }
-    if conditions.checks[0].ok and conditions.checks[1].ok and conditions.checks[2].ok:
-        spade, club = peirce.verify_prop_spade_club(ctx)
-        offdiag = peirce.verify_offdiag_centralizer(ctx)
-        report["checks"] += [
-            verdicts.Check("prop-spade", spade, "exact").to_dict(),
-            verdicts.Check("prop-club", club, "exact").to_dict(),
-            verdicts.Check("offdiag-centralizer", offdiag, "exact").to_dict(),
-        ]
-    report["ok"] = all(c["ok"] for c in report["checks"])
     _emit(report, args.json, started)
     return EXIT_OK
 
@@ -294,13 +267,13 @@ def cmd_fuzz(args, argv) -> int:
 
 
 USAGE = """\
-usage: altrings make KIND -o FILE [--n N] [--mus M1,M2,...]
+usage: altrings make RECIPE -o FILE
        altrings analyze ALGEBRA
        altrings peirce ALGEBRA --idempotent E [--seed N] [--samples N]
        altrings decompose ALGEBRA --idempotent E --map MAP [-o PREFIX] [--seed N] [--samples N]
        altrings fuzz RECIPE [--trials N] [--seed N] [--samples N]
-Every command takes --json. KIND is zorn, matrix (with --n), cayley-dickson (with
---mus) or a recipe such as sum(zorn|matrix:1); E is comma-separated rationals or
+Every command takes --json. RECIPE is zorn, matrix:N, cayley-dickson:M1,M2,...
+(or cd:M1,M2,...), m2m2, zornq or sum(R1|R2); E is comma-separated rationals or
 @file.json. An option's value follows it (--opt value) or is joined to it (--opt=value)."""
 
 REQUIRED = object()
@@ -308,8 +281,7 @@ SEED_SAMPLES = {"--seed": (int, 0), "--samples": (_count, 20)}
 # command -> (handler, positional, {option: (type, default)}); every command also
 # takes the flag --json, and -o stands for --output
 COMMANDS = {
-    "make": (cmd_make, "kind",
-             {"--output": (str, REQUIRED), "--n": (int, None), "--mus": (str, None)}),
+    "make": (cmd_make, "recipe", {"--output": (str, REQUIRED)}),
     "analyze": (cmd_analyze, "algebra", {}),
     "peirce": (cmd_peirce, "algebra", {"--idempotent": (str, REQUIRED), **SEED_SAMPLES}),
     "decompose": (cmd_decompose, "algebra", {"--idempotent": (str, REQUIRED),
@@ -359,6 +331,17 @@ def parse_args(argv: list[str]):
     return fn, SimpleNamespace(**values)
 
 
+def _writable(stream) -> bool:
+    """False for a stream Python set to None (its fd was closed at start-up, and
+    print(file=None) would write to stdout) or whose fd rejects a zero-byte write
+    (EBADF: the fd is open read-only)."""
+    try:
+        os.write(stream.fileno(), b"")
+    except (AttributeError, OSError):  # None has no fileno()
+        return False
+    return True
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
@@ -366,14 +349,13 @@ def main(argv=None) -> int:
     script): it runs `sys.argv[1:]` with the garbage collector off (a command
     leaves a small, fixed amount of cyclic garbage), flushes stdout and stderr
     and ends the process with `os._exit`, skipping interpreter teardown; a
-    stream closed at start-up writes to os.devnull, a closed stdout pipe ends
-    it with EXIT_BROKEN_PIPE and no traceback, and any other exception that
-    escapes exits the normal way. A library call leaves the collector alone
-    and returns the code."""
+    stream closed or read-only at start-up writes to os.devnull, a closed
+    stdout pipe ends it with EXIT_BROKEN_PIPE and no traceback, and any other
+    exception that escapes exits the normal way. A library call leaves the
+    collector alone and returns the code."""
     if argv is None:
         gc.disable()
-        # Python sets a stream closed at start-up to None, and print(file=None) writes to stdout
-        sys.stdout, sys.stderr = (open(os.devnull, "w") if stream is None else stream
+        sys.stdout, sys.stderr = (stream if _writable(stream) else open(os.devnull, "w")
                                   for stream in (sys.stdout, sys.stderr))
         try:
             code = main(sys.argv[1:])

@@ -13,14 +13,16 @@ as NoSplitError, and the split's self-checks are verdicts, never raises.
 
 Verification policy: every check on a MapSpec is "exact".  `lie_defect`
 decides the Lie law: its degree >= 2 part on the apolar norm of the central
-terms, and its degree-1 part, a linear map, on Leibniz rows.  The corner
-hypotheses are exact for every MapSpec (a term adds a multiple of P(z) to
-P(D(a))).  Nothing is drawn from a `SampleBudget`.
+terms, and its degree-1 part, a linear map, on Leibniz rows, once per map
+(`MapSpec.lie_law` keeps the answer).  The corner hypotheses are exact for
+every MapSpec (a term adds a multiple of P(z) to P(D(a))).  Nothing is drawn
+from a `SampleBudget`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .algebra import Algebra, Element, commutator
@@ -109,6 +111,11 @@ class MapSpec(Record):
                 raise NotCentralError(
                     f"term target {Element(self.algebra, t.central)!r} is not central"
                 )
+
+    @cached_property
+    def lie_law(self) -> tuple[Matrix, Optional[str]]:
+        """`lie_defect(self)`, decided once per map and kept outside equality."""
+        return lie_defect(self)
 
     @property
     def is_linear(self) -> bool:
@@ -214,7 +221,7 @@ def check_lie_law(d: MapSpec, budget: SampleBudget) -> Check:
     witness of `lie_defect`.  `budget` is taken for a uniform call shape;
     nothing is drawn from it.
     """
-    witness = lie_defect(d)[1]
+    witness = d.lie_law[1]
     return Check("lie-law", witness is None, "exact", witness=witness)
 
 
@@ -358,7 +365,7 @@ def decompose(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> Decomposi
       in the paper's construction (`normalize_at_idempotent`) cancels out.
     """
     alg, n = ctx.algebra, ctx.algebra.dim
-    linear, witness = lie_defect(d)
+    linear, witness = d.lie_law
     if witness is not None:
         raise LieLawViolatedError(f"the map breaks the Lie law (witness {witness})")
 
@@ -397,7 +404,7 @@ def compose(algebra: Algebra, delta: Matrix, terms: tuple[CentralTerm, ...] = ()
     if not is_derivation(algebra, delta):
         raise NotDerivationError("linear part fails the Leibniz rule on a basis pair")
     d = MapSpec(algebra, delta, tuple(terms))
-    witness = lie_defect(d)[1]
+    witness = d.lie_law[1]
     if witness is not None:
         raise LieLawViolatedError(
             f"central terms do not vanish on commutators (witness {witness}); the composed "

@@ -10,6 +10,7 @@ addressed 0/1 in code and printed 1/2 in reports.
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
 from typing import Optional
 
@@ -128,65 +129,42 @@ def make_context(algebra: Algebra, e1: Element) -> PeirceContext:
     return PeirceContext(algebra, e1, e2, proj, spaces)
 
 
-class RelationViolation(Record):
-    relation: str
-    x: Element
-    y: Element
-    product: Element
-
-
-class RelationReport(Record):
-    violations: tuple[RelationViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_relations(ctx: PeirceContext) -> RelationReport:
-    """Check the corner multiplication rules on Peirce-basis pairs.
+def verify_relations(ctx: PeirceContext) -> Check:
+    """The corner multiplication rules on Peirce-basis pairs, decided exactly.
 
     (i) R_ij R_jl in R_il; (ii) R_ij R_ij in R_ji; (iii) other corner products
-    vanish; (iv) squares in off-diagonal corners vanish, checked directly and
-    through the polarization x y + y x = 0.
+    vanish; (iv) x y + y x = 0 in each off-diagonal corner, decided on basis
+    pairs a <= b (at a = b it reads 2 x_a^2 = 0, so squares vanish too).  The
+    witness is the first pair that breaks a rule, with its product.
     """
     alg = ctx.algebra
-    bad: list[RelationViolation] = []
+
+    def broken(relation: str, x: Vec, y: Vec, product: Vec) -> Check:
+        return Check("relations-i-iv", False, "exact", witness=f"{relation}: {Element(alg, x)!r}"
+                     f" * {Element(alg, y)!r} = {Element(alg, product)!r}")
+
     prods = {}  # (ii)'s products x_a x_b in each off-diagonal corner, read again by (iv)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    if j == k:
-                        name, target = f"(i) R{i+1}{j+1}R{k+1}{l+1}<=R{i+1}{l+1}", ctx.spaces[i][l]
-                    elif (i, j) == (k, l):
-                        name, target = f"(ii) R{i+1}{j+1}R{i+1}{j+1}<=R{j+1}{i+1}", ctx.spaces[j][i]
-                    else:
-                        name, target = f"(iii) R{i+1}{j+1}R{k+1}{l+1}=0", None
-                    for a, x in enumerate(ctx.spaces[i][j].basis):
-                        for b, y in enumerate(ctx.spaces[k][l].basis):
-                            p = alg.mul_vec(x, y)
-                            if i != j and (i, j) == (k, l):
-                                prods[i, a, b] = p
-                            ok = not any(p) if target is None else target.contains_vector(p)
-                            if not ok:
-                                bad.append(RelationViolation(
-                                    name, Element(alg, x), Element(alg, y), Element(alg, p)))
-    for (i, j) in ((0, 1), (1, 0)):
+    for i, j, k, l in itertools.product(range(2), repeat=4):
+        if j == k:
+            name, target = f"(i) R{i+1}{j+1}R{k+1}{l+1}<=R{i+1}{l+1}", ctx.spaces[i][l]
+        elif (i, j) == (k, l):
+            name, target = f"(ii) R{i+1}{j+1}R{i+1}{j+1}<=R{j+1}{i+1}", ctx.spaces[j][i]
+        else:
+            name, target = f"(iii) R{i+1}{j+1}R{k+1}{l+1}=0", None
+        for a, x in enumerate(ctx.spaces[i][j].basis):
+            for b, y in enumerate(ctx.spaces[k][l].basis):
+                p = alg.mul_vec(x, y)
+                if i != j and (i, j) == (k, l):
+                    prods[i, a, b] = p
+                if any(p) if target is None else not target.contains_vector(p):
+                    return broken(name, x, y, p)
+    for i, j in ((0, 1), (1, 0)):
         basis = ctx.spaces[i][j].basis
-        for a, x in enumerate(basis):
-            sq = prods[i, a, a]
-            if any(sq):
-                bad.append(RelationViolation(
-                    f"(iv) x{i+1}{j+1}^2=0", Element(alg, x), Element(alg, x), Element(alg, sq)))
         for a in range(len(basis)):
-            for b in range(len(basis)):
-                anti = vec_add(prods[i, a, b], prods[i, b, a])
-                if any(anti):
-                    bad.append(RelationViolation(
-                        f"(iv) xy+yx=0 on R{i+1}{j+1}",
-                        Element(alg, basis[a]), Element(alg, basis[b]), Element(alg, anti)))
-    return RelationReport(tuple(bad))
+            for b in range(a, len(basis)):
+                if any(anti := vec_add(prods[i, a, b], prods[i, b, a])):
+                    return broken(f"(iv) xy+yx=0 on R{i+1}{j+1}", basis[a], basis[b], anti)
+    return Check("relations-i-iv", True, "exact")
 
 
 class ConditionsReport(Record):
@@ -247,29 +225,36 @@ def _require_conditions_123(ctx: PeirceContext):
             )
 
 
-def verify_prop_spade_club(ctx: PeirceContext) -> tuple[bool, bool]:
+def verify_prop_spade_club(ctx: PeirceContext) -> tuple[Check, Check]:
     """Diagonal elements commuting with an off-diagonal corner are central.
 
     Spade: the annihilator of R_12 in R_11 + R_22 under [ , ] lies in the
-    center; club is the R_21 analogue.  Requires corner conditions (1)-(3).
+    center; club is the R_21 analogue.  Each exact verdict names the first
+    annihilator basis element outside the center.  Requires corner conditions
+    (1)-(3).
     """
     _require_conditions_123(ctx)
     alg = ctx.algebra
     cen, diag = center(alg), ctx.spaces[0][0] + ctx.spaces[1][1]
-    verdicts = []
-    for i, j in ((0, 1), (1, 0)):
+    checks = []
+    for name, (i, j) in (("prop-spade", (0, 1)), ("prop-club", (1, 0))):
         ann = _annihilator(alg.commutator_table(), diag, ctx.spaces[i][j].basis)
-        verdicts.append(all(cen.contains_vector(combine(c, diag.basis, alg.dim))
-                            for c in ann.basis))
-    return verdicts[0], verdicts[1]
+        w = next((v for v in (combine(c, diag.basis, alg.dim) for c in ann.basis)
+                  if not cen.contains_vector(v)), None)
+        checks.append(Check(name, w is None, "exact", witness=w and repr(Element(alg, w))))
+    return checks[0], checks[1]
 
 
-def verify_offdiag_centralizer(ctx: PeirceContext) -> bool:
-    """Centralizer of an off-diagonal corner sits inside corner + center."""
+def verify_offdiag_centralizer(ctx: PeirceContext) -> Check:
+    """The centralizer of an off-diagonal corner sits inside corner + center; the
+    exact verdict names the first centralizer basis element outside it.
+    Requires corner conditions (1)-(3)."""
     _require_conditions_123(ctx)
-    cen = center(ctx.algebra)
-    for (i, j) in ((0, 1), (1, 0)):
+    alg, cen = ctx.algebra, center(ctx.algebra)
+    for i, j in ((0, 1), (1, 0)):
         target = ctx.spaces[i][j] + cen
-        if not target.contains(centralizer(ctx.algebra, ctx.spaces[i][j])):
-            return False
-    return True
+        w = next((v for v in centralizer(alg, ctx.spaces[i][j]).basis
+                  if not target.contains_vector(v)), None)
+        if w is not None:
+            return Check("offdiag-centralizer", False, "exact", witness=repr(Element(alg, w)))
+    return Check("offdiag-centralizer", True, "exact")

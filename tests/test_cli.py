@@ -35,7 +35,7 @@ def zorn_file(tmp_path, capsys):
 @pytest.fixture
 def m2_file(tmp_path, capsys):
     path = tmp_path / "m2.json"
-    code, _, _ = run(capsys, "make", "matrix", "--n", "2", "-o", str(path))
+    code, _, _ = run(capsys, "make", "matrix:2", "-o", str(path))
     assert code == 0
     return path
 
@@ -47,8 +47,7 @@ def test_make_zorn(zorn_file, capsys):
 
 def test_make_cayley_dickson(tmp_path, capsys):
     path = tmp_path / "oct.json"
-    code, out, _ = run(capsys, "make", "cayley-dickson", "--mus", "-1,-1,-1",
-                       "-o", str(path), "--json")
+    code, out, _ = run(capsys, "make", "cayley-dickson:-1,-1,-1", "-o", str(path), "--json")
     assert code == 0
     report = json.loads(out)
     assert report["dim"] == 8
@@ -476,7 +475,7 @@ def test_decompose_hypothesis_failure_named(tmp_path, capsys, monkeypatch):
     from altrings.report import Check
 
     m3_path = tmp_path / "m3.json"
-    assert run(capsys, "make", "matrix", "--n", "3", "-o", str(m3_path))[0] == 0
+    assert run(capsys, "make", "matrix:3", "-o", str(m3_path))[0] == 0
     algebra = load_algebra(m3_path)
     rows = [[0] * 9 for _ in range(9)]
     rows[5][0] = 1  # E11 -> E23: a non-central (2,2)-corner element
@@ -495,7 +494,7 @@ def test_decompose_accepts_zero_target_term(tmp_path, capsys, monkeypatch):
     from altrings.liederiv import compose
 
     monkeypatch.chdir(tmp_path)
-    assert run(capsys, "make", "matrix", "--n", "3", "-o", "m3.json")[0] == 0
+    assert run(capsys, "make", "matrix:3", "-o", "m3.json")[0] == 0
     data = json.loads((GOLDEN / "decompose" / "matrix-3.map.json").read_text())
     data["central_terms"].append({"functional": ["0", "1"] + ["0"] * 7, "poly": ["0", "1"],
                                   "central": ["0"] * 9})
@@ -507,6 +506,23 @@ def test_decompose_accepts_zero_target_term(tmp_path, capsys, monkeypatch):
     assert (kills["ok"], kills["mode"]) == (True, "exact")
     spec = load_mapspec("inert.json", load_algebra("m3.json"))
     assert compose(spec.algebra, spec.linear, spec.terms) == spec
+
+
+def test_lie_law_is_decided_once_per_map(zorn_inputs, capsys, monkeypatch):
+    """`MapSpec.lie_law` keeps the answer of `lie_defect`: `decompose` on the zorn
+    golden map decides the Lie law once (its check_lie_law verdict and the split
+    share it), and `fuzz zorn --trials 4` once per trial (compose builds each
+    map, and decompose reads the same answer)."""
+    import altrings.liederiv as liederiv
+
+    calls, real = [], liederiv.lie_defect
+    monkeypatch.setattr(liederiv, "lie_defect", lambda d: calls.append(d) or real(d))
+    assert run(capsys, "decompose", str(zorn_inputs / "zorn.json"), "--idempotent", E1,
+               "--map", str(GOLDEN / "decompose" / "zorn.map.json"), "--json")[0] == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert run(capsys, "fuzz", "zorn", "--trials", "4", "--json")[0] == 0
+    assert len(calls) == 4
 
 
 def test_decompose_failed_self_check_exits_3(m2_file, tmp_path, capsys, monkeypatch):
@@ -818,17 +834,22 @@ def test_closed_stdout_pipe_exits_141_without_a_traceback(flags, zorn_file):
 @pytest.mark.parametrize("redirect, argv, expected", [
     (">&-", ["analyze", "--json", "{zorn}"], 0),
     ("2>&-", ["analyze", "{missing}"], 2),
-], ids=["stdout-closed", "stderr-closed"])
+    ("1<{zorn}", ["analyze", "--json", "{zorn}"], 0),
+    ("2<{zorn}", ["analyze", "{missing}"], 2),
+], ids=["stdout-closed", "stderr-closed", "stdout-read-only", "stderr-read-only"])
 def test_closed_stream_takes_nothing(redirect, argv, expected, zorn_file, tmp_path):
     """The program starts with stdout or stderr closed (`>&-`, `2>&-`), so Python
-    sets that stream to None: it exits with the command's code, writes nothing
-    on the open stream, and never sends the `error:` line to stdout."""
+    sets that stream to None, or open read-only (`1<file`, `2<file`), so a write
+    fails with EBADF: it exits with the command's code, writes nothing on the
+    open stream, and never sends the `error:` line to stdout."""
     import shlex
     import subprocess
     import sys
 
-    args = [a.format(zorn=zorn_file, missing=tmp_path / "missing.json") for a in argv]
+    names = {"zorn": zorn_file, "missing": tmp_path / "missing.json"}
+    args = [a.format(**names) for a in argv]
     command = shlex.join([sys.executable, "-m", "altrings", *args])
+    redirect = redirect.format(zorn=shlex.quote(str(zorn_file)))
     proc = subprocess.run(f"{command} {redirect}", shell=True, capture_output=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (expected, b"", b"")
 
@@ -839,11 +860,10 @@ BAD_ARGUMENTS = {  # case -> (argv, the one stderr line); {zorn} and {map} name 
     "unknown-command": (["analyse", "{zorn}"], "unknown command 'analyse'; choose one of make, "
                         "analyze, peirce, decompose, fuzz"),
     "make-missing-output": (["make", "zorn"], "make: missing --output"),
-    "make-missing-kind": (["make", "-o", "x.json"], "make: missing KIND"),
+    "make-missing-recipe": (["make", "-o", "x.json"], "make: missing RECIPE"),
     "make-unknown-option": (["make", "zorn", "-o", "x.json", "--size", "2"],
                             "make: unknown option --size"),
-    "make-n-not-integer": (["make", "matrix", "--n", "two", "-o", "x.json"],
-                           "make: --n must be an integer (got 'two')"),
+    "make-n-option": (["make", "matrix", "--n", "3", "-o", "x.json"], "make: unknown option --n"),
     "make-stray-positional": (["make", "zorn", "matrix", "-o", "x.json"],
                               "make: unexpected argument 'matrix'"),
     "make-output-without-value": (["make", "zorn", "-o"], "make: --output needs a value"),
@@ -908,7 +928,7 @@ def test_bad_argument_exits_2_with_one_line(case, zorn_inputs, tmp_path, capsys,
 def test_help_prints_usage_and_exits_0(argv, zorn_inputs, capsys):
     code, out, err = run(capsys, *(a.format(zorn=zorn_inputs / "zorn.json") for a in argv))
     assert (code, err) == (0, "")
-    assert out.startswith("usage: altrings make KIND -o FILE")
+    assert out.startswith("usage: altrings make RECIPE -o FILE")
     assert all(f"altrings {name} " in out for name in ("analyze", "peirce", "decompose", "fuzz"))
 
 
@@ -918,8 +938,8 @@ def test_options_in_any_order_and_either_form(zorn_inputs, tmp_path, capsys):
     gives the same report apart from the echoed command, and the same files."""
     zorn, map_path = str(zorn_inputs / "zorn.json"), str(zorn_inputs / "map.json")
     pairs = [
-        (["make", "cd", "--mus", "-1,-1,-1", "-o", str(tmp_path / "a.json"), "--json"],
-         ["make", "--json", "--mus=-1,-1,-1", "--output", str(tmp_path / "b.json"), "cd"]),
+        (["make", "cd:-1,-1,-1", "-o", str(tmp_path / "a.json"), "--json"],
+         ["make", "--json", f"--output={tmp_path / 'b.json'}", "cd:-1,-1,-1"]),
         (["analyze", zorn, "--json"], ["analyze", "--json", zorn]),
         (["peirce", zorn, "--idempotent", E1, "--seed", "-3", "--samples", "5", "--json"],
          ["peirce", "--samples=5", "--json", "--seed=-3", f"--idempotent={E1}", zorn]),

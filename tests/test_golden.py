@@ -28,12 +28,12 @@ from altrings.structure import derivation_algebra
 
 GOLDEN = Path(__file__).parent / "golden"
 
-MAKE_ARGS = {
-    "zorn": ["zorn"],
-    "matrix-3": ["matrix", "--n", "3"],
-    "matrix-4": ["matrix", "--n", "4"],
-    "sedenions": ["cd", "--mus", "-1,-1,-1,-1"],
-    "zorn+zorn": ["sum(zorn|zorn)"],
+MAKE_RECIPES = {
+    "zorn": "zorn",
+    "matrix-3": "matrix:3",
+    "matrix-4": "matrix:4",
+    "sedenions": "cd:-1,-1,-1,-1",
+    "zorn+zorn": "sum(zorn|zorn)",
 }
 
 
@@ -45,11 +45,11 @@ def _make_digest(stem: str) -> str:
     return json.loads((GOLDEN / "make_sha256.json").read_text())[stem]
 
 
-@pytest.mark.parametrize("stem", sorted(MAKE_ARGS))
+@pytest.mark.parametrize("stem", sorted(MAKE_RECIPES))
 def test_analyze_matches_golden_bytes(stem, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     name = f"{stem}.json"
-    assert main(["make", *MAKE_ARGS[stem], "-o", name]) == 0
+    assert main(["make", MAKE_RECIPES[stem], "-o", name]) == 0
     capsys.readouterr()
     assert _sha256(name) == _make_digest(stem)
     assert main(["analyze", "--json", name]) == 0
@@ -58,15 +58,11 @@ def test_analyze_matches_golden_bytes(stem, tmp_path, monkeypatch, capsys):
     assert digest == json.loads((GOLDEN / "derivation_sha256.json").read_text())[stem]
 
 
-# stems whose Lie-split reports are pinned: their `make` arguments and recipe.
-# The split octonions cd:-1,1,1 are taken at their canonical idempotent
-# (e0 + e2)/2, whose corners (dims [1, 3, 3, 1], R12 spanned by vectors such as
-# e1 - e3) are not spanned by basis vectors.
-LIE_SPLIT = {
-    "zorn": (MAKE_ARGS["zorn"], "zorn"),
-    "matrix-3": (MAKE_ARGS["matrix-3"], "matrix:3"),
-    "split-octonions": (["cd", "--mus", "-1,1,1"], "cd:-1,1,1"),
-}
+# stems whose Lie-split reports are pinned: their recipe. The split octonions
+# cd:-1,1,1 are taken at their canonical idempotent (e0 + e2)/2, whose corners
+# (dims [1, 3, 3, 1], R12 spanned by vectors such as e1 - e3) are not spanned by
+# basis vectors.
+LIE_SPLIT = {"zorn": "zorn", "matrix-3": "matrix:3", "split-octonions": "cd:-1,1,1"}
 
 
 def _stdout(argv: list[str]) -> str:
@@ -79,8 +75,8 @@ def lie_split_outputs(stem: str) -> dict[str, str]:
     """Run peirce, decompose -o and fuzz on one algebra in the working
     directory: the text of each pinned output, by its path under tests/golden/."""
     name = f"{stem}.json"
-    args, recipe = LIE_SPLIT[stem]
-    _stdout(["make", *args, "-o", name])
+    recipe = LIE_SPLIT[stem]
+    _stdout(["make", recipe, "-o", name])
     algebra = load_algebra(name)
     e1 = canonical_idempotent(parse_recipe(recipe), algebra)
     idempotent = ",".join(vector_to_json(e1.coeffs))
@@ -109,7 +105,7 @@ def test_trace_square_decompose_matches_golden_bytes(tmp_path, monkeypatch):
     Its term functionals E11 and E22 do not vanish on the commutator span, but
     the degree-2 parts cancel on it."""
     monkeypatch.chdir(tmp_path)
-    _stdout(["make", "matrix", "--n", "2", "-o", "matrix-2.json"])
+    _stdout(["make", "matrix:2", "-o", "matrix-2.json"])
     m2 = load_algebra("matrix-2.json")
     square = (Fraction(0), Fraction(0), Fraction(1))
     save_mapspec(MapSpec(m2, Matrix.zeros(4, 4),
@@ -130,17 +126,17 @@ def test_trace_square_decompose_matches_golden_bytes(tmp_path, monkeypatch):
 # sum(zorn|zorn) at the first summand's e1 (dims [1, 3, 3, 9]; condition 3 fails
 # with R.e1 and condition 4 on the center's basis)
 PEIRCE_WITNESSES = {
-    "m2m2": (["m2m2"], "1,0,0,1,0,0,0,0"),
-    "zorn+zorn": (MAKE_ARGS["zorn+zorn"], ",".join(["1"] + ["0"] * 15)),
+    "m2m2": ("m2m2", "1,0,0,1,0,0,0,0"),
+    "zorn+zorn": (MAKE_RECIPES["zorn+zorn"], ",".join(["1"] + ["0"] * 15)),
 }
 
 
 @pytest.mark.parametrize("stem", sorted(PEIRCE_WITNESSES))
 def test_peirce_witnesses_match_golden_bytes(stem, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    args, idempotent = PEIRCE_WITNESSES[stem]
+    recipe, idempotent = PEIRCE_WITNESSES[stem]
     name = f"{stem}.json"
-    _stdout(["make", *args, "-o", name])
+    _stdout(["make", recipe, "-o", name])
     out = _stdout(["peirce", "--json", name, "--idempotent", idempotent])
     assert out == (GOLDEN / "peirce" / name).read_text(encoding="utf-8")
 
@@ -148,7 +144,7 @@ def test_peirce_witnesses_match_golden_bytes(stem, tmp_path, monkeypatch):
 def test_make_matches_golden_digest_with_rational_constants(tmp_path, monkeypatch):
     """A doubled algebra whose constants include halves and three-halves."""
     monkeypatch.chdir(tmp_path)
-    _stdout(["make", "cd", "--mus", "-1,1/2,-3", "-o", "cd-rational.json"])
+    _stdout(["make", "cd:-1,1/2,-3", "-o", "cd-rational.json"])
     assert _sha256("cd-rational.json") == _make_digest("cd-rational")
 
 
@@ -164,5 +160,5 @@ DOUBLINGS = {
 @pytest.mark.parametrize("stem", sorted(DOUBLINGS))
 def test_make_doubling_matches_golden_digest(stem, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    _stdout(["make", "cd", "--mus", DOUBLINGS[stem], "-o", f"{stem}.json"])
+    _stdout(["make", f"cd:{DOUBLINGS[stem]}", "-o", f"{stem}.json"])
     assert _sha256(f"{stem}.json") == _make_digest(stem)

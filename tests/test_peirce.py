@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 from altrings import (
+    Algebra,
+    center,
+    centralizer,
     check_conditions,
     make_context,
     verify_offdiag_centralizer,
@@ -19,6 +22,7 @@ from altrings.errors import (
 )
 from altrings.linalg import Matrix, Subspace, is_zero_vec
 from altrings.peirce import PeirceContext
+from altrings.report import Check
 from altrings.sampling import random_vector, rng_for
 
 F = Fraction
@@ -167,19 +171,24 @@ def test_condition_four_mode_follows_the_center(m2_ctx, m2m2_ctx):
 
 
 def test_relation_iv_reads_each_pair_product(m2_ctx):
-    """(iv) can fail: on M_2 with span(E11, E12) posing as R12, E11^2 = E11
-    and E11 E12 + E12 E11 = E12 are reported, pair by pair."""
+    """The relations verdict names the first broken rule with its pair product.
+    On M_2 with span(E11, E12) posing as R12 that is (iii): E11 E11 = E11.  In
+    Q[t]/(t^3) with span(t) posing as R12, span(t^2) as R21 and zero diagonal
+    corners, (i)-(iii) hold (t t^2 = 0, t t = t^2 lies in R21), and (iv) fails on
+    the pair (t, t): t t + t t = 2 t^2."""
     alg, s = m2_ctx.algebra, m2_ctx.spaces
     fake = Subspace.span(4, [alg.basis_vec(0), alg.basis_vec(1)])
     ctx = PeirceContext(alg, m2_ctx.e1, m2_ctx.e2, m2_ctx.proj, ((s[0][0], fake), s[1]))
-    e11, e12 = alg.basis_element(0), alg.basis_element(1)
-    assert [(v.relation, v.x, v.y, v.product) for v in verify_relations(ctx).violations
-            if v.relation.startswith("(iv)")] == [
-        ("(iv) x12^2=0", e11, e11, e11),
-        ("(iv) xy+yx=0 on R12", e11, e11, 2 * e11),
-        ("(iv) xy+yx=0 on R12", e11, e12, e12),
-        ("(iv) xy+yx=0 on R12", e12, e11, e12),
-    ]
+    assert verify_relations(ctx) == Check("relations-i-iv", False, "exact",
+                                          witness="(iii) R12R11=0: E11 * E11 = E11")
+    unit, t, t2 = (F(1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1))
+    truncated = Algebra({(0, 0): unit, (0, 1): t, (1, 0): t, (0, 2): t2, (2, 0): t2, (1, 1): t2},
+                        unit, labels=["1", "t", "t2"])
+    zero = Subspace.span(3, [])
+    ctx = PeirceContext(truncated, truncated.one(), truncated.zero(), None,
+                        ((zero, Subspace.span(3, [t])), (Subspace.span(3, [t2]), zero)))
+    assert verify_relations(ctx) == Check("relations-i-iv", False, "exact",
+                                          witness="(iv) xy+yx=0 on R12: t * t = (2)*t2")
 
 
 def _fake_corners(ctx, rng):
@@ -201,38 +210,65 @@ def _fake_corners(ctx, rng):
     return tuple(spaces)
 
 
+def _element(alg, text: str):
+    """The coefficients of the element whose repr is `text`."""
+    index = {alg.label(i): i for i in range(alg.dim)}
+    coeffs = [F(0)] * alg.dim
+    for term in text.split(" + "):
+        c, _, name = term.rpartition("*")
+        coeffs[index[name]] = F(c.strip("()") or 1)
+    assert repr(alg.element(coeffs)) == text
+    return tuple(coeffs)
+
+
 def test_props_spade_club_match_centralizer_meet(m2_ctx, zorn_ctx):
     """Spade and club as annihilators in R_11 + R_22 agree with centralizer(R_ij)
     meet (R_11 + R_22) inside the center, the form they were once decided in,
-    on contexts whose corners pose as R_ij (built as in the (iv) test above)."""
+    on contexts whose corners pose as R_ij (built as in the (iv) test above).
+    A failing spade or club names an element of R_11 + R_22 that commutes with
+    its corner and is not central; a failing offdiag-centralizer names one that
+    commutes with an off-diagonal corner and lies outside that corner plus the
+    center."""
     import random
 
-    from altrings import center, centralizer
-
-    verdicts = set()
+    seen = {}
     for ctx in (m2_ctx, zorn_ctx):
-        alg, rng = ctx.algebra, random.Random(5)
+        alg, rng, cen = ctx.algebra, random.Random(5), center(ctx.algebra)
         for _ in range(400):
             fake = PeirceContext(alg, ctx.e1, ctx.e2, ctx.proj, _fake_corners(ctx, rng))
             try:
-                got = verify_prop_spade_club(fake)
+                props = verify_prop_spade_club(fake)
             except PreconditionFailedError:
                 continue
             diag = fake.spaces[0][0] + fake.spaces[1][1]
-            assert got == tuple(center(alg).contains(centralizer(alg, fake.spaces[i][j]) & diag)
-                                for i, j in ((0, 1), (1, 0)))
-            verdicts.update(got)
-    assert verdicts == {True, False}
+            corners = (fake.spaces[0][1], fake.spaces[1][0])
+            assert tuple(c.ok for c in props) == tuple(
+                cen.contains(centralizer(alg, r) & diag) for r in corners)
+            for check, r in zip(props, corners):
+                if not check.ok:
+                    w = _element(alg, check.witness)
+                    assert diag.contains_vector(w) and centralizer(alg, r).contains_vector(w)
+                    assert not cen.contains_vector(w)
+            offdiag = verify_offdiag_centralizer(fake)
+            if not offdiag.ok:
+                w = _element(alg, offdiag.witness)
+                assert any(centralizer(alg, r).contains_vector(w)
+                           and not (r + cen).contains_vector(w) for r in corners)
+            for check in (*props, offdiag):
+                seen.setdefault(check.name, set()).add(check.ok)
+    assert seen == dict.fromkeys(("prop-spade", "prop-club", "offdiag-centralizer"),
+                                 {True, False})
 
 
 def test_props_spade_club(m2_ctx, zorn_ctx):
-    assert verify_prop_spade_club(m2_ctx) == (True, True)
-    assert verify_prop_spade_club(zorn_ctx) == (True, True)
+    for ctx in (m2_ctx, zorn_ctx):
+        assert verify_prop_spade_club(ctx) == (Check("prop-spade", True, "exact"),
+                                               Check("prop-club", True, "exact"))
 
 
 def test_offdiag_centralizer(m2_ctx, zorn_ctx):
-    assert verify_offdiag_centralizer(m2_ctx)
-    assert verify_offdiag_centralizer(zorn_ctx)
+    for ctx in (m2_ctx, zorn_ctx):
+        assert verify_offdiag_centralizer(ctx) == Check("offdiag-centralizer", True, "exact")
 
 
 def test_props_need_conditions(m2m2_ctx):
@@ -258,8 +294,6 @@ def test_corner_products_land_where_predicted(zorn_ctx):
 
 
 def test_unit_always_in_spade_set(zorn_ctx):
-    from altrings import center, centralizer
-
     z = zorn_ctx.algebra
     diag = zorn_ctx.spaces[0][0] + zorn_ctx.spaces[1][1]
     inter = centralizer(z, zorn_ctx.spaces[0][1]) & diag
