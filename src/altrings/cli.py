@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 1 violated precondition or hypothesis, 2 bad input,
 3 a failed self-check (a `decompose` verdict or a `fuzz` trial); 141 (128 +
-SIGPIPE) when the program's stdout is a pipe whose reader has gone.  With
---json the report is emitted as sorted-key JSON with no timing, so identical
-inputs and seed give byte-identical output; human-readable reports add
-elapsed time at the end.
+SIGPIPE) when the program's stdout is a pipe whose reader has gone.  Each
+`cmd_*` handler returns its report and the stderr line of a failed self-check
+(or None); `main` is the one place that prints a report.  With --json the
+report is emitted as sorted-key JSON with no timing, so identical inputs and
+seed give byte-identical output; human-readable reports end with the time
+elapsed since argument parsing began.
 """
 
 from __future__ import annotations
@@ -34,18 +36,6 @@ EXIT_PRECONDITION = 1
 EXIT_INPUT = 2
 EXIT_SELF_CHECK = 3
 EXIT_BROKEN_PIPE = 141
-
-
-def _echo(argv: list[str]) -> str:
-    return "altrings " + " ".join(argv)
-
-
-def _emit(report: dict, as_json: bool, started: float):
-    if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return
-    _print_human(report)
-    print(f"elapsed: {time.perf_counter() - started:.2f}s")
 
 
 def _print_human(report: dict, indent: str = ""):
@@ -80,17 +70,8 @@ def _count(text: str) -> int:
 
 def _parse_idempotent(spec: str, algebra: Algebra) -> Element:
     """Inline comma-separated rationals, or @path to a JSON list."""
-    if spec.startswith("@"):
-        data = jsonio._load_json(spec[1:])
-        coeffs = jsonio.vector_from_json(data, algebra.dim)
-    else:
-        parts = [p.strip() for p in spec.split(",")]
-        if len(parts) != algebra.dim:
-            raise InputError(
-                f"idempotent has {len(parts)} entries, algebra dimension is {algebra.dim}"
-            )
-        coeffs = tuple(jsonio.parse_rational(p) for p in parts)
-    return Element(algebra, coeffs)
+    data = jsonio._load_json(spec[1:]) if spec[:1] == "@" else [p.strip() for p in spec.split(",")]
+    return Element(algebra, jsonio.vector_from_json(data, algebra.dim))
 
 
 def _build_recipe(text: str) -> tuple[catalog.ConstructionRecipe, Algebra]:
@@ -102,12 +83,19 @@ def _build_recipe(text: str) -> tuple[catalog.ConstructionRecipe, Algebra]:
         raise InputError("recipe nested too deeply") from None
 
 
-def cmd_make(args, argv) -> int:
-    started = time.perf_counter()
+def _conditions(ctx, args, where: str = "") -> peirce.ConditionsReport:
+    """The corner conditions of ctx; PreconditionError names the first that fails."""
+    conditions = peirce.check_conditions(ctx, seed=args.seed, samples=args.samples)
+    for c in conditions.checks:
+        if not c.ok:
+            raise PreconditionError(f"ConditionsFailed: {c.name}{where} (witness {c.witness})")
+    return conditions
+
+
+def cmd_make(args):
     recipe, algebra = _build_recipe(args.recipe)
     jsonio.save_algebra(algebra, args.output, provenance=recipe.describe())
-    report = {
-        "command": _echo(argv),
+    return {
         "recipe": recipe.describe(),
         "dim": algebra.dim,
         "output": str(args.output),
@@ -116,17 +104,13 @@ def cmd_make(args, argv) -> int:
             "flexible": check_flexible(algebra),
             "associative": check_associative(algebra),
         },
-    }
-    _emit(report, args.json, started)
-    return EXIT_OK
+    }, None
 
 
-def cmd_analyze(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_analyze(args):
     algebra = jsonio.load_algebra(args.algebra)
     rep = analyze(algebra)
-    report = {
-        "command": _echo(argv),
+    return {
         "dim": algebra.dim,
         "nucleus_dim": rep.nucleus.dim,
         "center_dim": rep.center.dim,
@@ -136,13 +120,10 @@ def cmd_analyze(args, argv) -> int:
         "is_associative": rep.is_associative,
         "center_basis": [jsonio.vector_to_json(v) for v in rep.center.basis],
         "nucleus_basis": [jsonio.vector_to_json(v) for v in rep.nucleus.basis],
-    }
-    _emit(report, args.json, started)
-    return EXIT_OK
+    }, None
 
 
-def cmd_peirce(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_peirce(args):
     algebra = jsonio.load_algebra(args.algebra)
     e1 = _parse_idempotent(args.idempotent, algebra)
     ctx = peirce.make_context(algebra, e1)
@@ -150,19 +131,15 @@ def cmd_peirce(args, argv) -> int:
               *peirce.check_conditions(ctx, seed=args.seed, samples=args.samples).checks]
     if all(c.ok for c in ctx.conditions_123):
         checks += [*peirce.verify_prop_spade_club(ctx), peirce.verify_offdiag_centralizer(ctx)]
-    report = {
-        "command": _echo(argv),
+    return {
         "seed": args.seed,
         "dims": list(ctx.dims),
         "checks": [c.to_dict() for c in checks],
         "ok": all(c.ok for c in checks),
-    }
-    _emit(report, args.json, started)
-    return EXIT_OK
+    }, None
 
 
-def cmd_decompose(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_decompose(args):
     algebra = jsonio.load_algebra(args.algebra)
     e1 = _parse_idempotent(args.idempotent, algebra)
     ctx = peirce.make_context(algebra, e1)
@@ -172,28 +149,15 @@ def cmd_decompose(args, argv) -> int:
     lie = liederiv.check_lie_law(spec, budget)
     if not lie.ok:
         raise LieLawViolatedError(f"LieLawViolated: witness {lie.witness}")
-    conditions = peirce.check_conditions(ctx, seed=args.seed, samples=args.samples)
-    if not conditions.all_hold:
-        bad = conditions.failed()
-        raise PreconditionError(f"ConditionsFailed: {bad.name} (witness {bad.witness})")
+    conditions = _conditions(ctx, args)
     hyp = liederiv.check_hypotheses(ctx, spec, budget)
     if not hyp.a.ok:
-        raise HypothesisFailedError("a", f"HypothesisAFailed: {hyp.a.witness}")
+        raise HypothesisFailedError(f"HypothesisAFailed: {hyp.a.witness}")
     if not hyp.b.ok:
-        raise HypothesisFailedError("b", f"HypothesisBFailed: {hyp.b.witness}")
+        raise HypothesisFailedError(f"HypothesisBFailed: {hyp.b.witness}")
 
     result = liederiv.decompose(ctx, spec, budget)
-    outputs = {}
-    if args.output:
-        prefix = Path(args.output)
-        delta_path = prefix.with_name(prefix.name + ".delta.json")
-        tau_path = prefix.with_name(prefix.name + ".tau.json")
-        jsonio.save_mapspec(liederiv.MapSpec(algebra, result.delta), delta_path)
-        jsonio.save_mapspec(result.tau, tau_path)
-        outputs = {"delta": str(delta_path), "tau": str(tau_path)}
-
     report = {
-        "command": _echo(argv),
         "seed": args.seed,
         "samples": args.samples,
         "checks": [lie.to_dict(), *(c.to_dict() for c in conditions.checks),
@@ -202,20 +166,21 @@ def cmd_decompose(args, argv) -> int:
         "tau_identically_zero": result.tau.is_identically_zero,
         "ok": result.ok,
     }
-    if outputs:
-        report["outputs"] = outputs
-    _emit(report, args.json, started)
-    if not result.ok:
-        bad = next(c for c in result.checks if not c.ok)
-        print(f"decompose check {bad.name} failed (witness {bad.witness})", file=sys.stderr)
-        return EXIT_SELF_CHECK
-    return EXIT_OK
+    if args.output:
+        prefix = Path(args.output)
+        delta_path = prefix.with_name(prefix.name + ".delta.json")
+        tau_path = prefix.with_name(prefix.name + ".tau.json")
+        jsonio.save_mapspec(liederiv.MapSpec(algebra, result.delta), delta_path)
+        jsonio.save_mapspec(result.tau, tau_path)
+        report["outputs"] = {"delta": str(delta_path), "tau": str(tau_path)}
+    return report, next((f"decompose check {c.name} failed (witness {c.witness})"
+                         for c in result.checks if not c.ok), None)
 
 
-def _fuzz_trial(ctx, algebra, trial: int, master_seed: int) -> dict:
+def _fuzz_trial(ctx, trial: int, master_seed: int) -> dict:
     trial_seed = master_seed * 1_000_003 + trial
     budget = liederiv.SampleBudget(seed=trial_seed)
-    spec = catalog.random_lie_derivation(algebra, budget)
+    spec = catalog.random_lie_derivation(ctx.algebra, budget)
     try:
         result = liederiv.decompose(ctx, spec, budget)
     except AltRingsError as exc:
@@ -233,37 +198,23 @@ def _fuzz_trial(ctx, algebra, trial: int, master_seed: int) -> dict:
     return entry
 
 
-def cmd_fuzz(args, argv) -> int:
-    started = time.perf_counter()
+def cmd_fuzz(args):
     recipe, algebra = _build_recipe(args.recipe)
     e1 = catalog.canonical_idempotent(recipe, algebra)
     ctx = peirce.make_context(algebra, e1)
-    conditions = peirce.check_conditions(ctx, seed=args.seed, samples=args.samples)
-    if not conditions.all_hold:
-        bad = conditions.failed()
-        raise PreconditionError(
-            f"ConditionsFailed: {bad.name} for the canonical idempotent "
-            f"(witness {bad.witness})"
-        )
-    results = [_fuzz_trial(ctx, algebra, t, args.seed) for t in range(args.trials)]
-    ok = all(r["ok"] for r in results)
+    _conditions(ctx, args, " for the canonical idempotent")
+    results = [_fuzz_trial(ctx, t, args.seed) for t in range(args.trials)]
     report = {
-        "command": _echo(argv),
         "recipe": recipe.describe(),
         "seed": args.seed,
         "trials": args.trials,
         "samples": args.samples,
         "idempotent": jsonio.vector_to_json(e1.coeffs),
         "results": results,
-        "ok": ok,
+        "ok": all(r["ok"] for r in results),
     }
-    _emit(report, args.json, started)
-    if not ok:
-        first_bad = next(r for r in results if not r["ok"])
-        print(f"fuzz trial {first_bad['trial']} (seed {first_bad['seed']}) failed; "
-              "replay map embedded in report", file=sys.stderr)
-        return EXIT_SELF_CHECK
-    return EXIT_OK
+    return report, next((f"fuzz trial {r['trial']} (seed {r['seed']}) failed; "
+                         "replay map embedded in report" for r in results if not r["ok"]), None)
 
 
 USAGE = """\
@@ -345,6 +296,11 @@ def _writable(stream) -> bool:
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
+    `main` parses argv, runs the command's handler and prints its report, with
+    `command` echoing argv: sorted-key JSON with --json, otherwise human lines
+    and `elapsed:`, counted from the start of argument parsing.  A failed
+    self-check then prints its one line on stderr and returns EXIT_SELF_CHECK.
+
     With argv None, `main` is the program (`python -m altrings`, the `altrings`
     script): it runs `sys.argv[1:]` with the garbage collector off (a command
     leaves a small, fixed amount of cyclic garbage), flushes stdout and stderr
@@ -366,12 +322,26 @@ def main(argv=None) -> int:
         sys.stderr.flush()
         os._exit(code)
     argv = list(argv)
+    started = time.perf_counter()
     try:
         parsed = parse_args(argv)
-        return EXIT_OK if parsed is None else parsed[0](parsed[1], argv)
+        if parsed is None:
+            return EXIT_OK
+        handler, args = parsed
+        report, failure = handler(args)
     except AltRingsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT if isinstance(exc, InputError) else EXIT_PRECONDITION
+    report["command"] = "altrings " + " ".join(argv)
+    if args.json:
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        _print_human(report)
+        print(f"elapsed: {time.perf_counter() - started:.2f}s")
+    if failure:
+        print(failure, file=sys.stderr)
+        return EXIT_SELF_CHECK
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -49,10 +49,6 @@ class LieLawViolatedError(PreconditionError):
 class HypothesisFailedError(PreconditionError):
     """A diagonal-corner hypothesis (a or b) fails for the supplied map."""
 
-    def __init__(self, which: str, message: str):
-        super().__init__(message)
-        self.which = which  # "a" or "b"
-
 
 class NotDerivationError(PreconditionError):
     """Matrix fails the Leibniz rule on some basis pair."""

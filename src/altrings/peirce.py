@@ -174,12 +174,6 @@ class ConditionsReport(Record):
     def all_hold(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def failed(self) -> Optional[Check]:
-        for c in self.checks:
-            if not c.ok:
-                return c
-        return None
-
 
 def _annihilator_in(alg: Algebra, domain: Subspace, multipliers: Subspace,
                     side: str) -> Optional[Element]:

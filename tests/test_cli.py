@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -525,9 +526,17 @@ def test_lie_law_is_decided_once_per_map(zorn_inputs, capsys, monkeypatch):
     assert len(calls) == 4
 
 
+def assert_human_report(out: str) -> list[str]:
+    """The lines of a human-readable report, which ends with its elapsed time."""
+    lines = out.splitlines()
+    assert re.fullmatch(r"elapsed: \d+\.\d\ds", lines[-1]), lines[-1]
+    return lines
+
+
 def test_decompose_failed_self_check_exits_3(m2_file, tmp_path, capsys, monkeypatch):
     # with the Lie-law decision patched out, D(a) = a11 1 passes every precondition,
-    # and tau fails to kill E11 - E22: the report says so, then one stderr line
+    # and tau fails to kill E11 - E22: the report says so on stdout, in JSON or
+    # human lines, then one stderr line
     import altrings.liederiv as liederiv
 
     algebra = load_algebra(m2_file)
@@ -535,19 +544,28 @@ def test_decompose_failed_self_check_exits_3(m2_file, tmp_path, capsys, monkeypa
     save_mapspec(MapSpec(algebra, Matrix.from_rows([[1, 0, 0, 0], [0] * 4, [0] * 4,
                                                     [1, 0, 0, 0]])), map_path)
     monkeypatch.setattr(liederiv, "lie_defect", lambda d: (d.linear, None))
-    code, out, err = run(capsys, "decompose", str(m2_file), "--idempotent", "1,0,0,0",
-                         "--map", str(map_path), "--json")
-    assert code == 3
-    report = json.loads(out)
-    assert report["ok"] is False
-    assert [c["name"] for c in report["checks"] if not c["ok"]] == ["tau-kills-commutators"]
-    assert err == ("decompose check tau-kills-commutators failed "
-                   "(witness commutator-span vector E11 + (-1)*E22)\n")
+    witness = "commutator-span vector E11 + (-1)*E22"
+    for flags in (["--json"], []):
+        code, out, err = run(capsys, "decompose", str(m2_file), "--idempotent", "1,0,0,0",
+                             "--map", str(map_path), *flags)
+        assert code == 3
+        assert err == f"decompose check tau-kills-commutators failed (witness {witness})\n"
+        if flags:
+            report = json.loads(out)
+            assert report["ok"] is False
+            assert [c["name"] for c in report["checks"] if not c["ok"]] == [
+                "tau-kills-commutators"]
+        else:
+            lines = assert_human_report(out)
+            assert "ok: False" in lines
+            assert [line for line in lines if "FAIL" in line] == [
+                f"  - tau-kills-commutators: FAIL [exact] witness: {witness}"]
 
 
 def test_fuzz_failing_trial_prints_replay_map(capsys, monkeypatch):
     # trial 1 fails a self-check in one run and raises a precondition error in
-    # the other; either way it carries its replay map, and fuzz exits 3
+    # the other; either way it carries its replay map, and fuzz exits 3 after
+    # printing its report, human or JSON
     import altrings.liederiv as liederiv
     from altrings.errors import PreconditionError
     from altrings.peirce import PeirceContext
@@ -567,6 +585,9 @@ def test_fuzz_failing_trial_prints_replay_map(capsys, monkeypatch):
 
     for planted in (non_central_in_trial_1, raise_in_trial_1):
         monkeypatch.setattr(liederiv, "decompose", planted)
+        code, out, err = run(capsys, "fuzz", "zorn", "--trials", "2")
+        assert (code, err) == (3, "fuzz trial 1 (seed 1) failed; replay map embedded in report\n")
+        assert "ok: False" in assert_human_report(out)
         code, out, err = run(capsys, "fuzz", "zorn", "--trials", "2", "--json")
         assert code == 3
         report = json.loads(out)
@@ -887,6 +908,8 @@ BAD_ARGUMENTS = {  # case -> (argv, the one stderr line); {zorn} and {map} name 
     "peirce-abbreviated-option": (["peirce", "{zorn}", "--idempotent", E1, "--sam", "3"],
                                   "peirce: unknown option --sam"),
     "peirce-stray-positional": (["peirce", "{zorn}", E1], f"peirce: unexpected argument '{E1}'"),
+    "peirce-idempotent-short": (["peirce", "{zorn}", "--idempotent", "1,0,0"],
+                                "vector length 3 != expected 8"),
     "decompose-missing-map": (["decompose", "{zorn}", "--idempotent", E1],
                               "decompose: missing --map"),
     "decompose-missing-idempotent": (["decompose", "{zorn}", "--map", "{map}"],
@@ -930,6 +953,51 @@ def test_help_prints_usage_and_exits_0(argv, zorn_inputs, capsys):
     assert (code, err) == (0, "")
     assert out.startswith("usage: altrings make RECIPE -o FILE")
     assert all(f"altrings {name} " in out for name in ("analyze", "peirce", "decompose", "fuzz"))
+
+
+def test_usage_names_the_options_of_each_command():
+    """Each usage line names its command's positional and exactly the options of
+    its COMMANDS entry (-o stands for --output), an option in brackets exactly
+    when it has a default."""
+    from altrings.cli import COMMANDS, REQUIRED, USAGE
+
+    usage = {m[1]: (m[2], {("--output" if opt == "-o" else opt): bool(bracket)
+                           for bracket, opt in re.findall(r"(\[?)(-o|--[a-z]+)", m[3])})
+             for m in re.finditer(r"^(?:usage: | +)altrings (\w+) ([A-Z]+)(.*)$", USAGE, re.M)}
+    assert usage == {name: (positional.upper(),
+                            {opt: default is not REQUIRED for opt, (_, default) in options.items()})
+                     for name, (_, positional, options) in COMMANDS.items()}
+
+
+HUMAN_ARGS = {  # command -> its arguments; {zorn} names zorn.json, {out} a fresh output file
+    "make": ["zorn", "-o", "{out}"],
+    "analyze": ["{zorn}"],
+    "peirce": ["{zorn}", "--idempotent", E1],
+    "decompose": ["{zorn}", "--idempotent", E1, "--map",
+                  str(GOLDEN / "decompose" / "zorn.map.json")],
+    "fuzz": ["zorn", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("command", HUMAN_ARGS)
+def test_human_report_lists_the_json_report(command, zorn_inputs, tmp_path, capsys):
+    """Without --json a command prints each top-level key of its JSON report as a
+    `key:` line at indent 0, in sorted order, each check as `  - NAME: pass
+    [MODE]`, and last its elapsed time."""
+    outs = []
+    for flags in (["--json"], []):
+        args = [a.format(zorn=zorn_inputs / "zorn.json", out=tmp_path / f"{len(outs)}.json")
+                for a in HUMAN_ARGS[command]]
+        code, out, err = run(capsys, command, *args, *flags)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    report, lines = json.loads(outs[0]), assert_human_report(outs[1])
+    keys = [line.partition(":")[0] for line in lines[:-1] if not line.startswith(" ")]
+    assert keys == sorted(report)
+    if command in ("peirce", "decompose"):
+        start = lines.index("checks:") + 1
+        assert lines[start:start + len(report["checks"])] == [
+            f"  - {c['name']}: pass [{c['mode']}]" for c in report["checks"]]
 
 
 def test_options_in_any_order_and_either_form(zorn_inputs, tmp_path, capsys):
