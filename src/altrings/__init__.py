@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 _SUBMODULES = (
     "algebra", "catalog", "errors", "jsonio", "liederiv",
-    "linalg", "peirce", "report", "sampling", "structure",
+    "linalg", "peirce", "sampling", "structure",
 )
 
 # public name -> the submodule that defines it

@@ -169,13 +169,13 @@ class Algebra:
 
     def left_mult_matrix(self, y: Sequence[Fraction]) -> Matrix:
         """Matrix of x -> y x in the algebra basis."""
-        cols = [self.mul_vec(y, self.basis_vec(j)) for j in range(self.dim)]
-        return Matrix(tuple(tuple(c[i] for c in cols) for i in range(self.dim)), self.dim)
+        n = self.dim
+        return Matrix.from_cols([self.mul_vec(y, self.basis_vec(j)) for j in range(n)], n)
 
     def right_mult_matrix(self, y: Sequence[Fraction]) -> Matrix:
         """Matrix of x -> x y in the algebra basis."""
-        cols = [self.mul_vec(self.basis_vec(j), y) for j in range(self.dim)]
-        return Matrix(tuple(tuple(c[i] for c in cols) for i in range(self.dim)), self.dim)
+        n = self.dim
+        return Matrix.from_cols([self.mul_vec(self.basis_vec(j), y) for j in range(n)], n)
 
     # -- element constructors --
 
@@ -224,10 +224,7 @@ class Element(Record):
             return Element(self.algebra, vec_scale(Fraction(other), self.coeffs))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Element(self.algebra, vec_scale(Fraction(other), self.coeffs))
-        return NotImplemented
+    __rmul__ = __mul__  # c * x for a scalar c
 
     def is_zero(self) -> bool:
         return is_zero_vec(self.coeffs)

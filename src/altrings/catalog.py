@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .algebra import Algebra, Element
 from .errors import InputError
 from .jsonio import parse_rational
-from .linalg import Matrix, Record, combine, fvec, kernel, zero_vec
+from .linalg import Matrix, Record, combine, dot, fvec, kernel, zero_vec
 from .sampling import random_poly, random_rational, rng_for
 from .structure import IdempotentKind, center, commutator_subspace, derivation_algebra, verify_idempotent
 
@@ -46,10 +46,6 @@ def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def zorn() -> Algebra:
     """Vector-matrix algebra: scalar diagonal, 3-vector corners.
 
@@ -63,10 +59,10 @@ def zorn() -> Algebra:
     def mul(c1, c2):
         a1, v1, w1, b1 = unpack(c1)
         a2, v2, w2, b2 = unpack(c2)
-        a = a1 * a2 + _dot(v1, w2)
+        a = a1 * a2 + dot(v1, w2)
         v = tuple(a1 * x + b2 * y - z for x, y, z in zip(v2, v1, _cross(w1, w2)))
         w = tuple(a2 * x + b1 * y + z for x, y, z in zip(w1, w2, _cross(v1, v2)))
-        b = b1 * b2 + _dot(w1, v2)
+        b = b1 * b2 + dot(w1, v2)
         return (a,) + v + w + (b,)
 
     basis = [tuple(int(k == i) for k in range(8)) for i in range(8)]
@@ -121,11 +117,11 @@ def find_idempotent(a: Algebra) -> Optional[Element]:
         e = Element(a, b)
         if verify_idempotent(a, e) is IdempotentKind.NONTRIVIAL:
             return e
-    half = Fraction(1, 2)
+    halves = (Fraction(1, 2),) * 2
     for i in range(a.dim):
         b = a.basis_vec(i)
         if a.mul_vec(b, b) == a.unit:
-            e = Element(a, tuple(half * (u + x) for u, x in zip(a.unit, b)))
+            e = Element(a, combine(halves, (a.unit, b), a.dim))
             if verify_idempotent(a, e) is IdempotentKind.NONTRIVIAL:
                 return e
     return None
@@ -153,8 +149,7 @@ def random_lie_derivation(a: Algebra, budget: SampleBudget, central_terms: int =
     rng = rng_for(budget.seed)
     n, ders = a.dim, derivation_algebra(a)
     coeffs = [random_rational(rng) for _ in ders]
-    flat = combine(coeffs, [sum(dmat.rows, ()) for dmat in ders], n * n)
-    linear = Matrix(tuple(flat[r * n:(r + 1) * n] for r in range(n)), n)
+    linear = Matrix(tuple(combine(coeffs, [d.rows[r] for d in ders], n) for r in range(n)), n)
     terms = []
     if central_terms:
         ell = commutator_annihilating_functional(a)
@@ -216,21 +211,18 @@ def parse_recipe(text: str) -> ConstructionRecipe:
             raise InputError("doubling parameters must be nonzero")
         return ConstructionRecipe("cayley-dickson", mus=mus)
     if low.startswith("sum(") and text.endswith(")"):
-        inner = text[4:-1]
-        depth = 0
-        cut = None
+        inner, depth, cuts = text[4:-1], 0, []
         for i, ch in enumerate(inner):
             if ch == "(":
                 depth += 1
             elif ch == ")":
                 depth -= 1
             elif ch == "|" and depth == 0:
-                cut = i
-                break
-        if cut is None:
-            raise InputError(f"sum recipe needs two parts: {text!r}")
+                cuts.append(i)
+        if len(cuts) != 1:
+            raise InputError(f"sum recipe needs exactly two parts: {text!r}")
         return ConstructionRecipe(
-            "sum", parts=(parse_recipe(inner[:cut]), parse_recipe(inner[cut + 1:]))
+            "sum", parts=(parse_recipe(inner[:cuts[0]]), parse_recipe(inner[cuts[0] + 1:]))
         )
     raise InputError(f"unknown recipe {text!r}")
 

@@ -155,9 +155,7 @@ def mapspec_from_dict(data: dict, algebra: Algebra) -> liederiv.MapSpec:
         ))
     try:
         return liederiv.MapSpec(algebra, linear, tuple(terms))
-    except NotCentralError as exc:
-        raise InputError(f"map file is invalid: {exc}")
-    except ValueError as exc:
+    except (NotCentralError, ValueError) as exc:
         raise InputError(f"map file is invalid: {exc}")
 
 

@@ -34,17 +34,8 @@ from .errors import (
     NotCentralError,
     NotDerivationError,
 )
-from .linalg import (
-    Matrix,
-    Record,
-    Vec,
-    combine,
-    vec_add,
-    vec_scale,
-    zero_vec,
-)
-from .peirce import PeirceContext
-from .report import Check
+from .linalg import Matrix, Record, Vec, combine, dot, vec_add, vec_scale, zero_vec
+from .peirce import Check, PeirceContext
 from .structure import _leibniz_failure, center, commutator_subspace, is_derivation
 
 _ZERO = Fraction(0)
@@ -76,14 +67,7 @@ class CentralTerm(Record):
         return any(self.poly) and any(self.central) and any(self.functional)
 
     def eval_scalar(self, s: Fraction) -> Fraction:
-        acc = _ZERO
-        power = Fraction(1)
-        for d, c in enumerate(self.poly):
-            if d:
-                power *= s
-            if c:
-                acc += c * power
-        return acc
+        return dot(self.poly, [s ** d for d in range(len(self.poly))])
 
 
 class MapSpec(Record):
@@ -118,27 +102,14 @@ class MapSpec(Record):
         return lie_defect(self)
 
     @property
-    def is_linear(self) -> bool:
-        """True when every nonlinear term is inert (zero polynomial, target, or functional)."""
-        return not any(t.is_effective for t in self.terms)
-
-    @property
     def is_identically_zero(self) -> bool:
-        return self.linear.is_zero() and self.is_linear
+        """A zero linear part, and every term inert (zero polynomial, target, or functional)."""
+        return self.linear.is_zero() and not any(t.is_effective for t in self.terms)
 
     def eval_vec(self, v: Vec) -> Vec:
-        out = list(self.linear.apply(v))
-        for t in self.terms:
-            s = _ZERO
-            for f, x in zip(t.functional, v):
-                if f and x:
-                    s += f * x
-            val = t.eval_scalar(s)
-            if val:
-                for i, z in enumerate(t.central):
-                    if z:
-                        out[i] += val * z
-        return tuple(out)
+        values = [t.eval_scalar(dot(t.functional, v)) for t in self.terms]
+        return vec_add(self.linear.apply(v),
+                       combine(values, [t.central for t in self.terms], self.algebra.dim))
 
     def __call__(self, a: Element) -> Element:
         if a.algebra is not self.algebra and a.algebra != self.algebra:
@@ -150,10 +121,6 @@ class MapSpec(Record):
         return MapSpec(self.algebra, self.linear.scale(c),
                        tuple(CentralTerm(t.functional, tuple(c * p for p in t.poly), t.central)
                              for t in self.terms))
-
-
-def _dot(u: Vec, v: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(u, v) if x and y), _ZERO)
 
 
 def _pair_label(alg: Algebra, i: int, j: int) -> str:
@@ -186,7 +153,7 @@ def lie_defect(d: MapSpec) -> tuple[Matrix, Optional[str]]:
     """
     alg, n, linear = d.algebra, d.algebra.dim, d.linear
     span = commutator_subspace(alg).basis
-    live = [t for t in d.terms if t.is_effective and any(_dot(t.functional, c) for c in span)]
+    live = [t for t in d.terms if t.is_effective and any(dot(t.functional, c) for c in span)]
     mats = [Matrix(tuple(tuple(sum((t.functional[k] * x for k, x in cell), _ZERO) for cell in row)
                          for row in alg.commutator_table()), n) for t in live]
     norms = [_ZERO] * max((len(t.poly) for t in live), default=0)
@@ -194,10 +161,10 @@ def lie_defect(d: MapSpec) -> tuple[Matrix, Optional[str]]:
         if len(s.poly) > 1:
             linear += Matrix(tuple(vec_scale(s.poly[1] * z, s.functional) for z in s.central), n)
         for t, mt in zip(live, mats):
-            top, w = min(len(s.poly), len(t.poly)), _dot(s.central, t.central)
+            top, w = min(len(s.poly), len(t.poly)), dot(s.central, t.central)
             if top < 3 or not w:
                 continue
-            power = prod = Matrix(tuple(zip(*ms.rows)), n) * mt
+            power = prod = Matrix.from_cols(ms.rows, n) * mt
             traces, h = [], [Fraction(1)]
             for r in range(1, top):
                 power = power * prod if r > 1 else power
@@ -241,7 +208,7 @@ def inner_f(algebra: Algebra, y: Element, z: Element) -> Matrix:
         cols.append(combine((1, -1, 1, -1, 1, -1), (mul(z, yx), mul(y, zx), mul(yx, z),
                                                     mul(y, xz), mul(xy, z), mul(xz, y)),
                             algebra.dim))
-    f = Matrix(tuple(zip(*cols)), algebra.dim)
+    f = Matrix.from_cols(cols, algebra.dim)
     if not is_derivation(algebra, f):
         raise NotDerivationError("inner correction fails the Leibniz rule "
                                  "(is the algebra alternative?)")
@@ -375,7 +342,7 @@ def decompose(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> Decomposi
         for k in range(n):
             if any(w := ctx.proj[i][i].col(k)):
                 cols[k] = vec_add(cols[k], ctx.central_part(i, linear.apply(w)))
-    tau1 = Matrix(tuple(zip(*cols)), n)
+    tau1 = Matrix.from_cols(cols, n)
     delta = linear - tau1
     tau = MapSpec(alg, d.linear - delta, d.terms)
 

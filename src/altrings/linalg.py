@@ -106,6 +106,11 @@ def combine(coeffs: Iterable, vectors: Iterable[Sequence], dim: int) -> Vec:
     return tuple(out)
 
 
+def dot(u: Iterable, v: Iterable) -> Fraction:
+    """The sum of u[i] * v[i]."""
+    return sum((x * y for x, y in zip(u, v) if x and y), _ZERO)
+
+
 def is_zero_vec(a: Vec) -> bool:
     return not any(a)
 
@@ -150,6 +155,13 @@ class Matrix(Record):
         return cls(frozen, cols)
 
     @classmethod
+    def from_cols(cls, cols: Sequence[Vec], nrows: int) -> "Matrix":
+        """The matrix with these columns; no columns give nrows empty rows."""
+        if any(len(c) != nrows for c in cols):
+            raise ValueError("ragged matrix columns")
+        return cls(tuple(zip(*cols)) if cols else ((),) * nrows, len(cols))
+
+    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls(tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)), n)
 
@@ -189,8 +201,7 @@ class Matrix(Record):
             return NotImplemented
         if self.cols != other.nrows:
             raise ValueError("dimension mismatch in matrix product")
-        cols = [self.apply(other.col(j)) for j in range(other.cols)]
-        return Matrix(tuple(zip(*cols)) if cols else ((),) * self.nrows, other.cols)
+        return Matrix.from_cols([self.apply(other.col(j)) for j in range(other.cols)], self.nrows)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols or self.nrows != other.nrows:
@@ -465,13 +476,11 @@ class Subspace(Record):
         """Intersection via the kernel of the stacked combination system."""
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        k, m = self.dim, other.dim
-        if k == 0 or m == 0:
+        k = self.dim
+        if k == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
-        rows = []
-        for i in range(self.ambient_dim):
-            rows.append(tuple(b[i] for b in self.basis) + tuple(-b[i] for b in other.basis))
-        combos = kernel(Matrix(tuple(rows), k + m))
+        cols = self.basis + tuple(vec_scale(-1, b) for b in other.basis)
+        combos = kernel(Matrix.from_cols(cols, self.ambient_dim))
         return Subspace.span(self.ambient_dim,
                              [combine(c[:k], self.basis, self.ambient_dim) for c in combos.basis])
 
@@ -490,5 +499,4 @@ def column_space(m: Matrix) -> Subspace:
 
 def restrict_map(m: Matrix, domain: Subspace) -> Matrix:
     """Columns are m applied to the domain's basis vectors."""
-    cols = [m.apply(v) for v in domain.basis]
-    return Matrix(tuple(tuple(c[i] for c in cols) for i in range(m.nrows)), len(cols))
+    return Matrix.from_cols([m.apply(v) for v in domain.basis], m.nrows)

@@ -5,7 +5,8 @@ a -> e_i a e_j are explicit matrices, built from L_e1 and R_e1 alone, so
 "component lies in R_ij" is exact membership, and each corner condition an
 annihilator, one integer system read off the structure table.  The facts read
 off a context once are its cached properties.  Index convention: corners are
-addressed 0/1 in code and printed 1/2 in reports.
+addressed 0/1 in code and printed 1/2 in reports.  `Check`, the verdict record
+that the verifications here and in `liederiv` return, is defined here.
 """
 
 from __future__ import annotations
@@ -24,9 +25,29 @@ from .errors import (
     TrivialIdempotentError,
 )
 from .linalg import Matrix, Record, Subspace, Vec, column_space, combine, vec_add, zero_vec
-from .report import Check
 from .sampling import random_rational, rng_for
 from .structure import IdempotentKind, _annihilator, center, centralizer, verify_idempotent
+
+
+class Check(Record):
+    """One verdict of a verification report.  `mode` says what a pass proves:
+    "exact" checks decide the quantified statement (multilinear identities
+    reduced to finite basis enumerations, or closed subspace computations);
+    "sampled" checks only attest the tested points."""
+
+    name: str
+    ok: bool
+    mode: str  # "exact" | "sampled"
+    witness: Optional[str] = None
+    detail: Optional[str] = None
+
+    def to_dict(self) -> dict:
+        d = {"name": self.name, "ok": self.ok, "mode": self.mode}
+        if self.witness is not None:
+            d["witness"] = self.witness
+        if self.detail is not None:
+            d["detail"] = self.detail
+        return d
 
 
 class PeirceContext(Record):

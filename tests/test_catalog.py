@@ -138,8 +138,12 @@ def test_recipe_parsing_roundtrip():
 
 
 def test_recipe_errors():
-    for bad in ("bogus", "matrix:x", "matrix:0", "cd:0", "sum(zorn)"):
+    for bad in ("bogus", "matrix:x", "matrix:0", "cd:0"):
         with pytest.raises(InputError):
+            parse_recipe(bad)
+    # a sum has two top-level parts, not one and not three
+    for bad in ("sum(zorn)", "sum(zorn|zorn|zorn)", "sum(sum(zorn|zorn)|zorn|matrix:2)"):
+        with pytest.raises(InputError, match=r"^sum recipe needs exactly two parts: "):
             parse_recipe(bad)
 
 

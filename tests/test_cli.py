@@ -473,7 +473,7 @@ def test_decompose_hypothesis_failure_named(tmp_path, capsys, monkeypatch):
     # so the earlier check is stubbed to reach the hypothesis stage.
     import altrings.liederiv as liederiv
     from altrings.linalg import Matrix
-    from altrings.report import Check
+    from altrings.peirce import Check
 
     m3_path = tmp_path / "m3.json"
     assert run(capsys, "make", "matrix:3", "-o", str(m3_path))[0] == 0

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from altrings import (
@@ -30,8 +30,8 @@ from altrings.errors import (
 )
 from altrings.linalg import Matrix, combine, kernel, vec_add, vec_sub
 from altrings.liederiv import lie_defect
-from altrings.sampling import random_rational, random_vector, rng_for
-from altrings.report import Check
+from altrings.peirce import Check
+from altrings.sampling import random_poly, random_rational, random_vector, rng_for
 from altrings.structure import commutator_subspace, derivation_span, is_derivation
 
 F = Fraction
@@ -313,6 +313,35 @@ def test_inner_f_matches_operator_brackets(reference_contexts, recipe, seed):
     rng = rng_for(seed)
     y, z = (algebra.element(random_vector(rng, algebra.dim)) for _ in range(2))
     assert inner_f(algebra, y, z) == _bracket_inner_f(algebra, y, z)
+
+
+def _eval_reference(d, v):
+    """L v + sum_t p_t(f_t . v) z_t, the powers of s taken one by one."""
+    out = d.linear.apply(v)
+    for t in d.terms:
+        s = sum((f * x for f, x in zip(t.functional, v)), F(0))
+        value, power = F(0), F(1)
+        for c in t.poly:
+            value += c * power
+            power *= s
+        out = tuple(o + value * z for o, z in zip(out, t.central))
+    return out
+
+
+@given(st.sampled_from(["zorn", "matrix:3"]), st.integers(0, 10**6))
+def test_eval_vec_matches_reference_loop(reference_contexts, recipe, seed):
+    """A seeded map plus one term with a random functional, which need not
+    vanish on commutators; every term is effective (none is inert)."""
+    algebra = reference_contexts[recipe].algebra
+    cen, rng = center(algebra), rng_for(seed)
+    d = random_lie_derivation(algebra, SampleBudget(seed=seed), central_terms=2)
+    extra = CentralTerm(random_vector(rng, algebra.dim), random_poly(rng),
+                        combine(random_vector(rng, cen.dim), cen.basis, algebra.dim))
+    d = MapSpec(algebra, d.linear, d.terms + (extra,))
+    assume(all(t.is_effective for t in d.terms))
+    for _ in range(3):
+        v = random_vector(rng, algebra.dim)
+        assert d.eval_vec(v) == _eval_reference(d, v)
 
 
 def test_inner_f_and_operator_brackets_reject_nonalternative(nonalternative):

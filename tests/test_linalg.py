@@ -22,8 +22,7 @@ from altrings.linalg import (
     rref,
     solve,
 )
-from altrings.peirce import ConditionsReport
-from altrings.report import Check
+from altrings.peirce import Check, ConditionsReport
 
 F = Fraction
 M2 = matrix_algebra(2)
@@ -339,6 +338,26 @@ def test_matmul_matches_fraction_reference(r, k, c, data):
     assert got == _reference_matmul(a, b)
     assert (got.nrows, got.cols) == (r, c)
     assert all(type(x) is Fraction for row in got.rows for x in row)
+
+
+def test_from_cols_matches_rows_built_by_hand():
+    cols = [(F(1), F(2), F(3)), (F(0), F(-1, 2), F(4))]
+    assert Matrix.from_cols(cols, 3) == Matrix.from_rows([[1, 0], [2, F(-1, 2)], [3, 4]])
+    # no columns: an n x 0 matrix keeps its n rows
+    assert Matrix.from_cols([], 3) == Matrix(((), (), ()), 0)
+    assert Matrix.from_cols([], 0) == Matrix((), 0)
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix.from_cols([(F(1), F(2)), (F(1),)], 2)
+    with pytest.raises(ValueError, match="ragged"):
+        Matrix.from_cols([(F(1), F(2))], 3)
+    # a product by an n x 0 matrix is m x 0 and keeps its m rows
+    a = Matrix.from_rows([[1, 2], [3, 4], [5, 6]])
+    assert a * Matrix.from_cols([], 2) == Matrix(((), (), ()), 0)
+
+
+@given(small_matrices())
+def test_from_cols_of_the_columns_is_the_matrix(m):
+    assert Matrix.from_cols([m.col(j) for j in range(m.cols)], m.nrows) == m
 
 
 @pytest.mark.parametrize("cls, args, other, invalid, cached", [

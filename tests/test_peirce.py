@@ -21,8 +21,7 @@ from altrings.errors import (
     TrivialIdempotentError,
 )
 from altrings.linalg import Matrix, Subspace, is_zero_vec
-from altrings.peirce import PeirceContext
-from altrings.report import Check
+from altrings.peirce import Check, PeirceContext
 from altrings.sampling import random_vector, rng_for
 
 F = Fraction
