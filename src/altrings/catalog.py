@@ -9,13 +9,14 @@ reproducible, serializable way to name these.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .algebra import Algebra, Element
 from .errors import InputError
 from .jsonio import parse_rational
 from .linalg import Matrix, Record, combine, dot, fvec, kernel, zero_vec
-from .sampling import random_poly, random_rational, rng_for
+from .sampling import random_poly, random_vector, rng_for
 from .structure import IdempotentKind, center, commutator_subspace, derivation_algebra, verify_idempotent
 
 if TYPE_CHECKING:
@@ -111,20 +112,13 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
 
 
 def find_idempotent(a: Algebra) -> Optional[Element]:
-    """Search basis vectors b (b*b = b) and midpoints (1+b)/2 (b*b = 1)."""
-    for i in range(a.dim):
-        b = a.basis_vec(i)
-        e = Element(a, b)
-        if verify_idempotent(a, e) is IdempotentKind.NONTRIVIAL:
-            return e
+    """The first nontrivial idempotent among the basis vectors b, then the midpoints (1+b)/2."""
+    basis = [a.basis_vec(i) for i in range(a.dim)]
     halves = (Fraction(1, 2),) * 2
-    for i in range(a.dim):
-        b = a.basis_vec(i)
-        if a.mul_vec(b, b) == a.unit:
-            e = Element(a, combine(halves, (a.unit, b), a.dim))
-            if verify_idempotent(a, e) is IdempotentKind.NONTRIVIAL:
-                return e
-    return None
+    midpoints = (combine(halves, (a.unit, b), a.dim) for b in basis if a.mul_vec(b, b) == a.unit)
+    candidates = (Element(a, v) for v in chain(basis, midpoints))
+    nontrivial = IdempotentKind.NONTRIVIAL
+    return next((e for e in candidates if verify_idempotent(a, e) is nontrivial), None)
 
 
 def commutator_annihilating_functional(a: Algebra):
@@ -148,41 +142,30 @@ def random_lie_derivation(a: Algebra, budget: SampleBudget, central_terms: int =
 
     rng = rng_for(budget.seed)
     n, ders = a.dim, derivation_algebra(a)
-    coeffs = [random_rational(rng) for _ in ders]
+    coeffs = random_vector(rng, len(ders))
     linear = Matrix(tuple(combine(coeffs, [d.rows[r] for d in ders], n) for r in range(n)), n)
     terms = []
     if central_terms:
         ell = commutator_annihilating_functional(a)
         cen = center(a)
         for _ in range(central_terms):
-            coeffs = [random_rational(rng) for _ in cen.basis]
-            z = combine(coeffs, cen.basis, a.dim)
+            z = combine(random_vector(rng, cen.dim), cen.basis, a.dim)
             terms.append(CentralTerm(fvec(ell), random_poly(rng), fvec(z)))
     return compose(a, linear, tuple(terms))
 
 
 class ConstructionRecipe(Record):
+    """A recipe: its kind and the arguments of that kind's entry in `_BUILDERS`."""
     kind: str
-    n: Optional[int] = None
-    mus: Optional[tuple[Fraction, ...]] = None
-    parts: Optional[tuple["ConstructionRecipe", ...]] = None
+    args: tuple = ()
 
     def describe(self) -> str:
-        if self.kind == "matrix":
-            return f"matrix:{self.n}"
-        if self.kind == "zorn":
-            return "zorn"
-        if self.kind == "cayley-dickson":
-            return "cayley-dickson:" + ",".join(str(m) for m in self.mus)
         if self.kind == "sum":
-            return "sum(" + "|".join(p.describe() for p in self.parts) + ")"
-        return self.kind
+            return "sum(" + "|".join(p.describe() for p in self.args) + ")"
+        return f"{self.kind}:{','.join(map(str, self.args))}" if self.args else self.kind
 
 
-_ALIASES = {
-    "m2m2": "sum(matrix:2|matrix:2)",
-    "zornq": "sum(zorn|matrix:1)",
-}
+_ALIASES = {"m2m2": "sum(matrix:2|matrix:2)", "zornq": "sum(zorn|matrix:1)"}
 
 
 def parse_recipe(text: str) -> ConstructionRecipe:
@@ -194,13 +177,16 @@ def parse_recipe(text: str) -> ConstructionRecipe:
     if low == "zorn":
         return ConstructionRecipe("zorn")
     if low.startswith("matrix:"):
+        arg = text.split(":", 1)[1].strip()
         try:
-            n = int(text.split(":", 1)[1])
-        except ValueError:
+            if not (arg.isascii() and arg.isdigit()):
+                raise ValueError(arg)
+            n = int(arg)
+        except ValueError:  # also digits past int_max_str_digits
             raise InputError(f"bad matrix recipe {text!r}")
         if n < 1:
             raise InputError("matrix recipe needs n >= 1")
-        return ConstructionRecipe("matrix", n=n)
+        return ConstructionRecipe("matrix", (n,))
     if low.startswith(("cayley-dickson:", "cd:")):
         arg = text.split(":", 1)[1]
         try:
@@ -209,7 +195,7 @@ def parse_recipe(text: str) -> ConstructionRecipe:
             raise InputError(f"bad doubling parameters {arg!r}")
         if not mus or any(m == 0 for m in mus):
             raise InputError("doubling parameters must be nonzero")
-        return ConstructionRecipe("cayley-dickson", mus=mus)
+        return ConstructionRecipe("cayley-dickson", mus)
     if low.startswith("sum(") and text.endswith(")"):
         inner, depth, cuts = text[4:-1], 0, []
         for i, ch in enumerate(inner):
@@ -221,41 +207,29 @@ def parse_recipe(text: str) -> ConstructionRecipe:
                 cuts.append(i)
         if len(cuts) != 1:
             raise InputError(f"sum recipe needs exactly two parts: {text!r}")
-        return ConstructionRecipe(
-            "sum", parts=(parse_recipe(inner[:cuts[0]]), parse_recipe(inner[cuts[0] + 1:]))
-        )
+        parts = inner[:cuts[0]], inner[cuts[0] + 1:]
+        return ConstructionRecipe("sum", tuple(map(parse_recipe, parts)))
     raise InputError(f"unknown recipe {text!r}")
 
 
+_BUILDERS = {
+    "matrix": matrix_algebra,
+    "zorn": zorn,
+    "cayley-dickson": lambda *mus: octonion_algebra(mus),
+    "sum": lambda left, right: direct_sum(build(left), build(right)),
+}
+
+
 def build(recipe: ConstructionRecipe) -> Algebra:
-    if recipe.kind == "matrix":
-        return matrix_algebra(recipe.n)
-    if recipe.kind == "zorn":
-        return zorn()
-    if recipe.kind == "cayley-dickson":
-        return octonion_algebra(recipe.mus)
-    if recipe.kind == "sum":
-        return direct_sum(build(recipe.parts[0]), build(recipe.parts[1]))
-    raise InputError(f"unknown recipe kind {recipe.kind!r}")
+    return _BUILDERS[recipe.kind](*recipe.args)
 
 
 def canonical_idempotent(recipe: ConstructionRecipe, algebra: Algebra) -> Element:
-    """The conventional nontrivial idempotent for a recipe.
-
-    Matrix algebras use the first diagonal unit, the vector-matrix algebra its
-    diagonal idempotent, sums the unit of the first summand; doubled algebras
-    fall back to a small search.
-    """
-    if recipe.kind == "matrix":
-        if recipe.n < 2:
-            raise InputError("matrix:1 has no nontrivial idempotent")
-        return algebra.basis_element(0)
-    if recipe.kind == "zorn":
-        return algebra.basis_element(0)
+    """The unit of the first summand for a sum; otherwise the first nontrivial idempotent
+    `find_idempotent` meets, which is E11 on a matrix algebra and e1 on zorn."""
     if recipe.kind == "sum":
-        left_dim = build(recipe.parts[0]).dim
-        coeffs = tuple(algebra.unit[:left_dim]) + zero_vec(algebra.dim - left_dim)
-        return Element(algebra, coeffs)
+        left_dim = build(recipe.args[0]).dim
+        return Element(algebra, tuple(algebra.unit[:left_dim]) + zero_vec(algebra.dim - left_dim))
     found = find_idempotent(algebra)
     if found is None:
         raise InputError(f"no nontrivial idempotent found for recipe {recipe.describe()!r}")

@@ -41,8 +41,7 @@ def vector_to_json(v) -> list[str]:
     return [format_rational(Fraction(x)) for x in v]
 
 
-def vector_from_json(data, expected_len: Optional[int] = None,
-                     memo: Optional[dict[str, Fraction]] = None) -> Vec:
+def vector_from_json(data, expected_len: int, memo: Optional[dict[str, Fraction]] = None) -> Vec:
     """Parse a list of rationals; `memo` holds the strings already parsed in
     this load, so each distinct string is parsed once."""
     if not isinstance(data, list):
@@ -58,7 +57,7 @@ def vector_from_json(data, expected_len: Optional[int] = None,
         else:
             q = parse_rational(x)
         v.append(q)
-    if expected_len is not None and len(v) != expected_len:
+    if len(v) != expected_len:
         raise InputError(f"vector length {len(v)} != expected {expected_len}")
     return tuple(v)
 

@@ -1,6 +1,6 @@
 """Seeded random rational values for probabilistic checks.
 
-Coefficients are numerator in [-height, height] over denominator in {1, 2, 3};
+Coefficients are numerator in [-HEIGHT, HEIGHT] over denominator in {1, 2, 3};
 every caller passes an explicit seed so runs are reproducible.
 """
 
@@ -12,28 +12,30 @@ from fractions import Fraction
 from .linalg import Vec
 
 DENOMINATORS = (1, 2, 3)
+HEIGHT = 9
+MAX_DEGREE = 3
 
 
 def rng_for(seed: int) -> random.Random:
     return random.Random(seed)
 
 
-def random_rational(rng: random.Random, height: int = 9) -> Fraction:
-    return Fraction(rng.randint(-height, height), rng.choice(DENOMINATORS))
+def random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-HEIGHT, HEIGHT), rng.choice(DENOMINATORS))
 
 
-def random_vector(rng: random.Random, n: int, height: int = 9) -> Vec:
-    return tuple(random_rational(rng, height) for _ in range(n))
+def random_vector(rng: random.Random, n: int) -> Vec:
+    return tuple(random_rational(rng) for _ in range(n))
 
 
-def random_nonzero_vector(rng: random.Random, n: int, height: int = 9) -> Vec:
+def random_nonzero_vector(rng: random.Random, n: int) -> Vec:
     while True:
-        v = random_vector(rng, n, height)
+        v = random_vector(rng, n)
         if any(v):
             return v
 
 
-def random_poly(rng: random.Random, max_degree: int = 3, height: int = 9) -> tuple[Fraction, ...]:
+def random_poly(rng: random.Random) -> tuple[Fraction, ...]:
     """Coefficients by degree with zero constant term (index 0)."""
-    deg = rng.randint(1, max_degree)
-    return (Fraction(0),) + tuple(random_rational(rng, height) for _ in range(deg))
+    deg = rng.randint(1, MAX_DEGREE)
+    return (Fraction(0),) + tuple(random_rational(rng) for _ in range(deg))

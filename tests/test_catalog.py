@@ -131,6 +131,8 @@ def test_recipe_parsing_roundtrip():
         ("m2m2", "sum(matrix:2|matrix:2)"),
         ("zornq", "sum(zorn|matrix:1)"),
         ("sum(zorn|matrix:1)", "sum(zorn|matrix:1)"),
+        ("cd:1/2,-3", "cayley-dickson:1/2,-3"),
+        ("sum(sum(zorn|cd:-1)|m2m2)", "sum(sum(zorn|cayley-dickson:-1)|sum(matrix:2|matrix:2))"),
     ]:
         recipe = parse_recipe(text)
         assert recipe.describe() == described
@@ -141,6 +143,10 @@ def test_recipe_errors():
     for bad in ("bogus", "matrix:x", "matrix:0", "cd:0"):
         with pytest.raises(InputError):
             parse_recipe(bad)
+    # N is ASCII decimal digits: no digit separators, signs or other scripts' digits
+    for bad in ("matrix:2_0", "matrix:\u0663", "matrix:+2"):
+        with pytest.raises(InputError, match=r"^bad matrix recipe "):
+            parse_recipe(bad)
     # a sum has two top-level parts, not one and not three
     for bad in ("sum(zorn)", "sum(zorn|zorn|zorn)", "sum(sum(zorn|zorn)|zorn|matrix:2)"):
         with pytest.raises(InputError, match=r"^sum recipe needs exactly two parts: "):
@@ -148,12 +154,21 @@ def test_recipe_errors():
 
 
 def test_canonical_idempotents():
-    for text in ("matrix:2", "zorn", "m2m2", "cd:1,1,1"):
+    # pinned, so that a change to the search order shows
+    for text, want in [
+        ("matrix:2", "1,0,0,0"),
+        ("zorn", "1,0,0,0,0,0,0,0"),
+        ("cd:-1,1,1", "1/2,0,1/2,0,0,0,0,0"),
+        ("cd:1,1,1", "1/2,1/2,0,0,0,0,0,0"),
+        ("m2m2", "1,0,0,1,0,0,0,0"),
+        ("sum(zorn|matrix:1)", "1,0,0,0,0,0,0,1,0"),
+    ]:
         recipe = parse_recipe(text)
         a = build(recipe)
         e = canonical_idempotent(recipe, a)
         assert verify_idempotent(a, e) is IdempotentKind.NONTRIVIAL
-    with pytest.raises(InputError):
+        assert e.coeffs == tuple(F(x) for x in want.split(","))
+    with pytest.raises(InputError, match=r"^no nontrivial idempotent found for recipe 'matrix:1'$"):
         canonical_idempotent(parse_recipe("matrix:1"), matrix_algebra(1))
     with pytest.raises(InputError):
         canonical_idempotent(parse_recipe("cd:-1,-1,-1"), octonion_algebra((-1, -1, -1)))
