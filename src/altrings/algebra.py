@@ -15,9 +15,9 @@ decides them over characteristic zero.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import AlgebraMismatchError, UnitValidationError
 from .linalg import (
@@ -43,7 +43,7 @@ class Algebra:
     __slots__ = ("dim", "unit", "labels", "_int_table", "_den", "_hash", "_assoc", "_comm")
 
     def __init__(self, products: Mapping[tuple[int, int], Sequence], unit: Sequence,
-                 labels: Optional[Sequence[str]] = None):
+                 labels: Sequence[str] | None = None):
         """`products[i, j]` is the coordinate vector of b_i b_j; omitted pairs
         multiply to zero. The dimension is the length of `unit`."""
         self.dim = dim = len(unit)
@@ -256,7 +256,7 @@ def associator(x: Element, y: Element, z: Element) -> Element:
     return Element(alg, vec_sub(xy_z, x_yz))
 
 
-def _cancel(u: Optional[dict], v: Optional[dict]) -> bool:
+def _cancel(u: dict | None, v: dict | None) -> bool:
     """u + v = 0 for two sparse associator vectors (None is zero; the table
     stores no empty vector)."""
     if u is None or v is None:
@@ -272,7 +272,7 @@ def check_alternative(a: Algebra) -> bool:
     return alternativity_witness(a) is None
 
 
-def alternativity_witness(a: Algebra) -> Optional[tuple[int, int, int]]:
+def alternativity_witness(a: Algebra) -> tuple[int, int, int] | None:
     """First basis triple violating (i,j,k)+(j,i,k)=0 or (i,j,k)+(i,k,j)=0, if any.
     Such a sum fails for both triples in it, and one of them is a table key."""
     ass, best = a.associator_table(), None
@@ -294,6 +294,6 @@ def check_associative(a: Algebra) -> bool:
     return find_nonassociative_triple(a) is None
 
 
-def find_nonassociative_triple(a: Algebra) -> Optional[tuple[int, int, int]]:
+def find_nonassociative_triple(a: Algebra) -> tuple[int, int, int] | None:
     """First basis triple with nonzero associator, or None when associative."""
     return next(iter(a.associator_table()), None)

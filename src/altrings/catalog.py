@@ -8,19 +8,16 @@ reproducible, serializable way to name these.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
-from typing import TYPE_CHECKING, Optional, Sequence
 
+from . import liederiv, sampling  # lazy: only random_lie_derivation runs them
 from .algebra import Algebra, Element
 from .errors import InputError
 from .jsonio import parse_rational
 from .linalg import Matrix, Record, combine, dot, fvec, kernel, zero_vec
-from .sampling import random_poly, random_vector, rng_for
 from .structure import IdempotentKind, center, commutator_subspace, derivation_algebra, verify_idempotent
-
-if TYPE_CHECKING:
-    from .liederiv import MapSpec, SampleBudget
 
 _Z = Fraction(0)
 _O = Fraction(1)
@@ -111,7 +108,7 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
     return Algebra(products, unit, labels)
 
 
-def find_idempotent(a: Algebra) -> Optional[Element]:
+def find_idempotent(a: Algebra) -> Element | None:
     """The first nontrivial idempotent among the basis vectors b, then the midpoints (1+b)/2."""
     basis = [a.basis_vec(i) for i in range(a.dim)]
     halves = (Fraction(1, 2),) * 2
@@ -130,7 +127,8 @@ def commutator_annihilating_functional(a: Algebra):
     return ker.basis[0] if ker.dim else zero_vec(a.dim)
 
 
-def random_lie_derivation(a: Algebra, budget: SampleBudget, central_terms: int = 1) -> MapSpec:
+def random_lie_derivation(a: Algebra, budget: liederiv.SampleBudget,
+                          central_terms: int = 1) -> liederiv.MapSpec:
     """Seeded random derivation-plus-central-term map, assembled via `compose`.
 
     The linear part is a random combination of the derivation-algebra basis;
@@ -138,26 +136,28 @@ def random_lie_derivation(a: Algebra, budget: SampleBudget, central_terms: int =
     annihilating the commutator span, poly without constant term, and z a
     random central element.
     """
-    from .liederiv import CentralTerm, compose  # here, so that `make` never runs liederiv
-
-    rng = rng_for(budget.seed)
+    rng = sampling.rng_for(budget.seed)
     n, ders = a.dim, derivation_algebra(a)
-    coeffs = random_vector(rng, len(ders))
+    coeffs = sampling.random_vector(rng, len(ders))
     linear = Matrix(tuple(combine(coeffs, [d.rows[r] for d in ders], n) for r in range(n)), n)
     terms = []
     if central_terms:
         ell = commutator_annihilating_functional(a)
         cen = center(a)
         for _ in range(central_terms):
-            z = combine(random_vector(rng, cen.dim), cen.basis, a.dim)
-            terms.append(CentralTerm(fvec(ell), random_poly(rng), fvec(z)))
-    return compose(a, linear, tuple(terms))
+            z = combine(sampling.random_vector(rng, cen.dim), cen.basis, a.dim)
+            terms.append(liederiv.CentralTerm(fvec(ell), sampling.random_poly(rng), fvec(z)))
+    return liederiv.compose(a, linear, tuple(terms))
 
 
 class ConstructionRecipe(Record):
     """A recipe: its kind and the arguments of that kind's entry in `_BUILDERS`."""
     kind: str
     args: tuple = ()
+
+    @property
+    def dim(self) -> int:  # of build(self), read off the recipe without building it
+        return _BUILDERS[self.kind][1](*self.args)
 
     def describe(self) -> str:
         if self.kind == "sum":
@@ -212,23 +212,25 @@ def parse_recipe(text: str) -> ConstructionRecipe:
     raise InputError(f"unknown recipe {text!r}")
 
 
+# kind -> (builder, dimension), each called with the recipe's args
 _BUILDERS = {
-    "matrix": matrix_algebra,
-    "zorn": zorn,
-    "cayley-dickson": lambda *mus: octonion_algebra(mus),
-    "sum": lambda left, right: direct_sum(build(left), build(right)),
+    "matrix": (matrix_algebra, lambda n: n * n),
+    "zorn": (zorn, lambda: 8),
+    "cayley-dickson": (lambda *mus: octonion_algebra(mus), lambda *mus: 2 ** len(mus)),
+    "sum": (lambda left, right: direct_sum(build(left), build(right)),
+            lambda left, right: left.dim + right.dim),
 }
 
 
 def build(recipe: ConstructionRecipe) -> Algebra:
-    return _BUILDERS[recipe.kind](*recipe.args)
+    return _BUILDERS[recipe.kind][0](*recipe.args)
 
 
 def canonical_idempotent(recipe: ConstructionRecipe, algebra: Algebra) -> Element:
     """The unit of the first summand for a sum; otherwise the first nontrivial idempotent
     `find_idempotent` meets, which is E11 on a matrix algebra and e1 on zorn."""
     if recipe.kind == "sum":
-        left_dim = build(recipe.args[0]).dim
+        left_dim = recipe.args[0].dim
         return Element(algebra, tuple(algebra.unit[:left_dim]) + zero_vec(algebra.dim - left_dim))
     found = find_idempotent(algebra)
     if found is None:

@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import catalog, jsonio, liederiv, peirce
@@ -98,7 +97,7 @@ def cmd_make(args):
     return {
         "recipe": recipe.describe(),
         "dim": algebra.dim,
-        "output": str(args.output),
+        "output": args.output,
         "identities": {
             "alternative": check_alternative(algebra),
             "flexible": check_flexible(algebra),
@@ -140,6 +139,8 @@ def cmd_peirce(args):
 
 
 def cmd_decompose(args):
+    if args.output is not None and os.path.basename(args.output) in ("", ".", ".."):
+        raise InputError(f"decompose: -o PREFIX must end in a file name (got {args.output!r})")
     algebra = jsonio.load_algebra(args.algebra)
     e1 = _parse_idempotent(args.idempotent, algebra)
     ctx = peirce.make_context(algebra, e1)
@@ -167,12 +168,10 @@ def cmd_decompose(args):
         "ok": result.ok,
     }
     if args.output:
-        prefix = Path(args.output)
-        delta_path = prefix.with_name(prefix.name + ".delta.json")
-        tau_path = prefix.with_name(prefix.name + ".tau.json")
+        delta_path, tau_path = args.output + ".delta.json", args.output + ".tau.json"
         jsonio.save_mapspec(liederiv.MapSpec(algebra, result.delta), delta_path)
         jsonio.save_mapspec(result.tau, tau_path)
-        report["outputs"] = {"delta": str(delta_path), "tau": str(tau_path)}
+        report["outputs"] = {"delta": delta_path, "tau": tau_path}
     return report, next((f"decompose check {c.name} failed (witness {c.witness})"
                          for c in result.checks if not c.ok), None)
 

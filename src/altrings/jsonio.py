@@ -11,8 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Union
+from os import PathLike
 
 from . import liederiv
 from .algebra import Algebra
@@ -41,7 +40,7 @@ def vector_to_json(v) -> list[str]:
     return [format_rational(Fraction(x)) for x in v]
 
 
-def vector_from_json(data, expected_len: int, memo: Optional[dict[str, Fraction]] = None) -> Vec:
+def vector_from_json(data, expected_len: int, memo: dict[str, Fraction] | None = None) -> Vec:
     """Parse a list of rationals; `memo` holds the strings already parsed in
     this load, so each distinct string is parsed once."""
     if not isinstance(data, list):
@@ -70,7 +69,7 @@ def _json_list(data: dict, field: str) -> list:
     return items
 
 
-def algebra_to_dict(a: Algebra, provenance: Optional[str] = None) -> dict:
+def algebra_to_dict(a: Algebra, provenance: str | None = None) -> dict:
     entries = [{"i": i, "j": j, "value": vector_to_json(v)}
                for (i, j), v in a.products().items()]
     out = {"dim": a.dim, "unit": vector_to_json(a.unit), "constants": entries}
@@ -158,7 +157,7 @@ def mapspec_from_dict(data: dict, algebra: Algebra) -> liederiv.MapSpec:
         raise InputError(f"map file is invalid: {exc}")
 
 
-def _load_json(path: Union[str, Path]) -> dict:
+def _load_json(path: str | PathLike) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -174,25 +173,25 @@ def _load_json(path: Union[str, Path]) -> dict:
         raise InputError(f"invalid JSON in {path}: nested too deeply")
 
 
-def _save_json(data: dict, path: Union[str, Path]):
+def _save_json(data: dict, path: str | PathLike):
     try:
-        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def save_algebra(a: Algebra, path: Union[str, Path], provenance: Optional[str] = None):
+def save_algebra(a: Algebra, path: str | PathLike, provenance: str | None = None):
     _save_json(algebra_to_dict(a, provenance), path)
 
 
-def load_algebra(path: Union[str, Path]) -> Algebra:
+def load_algebra(path: str | PathLike) -> Algebra:
     return algebra_from_dict(_load_json(path))
 
 
-def save_mapspec(d: liederiv.MapSpec, path: Union[str, Path]):
+def save_mapspec(d: liederiv.MapSpec, path: str | PathLike):
     _save_json(mapspec_to_dict(d), path)
 
 
-def load_mapspec(path: Union[str, Path], algebra: Algebra) -> liederiv.MapSpec:
+def load_mapspec(path: str | PathLike, algebra: Algebra) -> liederiv.MapSpec:
     return mapspec_from_dict(_load_json(path), algebra)

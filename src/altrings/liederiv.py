@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
 from .algebra import Algebra, Element, commutator
 from .errors import (
@@ -97,7 +96,7 @@ class MapSpec(Record):
                 )
 
     @cached_property
-    def lie_law(self) -> tuple[Matrix, Optional[str]]:
+    def lie_law(self) -> tuple[Matrix, str | None]:
         """`lie_defect(self)`, decided once per map and kept outside equality."""
         return lie_defect(self)
 
@@ -127,7 +126,7 @@ def _pair_label(alg: Algebra, i: int, j: int) -> str:
     return f"x={alg.label(i)}, y={alg.label(j)}"
 
 
-def lie_defect(d: MapSpec) -> tuple[Matrix, Optional[str]]:
+def lie_defect(d: MapSpec) -> tuple[Matrix, str | None]:
     """(L', witness): decide the Lie law of d exactly; the witness is None when it holds.
 
     Write D(a) = L a + sum_t p_t(f_t . a) z_t, p_t = sum_k a_tk s^k, z_t central.

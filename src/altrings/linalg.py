@@ -21,11 +21,11 @@ is syntactic, field by field, in the one `__eq__` that every `Record` shares.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
 
 Vec = tuple[Fraction, ...]
 
@@ -146,7 +146,7 @@ class Matrix(Record):
         return len(self.rows)
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], cols: Optional[int] = None) -> "Matrix":
+    def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
         frozen = tuple(fvec(r) for r in rows)
         if cols is None:
             if not frozen:
@@ -231,7 +231,7 @@ class Matrix(Record):
         return f"Matrix({self.nrows}x{self.cols}: {body})"
 
 
-def stack(matrices: Sequence[Matrix], cols: Optional[int] = None) -> Matrix:
+def stack(matrices: Sequence[Matrix], cols: int | None = None) -> Matrix:
     """Vertical concatenation; `cols` disambiguates an empty stack."""
     if matrices:
         cols = matrices[0].cols
@@ -360,7 +360,7 @@ def kernel(m: Matrix | SparseMatrix) -> "Subspace":
     return Subspace._from_sparse(m.cols, basis.values())
 
 
-def solve(m: Matrix, b: Sequence[Fraction]) -> Optional[Vec]:
+def solve(m: Matrix, b: Sequence[Fraction]) -> Vec | None:
     """Some exact solution of m x = b, or None when inconsistent."""
     if len(b) != m.nrows:
         raise ValueError("right-hand side length mismatch")

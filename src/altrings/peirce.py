@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Optional
 
+from . import sampling  # lazy: runs on first use, which only a sampled condition 4 makes
 from .algebra import Algebra, Element, check_alternative
 from .errors import (
     NonUniqueSplitError,
@@ -25,7 +25,6 @@ from .errors import (
     TrivialIdempotentError,
 )
 from .linalg import Matrix, Record, Subspace, Vec, column_space, combine, vec_add, zero_vec
-from .sampling import random_rational, rng_for
 from .structure import IdempotentKind, _annihilator, center, centralizer, verify_idempotent
 
 
@@ -38,8 +37,8 @@ class Check(Record):
     name: str
     ok: bool
     mode: str  # "exact" | "sampled"
-    witness: Optional[str] = None
-    detail: Optional[str] = None
+    witness: str | None = None
+    detail: str | None = None
 
     def to_dict(self) -> dict:
         d = {"name": self.name, "ok": self.ok, "mode": self.mode}
@@ -197,7 +196,7 @@ class ConditionsReport(Record):
 
 
 def _annihilator_in(alg: Algebra, domain: Subspace, multipliers: Subspace,
-                    side: str) -> Optional[Element]:
+                    side: str) -> Element | None:
     """Nonzero x in `domain` killed by every multiplier (x*r or r*x), if any; with
     no multipliers, the first basis vector of `domain`."""
     ker = _annihilator(alg._int_table, domain, multipliers.basis, side).basis
@@ -218,9 +217,9 @@ def check_conditions(ctx: PeirceContext, seed: int = 0, samples: int = 20) -> Co
     cands = list(cen.basis)
     if cen.dim > 1:
         mode, detail = "sampled", f"center dim {cen.dim} > 1; basis plus {samples} samples"
-        rng = rng_for(seed)
+        rng = sampling.rng_for(seed)
         for _ in range(samples):
-            v = tuple(random_rational(rng) for _ in range(cen.dim))
+            v = tuple(sampling.random_rational(rng) for _ in range(cen.dim))
             if any(v):
                 cands.append(combine(v, cen.basis, alg.dim))
     else:  # the unit is central, so the center is at least a line

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 from functools import lru_cache
 from math import gcd
-from typing import Optional
 
 from . import sampling  # lazy: runs on first use, which only check_prime makes
 from .algebra import (
@@ -24,8 +23,10 @@ from .algebra import (
 from .errors import NotAlternativeError
 from .linalg import Matrix, Record, SparseMatrix, Subspace, combine, int_vec, is_zero_vec, kernel
 
+CACHE_SIZE = 8  # algebras (or tables) each fact below is kept for: the latest few, not all
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=CACHE_SIZE)
 def nucleus(a: Algebra) -> Subspace:
     """Elements r with (x,y,r) = (x,r,y) = (r,x,y) = 0 for all x, y.
 
@@ -73,7 +74,7 @@ def _annihilator(table, domain: Subspace, multipliers, side: str = "right") -> S
     return kernel(SparseMatrix(tuple(rows), domain.dim))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def center(a: Algebra) -> Subspace:
     """Nuclear elements that every basis vector annihilates under [ , ]; a line
     nucleus is the central unit line."""
@@ -92,7 +93,7 @@ def centralizer(a: Algebra, s: Subspace) -> Subspace:
     return _annihilator(a.commutator_table(), Subspace.full(a.dim), s.basis)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def commutator_subspace(a: Algebra) -> Subspace:
     """Span of all commutators [x, y]: of the [b_i, b_j], i < j, read off
     `Algebra.commutator_table` (its common scale leaves the span unchanged)."""
@@ -101,13 +102,13 @@ def commutator_subspace(a: Algebra) -> Subspace:
                                          for c in row[i + 1:] if c])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _leibniz_rows(table) -> tuple[tuple[tuple[int, int], dict[int, int]], ...]:
     """Linear system on vec(d), d an n x n matrix with unknowns d[r][c] at r*n+c:
     d(b_i b_j) - d(b_i) b_j - b_i d(b_j) = 0 for all basis pairs, one row per
     output component k, read off an integer structure table such as
     `Algebra._int_table` or `Algebra.commutator_table`, as ((i, j), row) in
-    row-major order of the pairs; built once per table, and callers must not
+    row-major order of the pairs; cached per table, and callers must not
     mutate it. An unknown that a one-entry row forces to zero is emitted once, as
     a unit row, and dropped from later rows; a row equal up to scale to one already
     emitted is skipped. A matrix that satisfies every earlier row is zero at each
@@ -147,13 +148,13 @@ def _leibniz_rows(table) -> tuple[tuple[tuple[int, int], dict[int, int]], ...]:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def derivation_span(a: Algebra) -> Subspace:
     """Derivation algebra as a subspace of vectorized matrices: the kernel of the Leibniz rows."""
     return kernel(SparseMatrix(tuple(row for _, row in _leibniz_rows(a._int_table)), a.dim ** 2))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def derivation_algebra(a: Algebra) -> tuple[Matrix, ...]:
     """Basis of all matrices satisfying the Leibniz rule on every basis pair."""
     n = a.dim
@@ -161,7 +162,7 @@ def derivation_algebra(a: Algebra) -> tuple[Matrix, ...]:
                  for v in derivation_span(a).basis)
 
 
-def _leibniz_failure(table, d: Matrix) -> Optional[tuple[int, int]]:
+def _leibniz_failure(table, d: Matrix) -> tuple[int, int] | None:
     """The first basis pair (i, j), row-major, on which d breaks the Leibniz rule
     of the product of `table`, or None: vec(d) on `_leibniz_rows(table)`."""
     n = len(table)
@@ -198,7 +199,7 @@ def verify_idempotent(a: Algebra, e: Element) -> IdempotentKind:
 class PrimalityResult(Record):
     """Outcome of the annihilator search; witness None means ProbablyPrime."""
 
-    witness: Optional[tuple[Element, Element]]
+    witness: tuple[Element, Element] | None
     candidates_tried: int
     seed: int
 

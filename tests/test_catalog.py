@@ -136,7 +136,8 @@ def test_recipe_parsing_roundtrip():
     ]:
         recipe = parse_recipe(text)
         assert recipe.describe() == described
-        assert build(recipe).dim >= 1
+        # the dimension is read off the recipe; building agrees with it
+        assert recipe.dim == build(recipe).dim >= 1
 
 
 def test_recipe_errors():
@@ -172,6 +173,22 @@ def test_canonical_idempotents():
         canonical_idempotent(parse_recipe("matrix:1"), matrix_algebra(1))
     with pytest.raises(InputError):
         canonical_idempotent(parse_recipe("cd:-1,-1,-1"), octonion_algebra((-1, -1, -1)))
+
+
+def test_canonical_idempotent_of_a_sum_builds_nothing(monkeypatch):
+    """The unit of a sum's first summand is placed by the summand's dimension,
+    read off its recipe: no summand is built again."""
+    import altrings.catalog as catalog
+
+    for text, want in [("m2m2", "1,0,0,1,0,0,0,0"), ("sum(zorn|matrix:1)", "1,0,0,0,0,0,0,1,0")]:
+        recipe = parse_recipe(text)
+        a = build(recipe)
+        calls = []
+        monkeypatch.setattr(catalog, "build", lambda r: calls.append(r) or build(r))
+        e = canonical_idempotent(recipe, a)
+        monkeypatch.undo()
+        assert calls == [], text
+        assert e.coeffs == tuple(F(x) for x in want.split(","))
 
 
 def test_algebra_json_roundtrip(zorn_algebra, m2):

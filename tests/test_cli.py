@@ -651,13 +651,17 @@ def test_console_entrypoint():
                                   "decompose-central-terms-number",
                                   "decompose-central-terms-null", "analyze-5000-digit-unit",
                                   "analyze-exponent-string", "make-cd-exponent",
-                                  "make-deeply-nested-recipe", "fuzz-deeply-nested-recipe"])
+                                  "make-deeply-nested-recipe", "fuzz-deeply-nested-recipe",
+                                  "decompose-prefix-dot", "decompose-prefix-root",
+                                  "decompose-prefix-dotdot", "decompose-prefix-slash"])
 def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
     """A path that cannot be read or written, a file or recipe nested too
     deeply to parse, a list field holding a number or null, a product given
-    twice, a JSON integer past the interpreter's digit limit, or a rational
-    written with an exponent is bad input: exit 2 and one line on stderr, from
-    a fresh process so that a traceback would show."""
+    twice, a JSON integer past the interpreter's digit limit, a rational
+    written with an exponent, or a `decompose -o` prefix with no file name is
+    bad input: exit 2 and one line on stderr, from a fresh process (working in
+    tmp_path) so that a traceback would show, and no split is written."""
+    import os
     import subprocess
     import sys
 
@@ -707,14 +711,21 @@ def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
         "make-cd-exponent": ["make", "cd:1e300000,-1", "-o", str(tmp_path / "cd.json")],
         "make-deeply-nested-recipe": ["make", deep_recipe, "-o", str(tmp_path / "deep.json")],
         "fuzz-deeply-nested-recipe": ["fuzz", deep_recipe],
+        "decompose-prefix-dot": [*decompose, str(map_path), "-o", "."],
+        "decompose-prefix-root": [*decompose, str(map_path), "-o", "/"],
+        "decompose-prefix-dotdot": [*decompose, str(map_path), "-o", ".."],
+        "decompose-prefix-slash": [*decompose, str(map_path), "-o", "x/"],
     }[case]
-    proc = subprocess.run([sys.executable, "-m", "altrings", *argv],
-                          capture_output=True, text=True)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "altrings", *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
     assert proc.stdout == ""
+    assert not list(tmp_path.rglob("*.delta.json"))
 
 
 _IDEMPOTENT_TOKENS = st.one_of(

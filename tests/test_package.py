@@ -58,8 +58,7 @@ print(json.dumps({"code": code, "report": json.loads(out.getvalue()),
 
 # Runs the commands given as a JSON list of argv lists in one fresh
 # interpreter; after each, records the exit code, the executed altrings
-# modules and which of the code-generation and argument-parsing modules are
-# loaded.
+# modules and which of the modules named in the second argument are loaded.
 COMMANDS_PROBE = """
 import contextlib, io, json, sys, types
 import altrings.cli as cli
@@ -72,16 +71,15 @@ for argv in json.loads(sys.argv[1]):
                  "executed": sorted(name for name, module in sys.modules.items()
                                     if name.startswith("altrings.")
                                     and type(module) is types.ModuleType),
-                 "loaded": [name for name in ("dataclasses", "inspect", "argparse", "gettext",
-                                         "locale") if name in sys.modules]})
+                 "loaded": [name for name in sys.argv[2].split() if name in sys.modules]})
 print(json.dumps(seen))
 """
 
 
-def _probe(script: str, *args: str, cwd=None):
+def _probe(script: str, *args: str, cwd=None, flags=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd,
+    proc = subprocess.run([sys.executable, *flags, "-c", script, *args], cwd=cwd,
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout)
 
@@ -128,23 +126,22 @@ def test_unknown_attribute_raises_attribute_error():
 
 def test_make_runs_no_lie_split_module(tmp_path):
     """`make` builds and saves an algebra; the Lie-split modules stay unexecuted."""
-    [make] = _probe(COMMANDS_PROBE, json.dumps([["make", "zorn", "-o", "zorn.json"]]),
+    [make] = _probe(COMMANDS_PROBE, json.dumps([["make", "zorn", "-o", "zorn.json"]]), "",
                     cwd=tmp_path)
     assert make["code"] == 0
     assert "altrings.catalog" in make["executed"]
     assert not {"altrings.liederiv", "altrings.peirce"} & set(make["executed"])
 
 
-def test_no_command_imports_dataclasses(tmp_path):
-    """The records are built without `dataclasses`, and so without `inspect`,
-    and the arguments are read without `argparse`, and so without `gettext` or
-    `locale`: no command pays for importing them."""
+def _five_commands(tmp_path) -> list[list[str]]:
+    """One argv per command, on zorn, to run in order in tmp_path: `make` writes
+    the algebra file that the next three read."""
     algebra = altrings.zorn()
     altrings.jsonio.save_mapspec(
         altrings.random_lie_derivation(algebra, altrings.SampleBudget(seed=1)),
         tmp_path / "map.json")
     e1 = "1,0,0,0,0,0,0,0"
-    commands = [
+    return [
         ["make", "zorn", "-o", "zorn.json"],
         ["analyze", "--json", "zorn.json"],
         ["peirce", "--json", "zorn.json", "--idempotent", e1],
@@ -152,8 +149,31 @@ def test_no_command_imports_dataclasses(tmp_path):
          "-o", "split"],
         ["fuzz", "zorn", "--trials", "1", "--json"],
     ]
-    seen = _probe(COMMANDS_PROBE, json.dumps(commands), cwd=tmp_path)
+
+
+def test_no_command_imports_dataclasses(tmp_path):
+    """The records are built without `dataclasses`, and so without `inspect`,
+    and the arguments are read without `argparse`, and so without `gettext` or
+    `locale`: no command pays for importing them."""
+    commands = _five_commands(tmp_path)
+    seen = _probe(COMMANDS_PROBE, json.dumps(commands),
+                  "dataclasses inspect argparse gettext locale", cwd=tmp_path)
     for argv, after in zip(commands, seen):
         assert after["code"] == 0, argv
         assert after["loaded"] == [], argv
     assert "altrings.liederiv" in seen[-1]["executed"]
+
+
+def test_no_command_imports_typing_or_pathlib(tmp_path):
+    """Annotations stay unevaluated strings and paths are plain strings, so no
+    command imports `typing` or `pathlib`; `sampling`, and with it `random`, runs
+    only when something samples, which on zorn only `fuzz` does.  Each command
+    runs in its own `python -S` process, so that no `site` hook has imported
+    these modules before the program starts."""
+    for argv in _five_commands(tmp_path):
+        [after] = _probe(COMMANDS_PROBE, json.dumps([argv]), "typing pathlib random",
+                         cwd=tmp_path, flags=("-S",))
+        samples = argv[0] == "fuzz"
+        assert after["code"] == 0, argv
+        assert after["loaded"] == (["random"] if samples else []), argv
+        assert ("altrings.sampling" in after["executed"]) == samples, argv

@@ -19,7 +19,7 @@ from altrings import (
     verify_idempotent,
 )
 from altrings.algebra import alternativity_witness, check_flexible, find_nonassociative_triple
-from altrings.catalog import build, direct_sum, matrix_algebra, parse_recipe
+from altrings.catalog import build, direct_sum, matrix_algebra, octonion_algebra, parse_recipe
 from altrings.errors import NotAlternativeError
 from altrings.linalg import (Matrix, SparseMatrix, Subspace, frac_vec, invert, is_zero_vec, kernel,
                              restrict_map, stack, vec_sub, zero_vec)
@@ -494,6 +494,34 @@ def test_nucleus_solves_slot_zero_once(monkeypatch):
     assert systems[0].nrows > a.dim and nuc.dim == 2
     assert systems[-1].nrows - len(other_slots) <= a.dim
     assert nuc == _reference_nucleus(a)
+
+
+def test_cached_facts_are_kept_for_a_bounded_number_of_algebras():
+    """A library loop over 30 distinct dim-16 algebras, each analysed and then
+    dropped, retains the facts of the last CACHE_SIZE (about 1.1 MB each), not
+    of all 30 (32 MB when the caches were unbounded)."""
+    import gc
+    import tracemalloc
+
+    from altrings import structure
+
+    cached = (nucleus, center, structure.commutator_subspace, _leibniz_rows, derivation_span,
+              derivation_algebra)
+    for f in cached:
+        f.cache_clear()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for k in range(1, 31):
+            a = octonion_algebra((-1, k, -3, -1))
+            analyze(a)
+            del a
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert retained < 12_000_000, retained
+    assert all(f.cache_info().currsize <= structure.CACHE_SIZE for f in cached)
 
 
 def _assert_matches_reference_systems(a, perturbed):
