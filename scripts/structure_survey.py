@@ -13,26 +13,13 @@ last column says whether the two spaces are equal.
 Usage: python scripts/structure_survey.py
 """
 
-from altrings import analyze, center, commutator_subspace
+from altrings import analyze
 from altrings.catalog import build, parse_recipe
-from altrings.linalg import Matrix, SparseMatrix, Subspace, kernel
-from altrings.structure import _leibniz_rows, derivation_span
+from altrings.structure import lie_derivation_split
 
 RECIPES = ("matrix:1", "matrix:2", "matrix:3", "matrix:4", "zorn", "cd:-1,-1", "cd:-1,-1,-1",
            "cd:1,1,1", "cd:-1,-1,-1,-1", "m2m2", "sum(zorn|matrix:1)", "sum(matrix:2|matrix:1)",
            "sum(zorn|zorn)")
-
-
-def lie_derivation_split(a):
-    """(LieDer, Der + T) as subspaces of the dim x dim matrices, entry (r, c)
-    at coordinate r*dim + c."""
-    n = a.dim
-    lie = kernel(SparseMatrix(tuple(row for _, row in _leibniz_rows(a.commutator_table())),
-                              n * n))
-    killers = kernel(Matrix(commutator_subspace(a).basis, n))  # covectors vanishing on [A,A]
-    t = [tuple(z[r] * f[c] for r in range(n) for c in range(n))
-         for z in center(a).basis for f in killers.basis]
-    return lie, derivation_span(a) + Subspace.span(n * n, t)
 
 
 def main():

@@ -16,8 +16,9 @@ from . import liederiv, sampling  # lazy: only random_lie_derivation runs them
 from .algebra import Algebra, Element
 from .errors import InputError
 from .jsonio import parse_rational
-from .linalg import Matrix, Record, combine, dot, fvec, kernel, zero_vec
-from .structure import IdempotentKind, center, commutator_subspace, derivation_algebra, verify_idempotent
+from .linalg import Matrix, Record, combine, dot, fvec, zero_vec
+from .structure import (IdempotentKind, center, commutator_annihilator, derivation_algebra,
+                        verify_idempotent)
 
 _Z = Fraction(0)
 _O = Fraction(1)
@@ -118,23 +119,14 @@ def find_idempotent(a: Algebra) -> Element | None:
     return next((e for e in candidates if verify_idempotent(a, e) is nontrivial), None)
 
 
-def commutator_annihilating_functional(a: Algebra):
-    """A covector vanishing on the whole commutator span (zero if none exists)."""
-    comm = commutator_subspace(a)
-    if comm.dim == 0:
-        return a.unit  # anything works; pick a stable nonzero covector
-    ker = kernel(Matrix(tuple(comm.basis), a.dim))
-    return ker.basis[0] if ker.dim else zero_vec(a.dim)
-
-
 def random_lie_derivation(a: Algebra, budget: liederiv.SampleBudget,
                           central_terms: int = 1) -> liederiv.MapSpec:
     """Seeded random derivation-plus-central-term map, assembled via `compose`.
 
     The linear part is a random combination of the derivation-algebra basis;
-    each nonlinear term is poly(functional . a) * z with the functional
-    annihilating the commutator span, poly without constant term, and z a
-    random central element.
+    each nonlinear term is poly(functional . a) * z with the functional the
+    first basis covector of `commutator_annihilator` (zero if there is none),
+    poly without constant term, and z a random central element.
     """
     rng = sampling.rng_for(budget.seed)
     n, ders = a.dim, derivation_algebra(a)
@@ -142,7 +134,8 @@ def random_lie_derivation(a: Algebra, budget: liederiv.SampleBudget,
     linear = Matrix(tuple(combine(coeffs, [d.rows[r] for d in ders], n) for r in range(n)), n)
     terms = []
     if central_terms:
-        ell = commutator_annihilating_functional(a)
+        ann = commutator_annihilator(a)
+        ell = ann.basis[0] if ann.dim else zero_vec(n)
         cen = center(a)
         for _ in range(central_terms):
             z = combine(sampling.random_vector(rng, cen.dim), cen.basis, a.dim)

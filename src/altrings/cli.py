@@ -82,6 +82,12 @@ def _build_recipe(text: str) -> tuple[catalog.ConstructionRecipe, Algebra]:
         raise InputError("recipe nested too deeply") from None
 
 
+def _check_output_dir(path: str):
+    """Refuse a path in a missing directory before any work, as a failed write would."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise InputError(f"cannot write {path}: No such file or directory")
+
+
 def _conditions(ctx, args, where: str = "") -> peirce.ConditionsReport:
     """The corner conditions of ctx; PreconditionError names the first that fails."""
     conditions = peirce.check_conditions(ctx, seed=args.seed, samples=args.samples)
@@ -92,6 +98,7 @@ def _conditions(ctx, args, where: str = "") -> peirce.ConditionsReport:
 
 
 def cmd_make(args):
+    _check_output_dir(args.output)
     recipe, algebra = _build_recipe(args.recipe)
     jsonio.save_algebra(algebra, args.output, provenance=recipe.describe())
     return {
@@ -141,6 +148,8 @@ def cmd_peirce(args):
 def cmd_decompose(args):
     if args.output is not None and os.path.basename(args.output) in ("", ".", ".."):
         raise InputError(f"decompose: -o PREFIX must end in a file name (got {args.output!r})")
+    if args.output:
+        _check_output_dir(args.output + ".delta.json")
     algebra = jsonio.load_algebra(args.algebra)
     e1 = _parse_idempotent(args.idempotent, algebra)
     ctx = peirce.make_context(algebra, e1)

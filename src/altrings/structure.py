@@ -35,7 +35,8 @@ def nucleus(a: Algebra) -> Subspace:
     (b_i, r, b_m) and row (j, m, k) of (r, b_j, b_m). The rows are integer,
     read off the scaled `Algebra.associator_table`. When the (x, y, r) rows
     alone leave a line, it is the nucleus: the validated unit is nuclear. An
-    associative algebra has no rows at all and is its own nucleus."""
+    associative algebra has no rows at all and is its own nucleus. Otherwise
+    the nucleus is the kernel of all three slots' rows, taken as one system."""
     ass, rows = a.associator_table(), {}
     for (i, j, m), v in ass.items():
         for k, x in v.items():
@@ -43,18 +44,11 @@ def nucleus(a: Algebra) -> Subspace:
     nuc = kernel(SparseMatrix(tuple(rows.values()), a.dim))
     if nuc.dim == 1 or not ass:
         return nuc
-    # The full system takes the span of the (x, y, r) rows, the orthogonal complement
-    # of their kernel, as at most dim rows read off the kernel's reduced basis v_q
-    # (pivot q, its first 1): e_f - sum_q v_q[f] e_q for each other column f.
-    piv = {v.index(1): v for v in nuc.basis}
-    slot0 = [{f: 1, **{q: -v[f] for q, v in piv.items() if v[f]}}
-             for f in range(a.dim) if f not in piv]
-    rows = {}
     for (i, j, m), v in ass.items():
         for k, x in v.items():
             rows.setdefault((1, i, m, k), {})[j] = x
             rows.setdefault((2, j, m, k), {})[i] = x
-    return kernel(SparseMatrix((*slot0, *rows.values()), a.dim))
+    return kernel(SparseMatrix(tuple(rows.values()), a.dim))
 
 
 def _annihilator(table, domain: Subspace, multipliers, side: str = "right") -> Subspace:
@@ -102,6 +96,11 @@ def commutator_subspace(a: Algebra) -> Subspace:
                                          for c in row[i + 1:] if c])
 
 
+def commutator_annihilator(a: Algebra) -> Subspace:
+    """Covectors that vanish on every commutator: ann([A, A]) in the dual."""
+    return kernel(Matrix(commutator_subspace(a).basis, a.dim))
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _leibniz_rows(table) -> tuple[tuple[tuple[int, int], dict[int, int]], ...]:
     """Linear system on vec(d), d an n x n matrix with unknowns d[r][c] at r*n+c:
@@ -112,18 +111,14 @@ def _leibniz_rows(table) -> tuple[tuple[tuple[int, int], dict[int, int]], ...]:
     mutate it. An unknown that a one-entry row forces to zero is emitted once, as
     a unit row, and dropped from later rows; a row equal up to scale to one already
     emitted is skipped. A matrix that satisfies every earlier row is zero at each
-    dropped unknown, so the first row it fails belongs to the first pair it fails.
-    A skew table (cell [j][i] = -[i][j], as in [ , ]) builds only pairs i < j: the
-    rows of (j, i) are those of (i, j) negated, and those of (i, i) vanish."""
+    dropped unknown, so the first row it fails belongs to the first pair it fails."""
     n = len(table)
-    skew = all(table[j][i] == tuple((k, -x) for k, x in table[i][j])
-               for i in range(n) for j in range(i, n))
     # the nonzero c[m][j][k] and c[i][m][k] as (m*n, k, c), per j and per i
     right = [[(m * n, k, c) for m in range(n) for k, c in table[m][j]] for j in range(n)]
     left = [[(m * n, k, c) for m in range(n) for k, c in table[i][m]] for i in range(n)]
     zero, seen, rows = set(), set(), []
     for i in range(n):
-        for j in range(i + 1 if skew else 0, n):
+        for j in range(n):
             block = [{} for _ in range(n)]
             for m, c in table[i][j]:
                 for k in range(n):
@@ -160,6 +155,19 @@ def derivation_algebra(a: Algebra) -> tuple[Matrix, ...]:
     n = a.dim
     return tuple(Matrix(tuple(v[r * n:(r + 1) * n] for r in range(n)), n)
                  for v in derivation_span(a).basis)
+
+
+def lie_derivation_split(a: Algebra) -> tuple[Subspace, Subspace]:
+    """(LieDer, Der + T) as subspaces of the dim x dim matrices, entry (r, c)
+    at coordinate r*dim + c. LieDer is the kernel of the Leibniz rows over the
+    commutator table; T is spanned by the maps x -> f(x) z, z central and f in
+    `commutator_annihilator`."""
+    n = a.dim
+    lie = kernel(SparseMatrix(tuple(row for _, row in _leibniz_rows(a.commutator_table())),
+                              n * n))
+    t = [tuple(z[r] * f[c] for r in range(n) for c in range(n))
+         for z in center(a).basis for f in commutator_annihilator(a).basis]
+    return lie, derivation_span(a) + Subspace.span(n * n, t)
 
 
 def _leibniz_failure(table, d: Matrix) -> tuple[int, int] | None:

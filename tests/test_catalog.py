@@ -14,7 +14,6 @@ from altrings import (
 from altrings.catalog import (
     build,
     canonical_idempotent,
-    commutator_annihilating_functional,
     direct_sum,
     find_idempotent,
     matrix_algebra,
@@ -24,7 +23,7 @@ from altrings.catalog import (
     zorn,
 )
 from altrings.errors import InputError
-from altrings.structure import IdempotentKind, commutator_subspace
+from altrings.structure import IdempotentKind, commutator_annihilator, commutator_subspace
 
 F = Fraction
 
@@ -112,13 +111,12 @@ def test_random_lie_derivation_zero_terms(m2):
 def test_commutator_functional_m2(m2):
     # [M2, M2] is the traceless plane, so the annihilator is the trace direction
     assert commutator_subspace(m2).dim == 3
-    ell = commutator_annihilating_functional(m2)
-    assert ell == (F(1), F(0), F(0), F(1))
+    assert commutator_annihilator(m2).basis == ((F(1), F(0), F(0), F(1)),)
 
 
 def test_commutator_functional_zorn(zorn_algebra):
     assert commutator_subspace(zorn_algebra).dim == 7
-    ell = commutator_annihilating_functional(zorn_algebra)
+    [ell] = commutator_annihilator(zorn_algebra).basis
     for c in commutator_subspace(zorn_algebra).basis:
         assert sum(f * x for f, x in zip(ell, c)) == 0
 

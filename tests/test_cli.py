@@ -728,6 +728,30 @@ def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
     assert not list(tmp_path.rglob("*.delta.json"))
 
 
+
+@pytest.mark.parametrize("command", ["make", "decompose"])
+def test_missing_output_dir_is_refused_before_any_work(command, zorn_file, tmp_path,
+                                                      monkeypatch, capsys):
+    """`make -o` and `decompose -o` into a missing directory exit 2 with the
+    message of a failed write, before building or loading an algebra."""
+    from altrings import catalog, jsonio
+
+    calls = []
+    for module, name in ((catalog, "build"), (jsonio, "load_algebra")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    missing = str(tmp_path / "missing" / "out")
+    argv, written = {
+        "make": (["make", "matrix:3", "-o", missing], missing),
+        "decompose": (["decompose", str(zorn_file), "--idempotent", "1,0,0,0,0,0,0,0", "--map",
+                       str(GOLDEN / "decompose" / "zorn.map.json"), "-o", missing],
+                      missing + ".delta.json"),
+    }[command]
+    err = f"error: cannot write {written}: No such file or directory\n"
+    assert run(capsys, *argv) == (2, "", err)
+    assert calls == []
+
 _IDEMPOTENT_TOKENS = st.one_of(
     st.fractions(min_value=-2, max_value=2, max_denominator=3).map(str),
     st.sampled_from(["0", "1", "", "1/0", "1e0", "-", " 1 ", "9" * 5000]))

@@ -14,6 +14,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -162,3 +165,13 @@ def test_make_doubling_matches_golden_digest(stem, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _stdout(["make", f"cd:{DOUBLINGS[stem]}", "-o", f"{stem}.json"])
     assert _sha256(f"{stem}.json") == _make_digest(stem)
+
+
+def test_structure_survey_matches_golden_table():
+    """`scripts/structure_survey.py`, run as a script, prints the pinned table."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "structure_survey.py")],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "structure_survey.txt").read_text(encoding="utf-8")

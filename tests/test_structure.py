@@ -25,7 +25,8 @@ from altrings.linalg import (Matrix, SparseMatrix, Subspace, frac_vec, invert, i
                              restrict_map, stack, vec_sub, zero_vec)
 from altrings.sampling import random_nonzero_vector, rng_for
 from altrings.structure import (IdempotentKind, _annihilator, _leibniz_failure, _leibniz_rows,
-                                commutator_subspace, derivation_span)
+                                commutator_annihilator, commutator_subspace, derivation_span,
+                                lie_derivation_split)
 
 F = Fraction
 
@@ -477,25 +478,6 @@ def _reference_nucleus(a):
     return kernel(SparseMatrix(tuple(rows.values()), a.dim))
 
 
-def test_nucleus_solves_slot_zero_once(monkeypatch):
-    # sum(zorn|zorn) has 312 (x, y, r) rows and a nucleus of dim 2, so the full
-    # system runs; it takes the span of the (x, y, r) rows as at most dim rows
-    a = build(parse_recipe("sum(zorn|zorn)"))
-    systems = []
-
-    def recording_kernel(m):
-        systems.append(m)
-        return kernel(m)
-
-    monkeypatch.setattr("altrings.structure.kernel", recording_kernel)
-    nuc = nucleus.__wrapped__(a)
-    other_slots = {key for (i, j, m), v in a.associator_table().items() for k in v
-                   for key in ((1, i, m, k), (2, j, m, k))}
-    assert systems[0].nrows > a.dim and nuc.dim == 2
-    assert systems[-1].nrows - len(other_slots) <= a.dim
-    assert nuc == _reference_nucleus(a)
-
-
 def test_cached_facts_are_kept_for_a_bounded_number_of_algebras():
     """A library loop over 30 distinct dim-16 algebras, each analysed and then
     dropped, retains the facts of the last CACHE_SIZE (about 1.1 MB each), not
@@ -529,7 +511,7 @@ def _assert_matches_reference_systems(a, perturbed):
     Leibniz system has the full one's kernel, holds no zero entry and no two
     rows equal up to scale, and gives the full one's first failing pair on the
     derivation basis and on `perturbed` matrices, which `is_derivation` reads;
-    the slot-by-slot nucleus is the three-slot one."""
+    the nucleus is the kernel of the three-slot system."""
     n = a.dim
     for table in (a._int_table, a.commutator_table()):
         tagged = _leibniz_rows(table)
@@ -576,35 +558,32 @@ def test_reduced_systems_match_full_systems_on_random_algebras(data):
         + [Matrix(tuple(data.draw(_vectors(a)) for _ in range(n)), n)])
 
 
-@pytest.mark.parametrize("recipe", ["zorn", "matrix:3", "m2m2", "cd:-1,-1,-1,-1"])
-def test_leibniz_rows_of_a_skew_table_come_from_pairs_i_below_j(recipe):
-    """The commutator table is skew, so its rows are built on the pairs i < j
-    only; the product table of a unital algebra is not, so (0, 0) gives rows."""
-    a = build(parse_recipe(recipe))
-    assert all(i < j for (i, j), _ in _leibniz_rows(a.commutator_table()))
-    assert _leibniz_rows(a._int_table)[0][0] == (0, 0)
-
-
-def _survey_script():
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "scripts" / "structure_survey.py"
-    spec = importlib.util.spec_from_file_location("structure_survey", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("recipe, dims", [
     ("zorn", (15, 14, 15)), ("matrix:2", (4, 3, 4)), ("matrix:3", (9, 8, 9)),
     ("matrix:4", (16, 15, 16)), ("m2m2", (10, 6, 10)), ("sum(zorn|zorn)", (32, 28, 32)),
     ("cd:1,1,1", (15, 14, 15)), ("cd:-1,-1", (4, 3, 4)), ("cd:-1,-1,-1,-1", (15, 14, 15)),
     ("sum(zorn|matrix:1)", (18, 14, 18)), ("sum(matrix:2|matrix:1)", (7, 3, 7))])
 def test_linear_lie_derivations_are_derivations_plus_central_maps(recipe, dims):
-    """dim LieDer, dim Der and dim (Der + T) from the structure survey, T the
-    center-valued linear maps that kill commutators: LieDer = Der + T."""
+    """dim LieDer, dim Der and dim (Der + T), T the center-valued linear maps
+    that kill commutators: LieDer = Der + T."""
     a = build(parse_recipe(recipe))
-    lie, der_t = _survey_script().lie_derivation_split(a)
+    lie, der_t = lie_derivation_split(a)
     assert (lie.dim, len(derivation_algebra(a)), der_t.dim) == dims
     assert lie == der_t
+
+
+SURVEY_RECIPES = ("matrix:1", "matrix:2", "matrix:3", "matrix:4", "zorn", "cd:-1,-1",
+                  "cd:-1,-1,-1", "cd:1,1,1", "cd:-1,-1,-1,-1", "m2m2", "sum(zorn|matrix:1)",
+                  "sum(matrix:2|matrix:1)", "sum(zorn|zorn)")
+COMMUTATIVE = ("matrix:1", "cd:-1", "sum(matrix:1|matrix:1)")
+
+
+@pytest.mark.parametrize("recipe", SURVEY_RECIPES + COMMUTATIVE[1:])
+def test_commutator_annihilator_is_the_dual_of_the_commutator_span(recipe):
+    """ann([A, A]) has dimension dim - dim [A, A] and kills [A, A]; on the
+    commutative algebras, where [A, A] = 0, it is the whole dual."""
+    a = build(parse_recipe(recipe))
+    comm, ann = commutator_subspace(a), commutator_annihilator(a)
+    assert ann.dim == a.dim - comm.dim
+    assert all(sum(f * x for f, x in zip(ell, c)) == 0 for ell in ann.basis for c in comm.basis)
+    assert (ann == Subspace.full(a.dim)) == (comm.dim == 0) == (recipe in COMMUTATIVE)
