@@ -83,9 +83,12 @@ def _build_recipe(text: str) -> tuple[catalog.ConstructionRecipe, Algebra]:
 
 
 def _check_output_dir(path: str):
-    """Refuse a path in a missing directory before any work, as a failed write would."""
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    """Refuse, before any work and as a failed write would, an empty path, a path in
+    a missing directory and an existing directory."""
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
         raise InputError(f"cannot write {path}: No such file or directory")
+    if os.path.isdir(path):
+        raise InputError(f"cannot write {path}: Is a directory")
 
 
 def _conditions(ctx, args, where: str = "") -> peirce.ConditionsReport:
@@ -148,8 +151,8 @@ def cmd_peirce(args):
 def cmd_decompose(args):
     if args.output is not None and os.path.basename(args.output) in ("", ".", ".."):
         raise InputError(f"decompose: -o PREFIX must end in a file name (got {args.output!r})")
-    if args.output:
-        _check_output_dir(args.output + ".delta.json")
+    for suffix in (".delta.json", ".tau.json") if args.output else ():
+        _check_output_dir(args.output + suffix)
     algebra = jsonio.load_algebra(args.algebra)
     e1 = _parse_idempotent(args.idempotent, algebra)
     ctx = peirce.make_context(algebra, e1)

@@ -12,9 +12,9 @@ one fraction-free Gauss-Jordan routine (Bareiss, Math. Comp. 22, 1968) on
 sparse `{col: int}` rows of nonzero entries, kept primitive by dividing out
 their content, so tall sparse systems cost what their nonzeros cost and a
 `Fraction` is built only when a reduced row is emitted. Membership:
-`Subspace.reduce_vector` reduces against an integer form of the basis cached
-per `Subspace`. The reduced row-echelon form of a row space is unique, so
-results (and every report built on them) do not depend on how rows were
+`Subspace.reduce_vector` subtracts v's pivot combination, on an integer basis
+cached per `Subspace`. The reduced row-echelon form of a row space is unique,
+so results (and every report built on them) do not depend on how rows were
 stored, ordered or scaled; subspaces keep that canonical basis, and equality
 is syntactic, field by field, in the one `__eq__` that every `Record` shares.
 """
@@ -426,38 +426,34 @@ class Subspace(Record):
         return len(self.basis)
 
     @cached_property
-    def _int_basis(self) -> tuple[tuple[int, int, tuple], ...]:
-        """Each basis row as (pivot, den, nonzero (col, numerator) pairs) with
-        row == numerators / den, so the pivot entry's numerator is den."""
-        out = []
-        for row in self.basis:
-            pairs, den = int_vec(row)
-            out.append((pairs[0][0], den, tuple(pairs)))
-        return tuple(out)
+    def _int_basis(self) -> tuple[int, tuple[tuple[int, tuple], ...]]:
+        """The basis over one common denominator: (den, rows), each row (pivot,
+        nonzero (col, numerator) pairs) with row == numerators / den."""
+        n = self.ambient_dim
+        pairs, den = int_vec(x for row in self.basis for x in row)
+        rows = [[] for _ in self.basis]
+        for flat, num in pairs:
+            r, c = divmod(flat, n)
+            rows[r].append((c, num))
+        return den, tuple((row[0][0], tuple(row)) for row in rows)
 
     def reduce_vector(self, v: Sequence[Fraction]) -> Vec:
         """Residue of v after elimination against the basis; zero iff v is a member.
-        Computed on integers over one common denominator against `_int_basis`."""
+        Each basis row is 1 at its own pivot and 0 at every other pivot, so the
+        residue is v - sum_p v[p] row_p, computed on integers over `_int_basis`."""
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        pairs, den = int_vec(v)
-        w = [0] * self.ambient_dim
+        pairs, dv = int_vec(v)
+        den, rows = self._int_basis
+        num = [0] * self.ambient_dim
         for i, x in pairs:
-            w[i] = x
-        for p, d, row in self._int_basis:
-            t = w[p]
-            if t:
-                # w/den - (t/den) * row/d == (s*w - t*row) / (den*s) with
-                # t/s = w[p]/d in lowest terms
-                g = gcd(t, d)
-                t //= g
-                s = d // g
-                if s != 1:
-                    w = [s * x for x in w]
-                    den *= s
+            num[i] = x
+        w = [x * den for x in num]
+        for p, row in rows:
+            if t := num[p]:
                 for c, x in row:
                     w[c] -= t * x
-        return frac_vec(w, den)
+        return frac_vec(w, dv * den)
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         return is_zero_vec(self.reduce_vector(v))

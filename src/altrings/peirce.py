@@ -199,8 +199,8 @@ def _annihilator_in(alg: Algebra, domain: Subspace, multipliers: Subspace,
                     side: str) -> Element | None:
     """Nonzero x in `domain` killed by every multiplier (x*r or r*x), if any; with
     no multipliers, the first basis vector of `domain`."""
-    ker = _annihilator(alg._int_table, domain, multipliers.basis, side).basis
-    return Element(alg, combine(ker[0], domain.basis, alg.dim)) if ker else None
+    ker = _annihilator(alg, domain, multipliers.basis, side).basis
+    return Element(alg, ker[0]) if ker else None
 
 
 def check_conditions(ctx: PeirceContext, seed: int = 0, samples: int = 20) -> ConditionsReport:
@@ -225,7 +225,7 @@ def check_conditions(ctx: PeirceContext, seed: int = 0, samples: int = 20) -> Co
     else:  # the unit is central, so the center is at least a line
         mode, detail = "exact", "z R = R for nonzero central z (center is a line)"
     full = Subspace.full(alg.dim)
-    z = next((z for z in cands if _annihilator(alg._int_table, full, [z], "left").dim), None)
+    z = next((z for z in cands if _annihilator(alg, full, [z], "left").dim), None)
     checks.append(Check("condition-4", z is None, mode,
                         witness=None if z is None else repr(Element(alg, z)), detail=detail))
     return ConditionsReport(tuple(checks))
@@ -252,9 +252,8 @@ def verify_prop_spade_club(ctx: PeirceContext) -> tuple[Check, Check]:
     cen, diag = center(alg), ctx.spaces[0][0] + ctx.spaces[1][1]
     checks = []
     for name, (i, j) in (("prop-spade", (0, 1)), ("prop-club", (1, 0))):
-        ann = _annihilator(alg.commutator_table(), diag, ctx.spaces[i][j].basis)
-        w = next((v for v in (combine(c, diag.basis, alg.dim) for c in ann.basis)
-                  if not cen.contains_vector(v)), None)
+        ann = _annihilator(alg, diag, ctx.spaces[i][j].basis, "commute")
+        w = next((v for v in ann.basis if not cen.contains_vector(v)), None)
         checks.append(Check(name, w is None, "exact", witness=w and repr(Element(alg, w))))
     return checks[0], checks[1]
 

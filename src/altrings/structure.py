@@ -51,40 +51,42 @@ def nucleus(a: Algebra) -> Subspace:
     return kernel(SparseMatrix(tuple(rows.values()), a.dim))
 
 
-def _annihilator(table, domain: Subspace, multipliers, side: str = "right") -> Subspace:
-    """The x in `domain` with x r = 0 (r x = 0 for side "left") for all r in `multipliers`:
-    the kernel, over `domain.basis` d_t, of rows (r, k) holding (d_t r)_k under an integer
-    table (`_int_table`, or `commutator_table` for [x, r]), the d_t over one denominator."""
-    n, rows = len(table), []
+def _annihilator(a: Algebra, domain: Subspace, multipliers, side: str) -> Subspace:
+    """The x in `domain` with x r = 0 (side "right"), r x = 0 ("left") or [x, r] = 0
+    ("commute") for all r in `multipliers`, as a subspace of A: the kernel of rows (r, k)
+    holding (d_t r)_k, (r d_t)_k or [d_t, r]_k over `domain.basis` d_t. Each d_t is 1 at
+    its pivot and 0 before it and at every other d_u's pivot, so the kernel's reduced
+    basis, mapped through the d_t, is the reduced basis of the answer, unchanged."""
+    n, rows = a.dim, []
+    table = a.commutator_table() if side == "commute" else a._int_table
     dom = int_vec(x for v in domain.basis for x in v)[0]  # (t*n + i, d_t[i]) pairs
     for r in multipliers:
         block = [{} for _ in range(n)]
         for m, c in int_vec(r)[0]:
             for flat, y in dom:
                 t, i = divmod(flat, n)
-                for k, x in table[i][m] if side == "right" else table[m][i]:
+                for k, x in table[m][i] if side == "left" else table[i][m]:
                     block[k][t] = block[k].get(t, 0) + c * x * y
         rows += filter(None, ({t: x for t, x in row.items() if x} for row in block))
-    return kernel(SparseMatrix(tuple(rows), domain.dim))
+    ker = kernel(SparseMatrix(tuple(rows), domain.dim))
+    return Subspace(n, tuple(combine(c, domain.basis, n) for c in ker.basis))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def center(a: Algebra) -> Subspace:
-    """Nuclear elements that every basis vector annihilates under [ , ]; a line
-    nucleus is the central unit line."""
+    """Nuclear elements that commute with every basis vector; a line nucleus is
+    the central unit line."""
     nuc = nucleus(a)
     if nuc.dim == 1:
         return nuc
-    ker = _annihilator(a.commutator_table(), nuc, Subspace.full(a.dim).basis)
-    return Subspace.span(a.dim, [combine(c, nuc.basis, a.dim) for c in ker.basis])
+    return _annihilator(a, nuc, Subspace.full(a.dim).basis, "commute")
 
 
 def centralizer(a: Algebra, s: Subspace) -> Subspace:
-    """Elements of the whole algebra commuting with every element of s: the
-    annihilator of s's basis under [ , ], read off `commutator_table`."""
+    """Elements of the whole algebra commuting with every element of s."""
     if s.ambient_dim != a.dim:
         raise ValueError("subspace does not live in this algebra")
-    return _annihilator(a.commutator_table(), Subspace.full(a.dim), s.basis)
+    return _annihilator(a, Subspace.full(a.dim), s.basis, "commute")
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -234,7 +236,7 @@ def check_prime(a: Algebra, trials: int, seed: int) -> PrimalityResult:
     candidates += [sampling.random_nonzero_vector(rng, n) for _ in range(trials)]
     for cand in candidates:
         prods = [a.mul_vec(cand, a.basis_vec(k)) for k in range(n)]
-        ker = _annihilator(a._int_table, Subspace.full(n), prods, side="left")
+        ker = _annihilator(a, Subspace.full(n), prods, "left")
         if ker.dim > 0:
             b = ker.basis[0]
             for p in prods:

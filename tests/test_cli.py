@@ -729,11 +729,13 @@ def test_bad_paths_exit_2_with_one_line(case, m2_file, tmp_path):
 
 
 
-@pytest.mark.parametrize("command", ["make", "decompose"])
-def test_missing_output_dir_is_refused_before_any_work(command, zorn_file, tmp_path,
+@pytest.mark.parametrize("case", ["make", "make-dir", "make-empty",
+                                  "decompose", "decompose-delta-dir", "decompose-tau-dir"])
+def test_missing_output_dir_is_refused_before_any_work(case, zorn_file, tmp_path,
                                                       monkeypatch, capsys):
-    """`make -o` and `decompose -o` into a missing directory exit 2 with the
-    message of a failed write, before building or loading an algebra."""
+    """`make -o` and `decompose -o` into a missing directory, onto an existing
+    directory or to an empty path exit 2 with the message of a failed write,
+    before building or loading an algebra."""
     from altrings import catalog, jsonio
 
     calls = []
@@ -741,16 +743,25 @@ def test_missing_output_dir_is_refused_before_any_work(command, zorn_file, tmp_p
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *args, real=real, name=name: calls.append(name) or real(*args))
-    missing = str(tmp_path / "missing" / "out")
-    argv, written = {
-        "make": (["make", "matrix:3", "-o", missing], missing),
-        "decompose": (["decompose", str(zorn_file), "--idempotent", "1,0,0,0,0,0,0,0", "--map",
-                       str(GOLDEN / "decompose" / "zorn.map.json"), "-o", missing],
-                      missing + ".delta.json"),
-    }[command]
-    err = f"error: cannot write {written}: No such file or directory\n"
-    assert run(capsys, *argv) == (2, "", err)
+    missing, prefix = str(tmp_path / "missing" / "out"), str(tmp_path / "out")
+    for name in ("dir", "out.delta.json" if case == "decompose-delta-dir" else "out.tau.json"):
+        (tmp_path / name).mkdir()
+    decompose = ["decompose", str(zorn_file), "--idempotent", "1,0,0,0,0,0,0,0", "--map",
+                 str(GOLDEN / "decompose" / "zorn.map.json"), "-o"]
+    absent, is_dir = "No such file or directory", "Is a directory"
+    argv, written, reason = {
+        "make": (["make", "matrix:3", "-o", missing], missing, absent),
+        "make-dir": (["make", "matrix:3", "-o", str(tmp_path / "dir")], str(tmp_path / "dir"),
+                     is_dir),
+        "make-empty": (["make", "matrix:3", "-o", ""], "", absent),
+        "decompose": ([*decompose, missing], missing + ".delta.json", absent),
+        "decompose-delta-dir": ([*decompose, prefix], prefix + ".delta.json", is_dir),
+        "decompose-tau-dir": ([*decompose, prefix], prefix + ".tau.json", is_dir),
+    }[case]
+    assert run(capsys, *argv) == (2, "", f"error: cannot write {written}: {reason}\n")
     assert calls == []
+    assert not (tmp_path / "out.delta.json").is_file()
+
 
 _IDEMPOTENT_TOKENS = st.one_of(
     st.fractions(min_value=-2, max_value=2, max_denominator=3).map(str),

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from altrings.algebra import Element
-from altrings.catalog import matrix_algebra
+from altrings.catalog import direct_sum, matrix_algebra, zorn
 from altrings.liederiv import MapSpec, SampleBudget
 from altrings.linalg import (
     Matrix,
@@ -22,7 +22,8 @@ from altrings.linalg import (
     rref,
     solve,
 )
-from altrings.peirce import Check, ConditionsReport
+from altrings.peirce import Check, ConditionsReport, make_context
+from altrings.structure import center
 
 F = Fraction
 M2 = matrix_algebra(2)
@@ -303,6 +304,35 @@ def test_reduce_vector_matches_fraction_reference(spanning, vectors):
         got = space.reduce_vector(v)
         assert got == _reference_reduce(space, v)
         assert all(type(x) is Fraction for x in got)
+
+
+@pytest.fixture(scope="module")
+def two_half_contexts(m2m2_ctx):
+    """Contexts whose `central_splits` spaces are 2-dim, in Q^(2n): m2m2 at
+    E11 + E11' and sum(zorn|zorn) at e1 of its first summand."""
+    zz = direct_sum(zorn(), zorn())
+    return m2m2_ctx, make_context(zz, zz.basis_element(0))
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["m2m2", "zorn+zorn"])
+@given(data=st.data())
+def test_reduce_vector_matches_fraction_reference_on_two_half_spaces(two_half_contexts,
+                                                                     index, data):
+    """`PeirceContext.central_part` reads the residue of (P v, 0) against a
+    `central_splits` space, not only whether it is zero: its values match the
+    reference there, and on the corner spaces."""
+    ctx = two_half_contexts[index]
+    n, zero = ctx.algebra.dim, (F(0),) * ctx.algebra.dim
+    v = tuple(data.draw(st.lists(wide_rationals, min_size=n, max_size=n)))
+    for i, system in enumerate(ctx.central_splits):
+        p = ctx.proj[1 - i][1 - i]
+        assert system.dim == 2
+        for w in (p.apply(v) + zero, v + v, *(p.apply(z) + zero for z in center(ctx.algebra).basis),
+                  *system.basis):
+            assert system.reduce_vector(w) == _reference_reduce(system, w)
+    for space in (s for row in ctx.spaces for s in row):
+        for w in (v, *space.basis):
+            assert space.reduce_vector(w) == _reference_reduce(space, w)
 
 
 def _reference_matmul(a: Matrix, b: Matrix) -> Matrix:

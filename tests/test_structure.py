@@ -21,8 +21,8 @@ from altrings import (
 from altrings.algebra import alternativity_witness, check_flexible, find_nonassociative_triple
 from altrings.catalog import build, direct_sum, matrix_algebra, octonion_algebra, parse_recipe
 from altrings.errors import NotAlternativeError
-from altrings.linalg import (Matrix, SparseMatrix, Subspace, frac_vec, invert, is_zero_vec, kernel,
-                             restrict_map, stack, vec_sub, zero_vec)
+from altrings.linalg import (Matrix, SparseMatrix, Subspace, combine, frac_vec, invert, is_zero_vec,
+                             kernel, restrict_map, stack, vec_sub, zero_vec)
 from altrings.sampling import random_nonzero_vector, rng_for
 from altrings.structure import (IdempotentKind, _annihilator, _leibniz_failure, _leibniz_rows,
                                 commutator_annihilator, commutator_subspace, derivation_span,
@@ -363,25 +363,20 @@ def test_centralizer_matches_dense_commutator_system(data):
 @settings(max_examples=80)
 @given(st.data())
 def test_annihilator_matches_dense_operator_system(data):
-    """The integer rows of `_annihilator` have the kernel of the stacked dense
-    operators x -> x r (R_r) or x -> r x (L_r), or x -> [x, r] (R_r - L_r) or
-    x -> [r, x] (L_r - R_r) over the commutator table, restricted to the domain."""
+    """`_annihilator` is the kernel of the stacked dense operators x -> x r (R_r),
+    x -> r x (L_r) or x -> [x, r] (R_r - L_r) restricted to the domain, mapped
+    into the algebra; its basis comes back already reduced."""
     a = data.draw(any_unital_algebras())
     vectors = st.lists(_vectors(a), max_size=3)
     domain = Subspace.span(a.dim, data.draw(vectors))
     multipliers = data.draw(vectors)
-    side = data.draw(st.sampled_from(["right", "left"]))
-    commutes = data.draw(st.booleans())
-
-    def op(r):
-        first, second = a.right_mult_matrix(r), a.left_mult_matrix(r)
-        if side == "left":
-            first, second = second, first
-        return first - second if commutes else first
-
-    table = a.commutator_table() if commutes else a._int_table
-    assert _annihilator(table, domain, multipliers, side) == kernel(
-        stack([restrict_map(op(r), domain) for r in multipliers], domain.dim))
+    side = data.draw(st.sampled_from(["right", "left", "commute"]))
+    op = {"right": a.right_mult_matrix, "left": a.left_mult_matrix,
+          "commute": lambda r: a.right_mult_matrix(r) - a.left_mult_matrix(r)}[side]
+    ker = kernel(stack([restrict_map(op(r), domain) for r in multipliers], domain.dim))
+    ann = _annihilator(a, domain, multipliers, side)
+    assert ann == Subspace(a.dim, tuple(combine(c, domain.basis, a.dim) for c in ker.basis))
+    assert Subspace.span(a.dim, ann.basis) == ann
 
 
 @settings(max_examples=60)
