@@ -201,6 +201,8 @@ def parse_recipe(text: str) -> ConstructionRecipe:
         if len(cuts) != 1:
             raise InputError(f"sum recipe needs exactly two parts: {text!r}")
         parts = inner[:cuts[0]], inner[cuts[0] + 1:]
+        if not all(p.strip() for p in parts):
+            raise InputError(f"sum recipe has an empty part: {text!r}")
         return ConstructionRecipe("sum", tuple(map(parse_recipe, parts)))
     raise InputError(f"unknown recipe {text!r}")
 

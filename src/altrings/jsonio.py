@@ -144,8 +144,6 @@ def mapspec_from_dict(data: dict, algebra: Algebra) -> liederiv.MapSpec:
         if not isinstance(entry["poly"], list):
             raise InputError("central-term poly must be a JSON list")
         poly = tuple(parse_rational(c) for c in entry["poly"])
-        if poly and poly[0] != 0:
-            raise InputError("central-term polynomial must serialize constant term as \"0\"")
         terms.append(liederiv.CentralTerm(
             vector_from_json(entry["functional"], n),
             poly,

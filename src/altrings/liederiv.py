@@ -172,7 +172,7 @@ def lie_defect(d: MapSpec) -> tuple[Matrix, str | None]:
                 norms[r] += s.poly[r] * t.poly[r] * w * h[r]
     degree = next((k for k in range(2, len(norms)) if norms[k]), None)
     if degree is None:
-        bad = _leibniz_failure(alg.commutator_table(), linear)
+        bad = _leibniz_failure(alg, linear, "commutator")
         return linear, bad and _pair_label(alg, *bad)
     for i in range(n):
         for j in range(n):
@@ -346,7 +346,7 @@ def decompose(ctx: PeirceContext, d: MapSpec, budget: SampleBudget) -> Decomposi
     tau = MapSpec(alg, d.linear - delta, d.terms)
 
     # -- verification: the first witness of each failing verdict --
-    pair = _leibniz_failure(alg._int_table, delta)
+    pair = _leibniz_failure(alg, delta)
     cen = center(alg)
     col = next((k for k in range(n) if not cen.contains_vector(tau.linear.col(k))), None)
     # tau's degree >= 2 part vanishes on commutators (`lie_defect`), and its degree-1 part is tau'

@@ -23,7 +23,7 @@ from .algebra import (
 from .errors import NotAlternativeError
 from .linalg import Matrix, Record, SparseMatrix, Subspace, combine, int_vec, is_zero_vec, kernel
 
-CACHE_SIZE = 8  # algebras (or tables) each fact below is kept for: the latest few, not all
+CACHE_SIZE = 8  # algebras (per product) each fact below is kept for: the latest few, not all
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -33,16 +33,16 @@ def nucleus(a: Algebra) -> Subspace:
     Associators are linear in r: component k of (b_i, b_j, b_m) is the
     coefficient of r_m in row (i, j, k) of (b_i, b_j, r), row (i, m, k) of
     (b_i, r, b_m) and row (j, m, k) of (r, b_j, b_m). The rows are integer,
-    read off the scaled `Algebra.associator_table`. When the (x, y, r) rows
-    alone leave a line, it is the nucleus: the validated unit is nuclear. An
-    associative algebra has no rows at all and is its own nucleus. Otherwise
-    the nucleus is the kernel of all three slots' rows, taken as one system."""
+    read off the scaled `Algebra.associator_table`. The (x, y, r) rows alone
+    leave the nucleus when they leave a line (the validated unit is nuclear) or
+    A is alternative, associative included: (x, r, y) = -(x, y, r) = -(r, x, y).
+    Otherwise it is the kernel of all three slots' rows, taken as one system."""
     ass, rows = a.associator_table(), {}
     for (i, j, m), v in ass.items():
         for k, x in v.items():
             rows.setdefault((0, i, j, k), {})[m] = x
     nuc = kernel(SparseMatrix(tuple(rows.values()), a.dim))
-    if nuc.dim == 1 or not ass:
+    if nuc.dim == 1 or check_alternative(a):
         return nuc
     for (i, j, m), v in ass.items():
         for k, x in v.items():
@@ -104,17 +104,18 @@ def commutator_annihilator(a: Algebra) -> Subspace:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _leibniz_rows(table) -> tuple[tuple[tuple[int, int], dict[int, int]], ...]:
+def _leibniz_rows(a: Algebra,
+                  product="product") -> tuple[tuple[tuple[int, int], dict[int, int]], ...]:
     """Linear system on vec(d), d an n x n matrix with unknowns d[r][c] at r*n+c:
     d(b_i b_j) - d(b_i) b_j - b_i d(b_j) = 0 for all basis pairs, one row per
-    output component k, read off an integer structure table such as
-    `Algebra._int_table` or `Algebra.commutator_table`, as ((i, j), row) in
-    row-major order of the pairs; cached per table, and callers must not
+    output component k, of the "product" (`Algebra._int_table`) or the
+    "commutator" (`Algebra.commutator_table`), as ((i, j), row) in row-major
+    order of the pairs; cached per algebra and product, and callers must not
     mutate it. An unknown that a one-entry row forces to zero is emitted once, as
     a unit row, and dropped from later rows; a row equal up to scale to one already
     emitted is skipped. A matrix that satisfies every earlier row is zero at each
     dropped unknown, so the first row it fails belongs to the first pair it fails."""
-    n = len(table)
+    n, table = a.dim, a.commutator_table() if product == "commutator" else a._int_table
     # the nonzero c[m][j][k] and c[i][m][k] as (m*n, k, c), per j and per i
     right = [[(m * n, k, c) for m in range(n) for k, c in table[m][j]] for j in range(n)]
     left = [[(m * n, k, c) for m in range(n) for k, c in table[i][m]] for i in range(n)]
@@ -146,9 +147,9 @@ def _leibniz_rows(table) -> tuple[tuple[tuple[int, int], dict[int, int]], ...]:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def derivation_span(a: Algebra) -> Subspace:
-    """Derivation algebra as a subspace of vectorized matrices: the kernel of the Leibniz rows."""
-    return kernel(SparseMatrix(tuple(row for _, row in _leibniz_rows(a._int_table)), a.dim ** 2))
+def derivation_span(a: Algebra, product="product") -> Subspace:
+    """Derivations of the product (or "commutator") as vectorized matrices: the Leibniz kernel."""
+    return kernel(SparseMatrix(tuple(row for _, row in _leibniz_rows(a, product)), a.dim ** 2))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -161,33 +162,30 @@ def derivation_algebra(a: Algebra) -> tuple[Matrix, ...]:
 
 def lie_derivation_split(a: Algebra) -> tuple[Subspace, Subspace]:
     """(LieDer, Der + T) as subspaces of the dim x dim matrices, entry (r, c)
-    at coordinate r*dim + c. LieDer is the kernel of the Leibniz rows over the
-    commutator table; T is spanned by the maps x -> f(x) z, z central and f in
-    `commutator_annihilator`."""
+    at coordinate r*dim + c. LieDer is the derivation span of the commutator; T
+    is spanned by the maps x -> f(x) z, z central and f in `commutator_annihilator`."""
     n = a.dim
-    lie = kernel(SparseMatrix(tuple(row for _, row in _leibniz_rows(a.commutator_table())),
-                              n * n))
     t = [tuple(z[r] * f[c] for r in range(n) for c in range(n))
          for z in center(a).basis for f in commutator_annihilator(a).basis]
-    return lie, derivation_span(a) + Subspace.span(n * n, t)
+    return derivation_span(a, "commutator"), derivation_span(a) + Subspace.span(n * n, t)
 
 
-def _leibniz_failure(table, d: Matrix) -> tuple[int, int] | None:
+def _leibniz_failure(a: Algebra, d: Matrix, product="product") -> tuple[int, int] | None:
     """The first basis pair (i, j), row-major, on which d breaks the Leibniz rule
-    of the product of `table`, or None: vec(d) on `_leibniz_rows(table)`."""
-    n = len(table)
+    of the product (or of the "commutator"), or None: vec(d) on `_leibniz_rows`."""
+    n = a.dim
     if d.nrows != n or d.cols != n:
         raise ValueError("a derivation of the algebra is a dim x dim matrix")
     vd = [0] * (n * n)
     for col, x in int_vec(x for row in d.rows for x in row)[0]:
         vd[col] = x
-    return next((ij for ij, row in _leibniz_rows(table)
+    return next((ij for ij, row in _leibniz_rows(a, product)
                  if sum(x * vd[c] for c, x in row.items())), None)
 
 
 def is_derivation(a: Algebra, d: Matrix) -> bool:
     """Exact Leibniz check of one matrix on all basis pairs, on integer rows."""
-    return _leibniz_failure(a._int_table, d) is None
+    return _leibniz_failure(a, d) is None
 
 
 class IdempotentKind(enum.Enum):

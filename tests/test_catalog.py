@@ -150,6 +150,12 @@ def test_recipe_errors():
     for bad in ("sum(zorn)", "sum(zorn|zorn|zorn)", "sum(sum(zorn|zorn)|zorn|matrix:2)"):
         with pytest.raises(InputError, match=r"^sum recipe needs exactly two parts: "):
             parse_recipe(bad)
+    # each part names an algebra: an empty or blank one is refused as such, not as ''
+    for bad, named in (("sum(|zorn)", "sum(|zorn)"), ("sum(zorn|)", "sum(zorn|)"),
+                       ("sum(zorn|sum(zorn| ))", "sum(zorn| )")):
+        with pytest.raises(InputError) as exc:
+            parse_recipe(bad)
+        assert str(exc.value) == f"sum recipe has an empty part: {named!r}"
 
 
 def test_canonical_idempotents():

@@ -245,6 +245,21 @@ def test_central_term_poly_must_be_a_list(poly, m2_file, tmp_path, capsys):
     assert run(capsys, *argv)[0] == 0
 
 
+def test_central_term_with_constant_term_is_refused(m2_file, tmp_path, capsys):
+    """A central term is poly(f(a)) z with poly(0) = 0: a nonzero constant
+    term is bad input, refused by `MapSpec` as the map file's fault."""
+    trace = ["1", "0", "0", "1"]
+    data = {"linear": [["0"] * 4] * 4,
+            "central_terms": [{"functional": trace, "poly": ["1", "1"], "central": trace}]}
+    map_path = tmp_path / "constant.json"
+    map_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "decompose", str(m2_file), "--idempotent", "1,0,0,0",
+                         "--map", str(map_path))
+    assert code == 2 and out == ""
+    assert err == ("error: map file is invalid: "
+                   "central-term polynomial must have zero constant term\n")
+
+
 def test_analyze_unit_failure_exits_1(tmp_path, capsys):
     # Q x Q with the first projection declared as unit: e0 * e1 = 0 != e1
     bad = tmp_path / "badunit.json"

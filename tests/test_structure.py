@@ -243,9 +243,11 @@ def test_analyze_dim16(recipe):
 @pytest.mark.parametrize("products", [
     # (a*a, a*b, b*a, b*b) on the basis 1, a, b.  In each algebra the nucleus is
     # the unit line, but it would grow if the named associator slot were skipped.
+    # None is alternative, and the (x, y, r) rows alone leave more than a line,
+    # so `nucleus` has to solve the three-slot system.
     ("0", "0", "a", "0"),  # (x, y, r)
     ("a", "0", "a", "b"),  # (x, r, y)
-    ("0", "a", "0", "0"),  # (r, x, y): a*b = a gives (a, b, b) = a
+    ("0", "a", "0", "0"),  # (r, x, y): a*b = a gives (a, b, b) = a; (x, y, r) leaves span(1, a)
 ])
 def test_nucleus_checks_every_slot(products):
     def e(k):
@@ -255,7 +257,11 @@ def test_nucleus_checks_every_slot(products):
     aa, ab, ba, bb = (vec[p] for p in products)
     alg = Algebra({(0, 0): e(0), (0, 1): e(1), (0, 2): e(2), (1, 0): e(1), (2, 0): e(2),
                    (1, 1): aa, (1, 2): ab, (2, 1): ba, (2, 2): bb}, e(0))
-    assert nucleus(alg) == Subspace.span(3, [alg.unit])
+    basis = [alg.basis_element(i) for i in range(3)]
+    assert alternativity_witness(alg) is not None
+    assert _kernel_of_maps(3, [lambda r, x=x, y=y: associator(x, y, r).coeffs
+                               for x in basis for y in basis], basis).dim > 1
+    assert nucleus(alg) == _reference_nucleus(alg) == Subspace.span(3, [alg.unit])
 
 
 @st.composite
@@ -502,14 +508,14 @@ def test_cached_facts_are_kept_for_a_bounded_number_of_algebras():
 
 
 def _assert_matches_reference_systems(a, perturbed):
-    """On the product table and on the commutator table, the deduplicated
-    Leibniz system has the full one's kernel, holds no zero entry and no two
-    rows equal up to scale, and gives the full one's first failing pair on the
-    derivation basis and on `perturbed` matrices, which `is_derivation` reads;
-    the nucleus is the kernel of the three-slot system."""
+    """On the product and on the commutator, the deduplicated Leibniz system
+    has the full one's kernel, holds no zero entry and no two rows equal up to
+    scale, and gives the full one's first failing pair on the derivation basis
+    and on `perturbed` matrices, which `is_derivation` reads; the nucleus is
+    the kernel of the three-slot system."""
     n = a.dim
-    for table in (a._int_table, a.commutator_table()):
-        tagged = _leibniz_rows(table)
+    for product, table in (("product", a._int_table), ("commutator", a.commutator_table())):
+        tagged = _leibniz_rows(a, product)
         rows = tuple(r for _, r in tagged)
         full = _reference_leibniz_rows(table)
         assert kernel(SparseMatrix(tuple(r for _, r in full), n * n)) == \
@@ -520,8 +526,8 @@ def _assert_matches_reference_systems(a, perturbed):
         for d in derivation_algebra(a) + tuple(perturbed):
             vd = [x for row in d.rows for x in row]
             first = next((ij for ij, r in full if sum(x * vd[c] for c, x in r.items())), None)
-            assert _leibniz_failure(table, d) == first
-            if table is a._int_table:
+            assert _leibniz_failure(a, d, product) == first
+            if product == "product":
                 assert is_derivation(a, d) == (first is None)
     assert nucleus(a) == _reference_nucleus(a)
 
